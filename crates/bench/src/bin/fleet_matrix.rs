@@ -432,10 +432,6 @@ fn encode_session_streams(active: usize, per_conn: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Drives one live serve run: `idle` connections that never send a
-/// byte plus one active producer per stream, against a unix-socket
-/// server in the given mode. Returns elapsed seconds and the server's
-/// peak handler count (threads, or event-loop workers).
 /// Connects with retries: under the 256-connection fan-in the listen
 /// backlog (128 on Linux) can fill faster than the accept loop drains
 /// it, and a bounced connect is congestion, not failure.
@@ -450,24 +446,18 @@ fn connect_retry(sock: &std::path::Path) -> std::os::unix::net::UnixStream {
     panic!("could not connect to {}", sock.display());
 }
 
+/// Drives one live serve run: `idle` connections that never send a
+/// byte plus one active producer per stream, against a unix-socket
+/// server with 4 event-loop workers. Returns elapsed seconds.
 #[cfg(unix)]
-fn run_connection_scaling(
-    mode: regmon_serve::ServeMode,
-    idle: usize,
-    streams: &[Vec<u8>],
-) -> (f64, usize) {
+fn run_connection_scaling(idle: usize, streams: &[Vec<u8>]) -> f64 {
     use std::io::Write as _;
     use std::os::unix::net::UnixStream;
-    let sock = std::env::temp_dir().join(format!(
-        "regmon-fleet-scale-{}-{}.sock",
-        std::process::id(),
-        mode.label()
-    ));
+    let sock = std::env::temp_dir().join(format!("regmon-fleet-scale-{}.sock", std::process::id()));
     let options = regmon_serve::ServeOptions {
         shards: HEADLINE_SHARDS,
         queue_depth: QUEUE_DEPTH,
         expect_sessions: streams.len(),
-        mode,
         event_workers: 4,
         ..Default::default()
     };
@@ -508,7 +498,7 @@ fn run_connection_scaling(
         report.errors
     );
     assert_eq!(report.sessions.len(), streams.len(), "sessions lost");
-    (elapsed, report.peak_handlers)
+    elapsed
 }
 
 // ---------------------------------------------------------------------------
@@ -919,42 +909,27 @@ fn main() {
     let cpd_mpps = median_mips(cpd_total, reps, || run_cpd(HEADLINE_TENANTS, cpd_rounds));
 
     // Connection scaling: a live `regmon serve` over a unix socket,
-    // many mostly-idle connections plus a core of active producers, in
-    // both serve modes. These rows time the whole server (wire decode +
-    // ring transport + session compute), so their absolute rates sit
-    // far below the transport-only cells; the readings that matter are
-    // the threads-vs-events delta and peak_handlers (one thread per
-    // connection vs the fixed event-loop worker pool).
+    // many mostly-idle connections plus a core of active producers,
+    // multiplexed by 4 event-loop workers. This row times the whole
+    // server (wire decode + ring transport + session compute), so its
+    // absolute rate sits far below the transport-only cells.
     #[cfg(unix)]
     let scaling_rows: Vec<String> = {
         let (idle, active, per_conn) = if quick { (32, 8, 20) } else { (256, 64, 60) };
         let streams = encode_session_streams(active, per_conn);
         let scale_total = active * per_conn;
         let scale_reps = if quick { 1 } else { 3 };
-        [
-            regmon_serve::ServeMode::Threads,
-            regmon_serve::ServeMode::Events,
-        ]
-        .iter()
-        .map(|&mode| {
-            run_connection_scaling(mode, idle, &streams); // warmup
-            let mut rates = Vec::new();
-            let mut peak = 0usize;
-            for _ in 0..scale_reps {
-                let (elapsed, p) = run_connection_scaling(mode, idle, &streams);
-                rates.push(scale_total as f64 / elapsed / 1.0e6);
-                peak = peak.max(p);
-            }
-            rates.sort_by(f64::total_cmp);
-            let mips = rates[rates.len() / 2];
-            format!(
-                "    {{\"mode\": \"{}\", \"idle_connections\": {idle}, \
-                 \"active_connections\": {active}, \"intervals_per_connection\": {per_conn}, \
-                 \"m_intervals_per_sec\": {mips:.3}, \"peak_handlers\": {peak}}}",
-                mode.label()
-            )
-        })
-        .collect()
+        run_connection_scaling(idle, &streams); // warmup
+        let mut rates: Vec<f64> = (0..scale_reps)
+            .map(|_| scale_total as f64 / run_connection_scaling(idle, &streams) / 1.0e6)
+            .collect();
+        rates.sort_by(f64::total_cmp);
+        let mips = rates[rates.len() / 2];
+        vec![format!(
+            "    {{\"mode\": \"events\", \"idle_connections\": {idle}, \
+             \"active_connections\": {active}, \"intervals_per_connection\": {per_conn}, \
+             \"m_intervals_per_sec\": {mips:.3}}}"
+        )]
     };
     #[cfg(not(unix))]
     let scaling_rows: Vec<String> = Vec::new();
@@ -973,7 +948,7 @@ fn main() {
          (the serve-mode ingest path); wire2 = the same path over delta-encoded \
          columnar wire-v2 Batch frames; serve_scaling = a live unix-socket server \
          (decode + transport + session compute) under idle connection fan-in, \
-         threads vs events serve loop; cpd = the --cpd change-point hub fed one \
+         served by the poll(2) event loop; cpd = the --cpd change-point hub fed one \
          UCR point per tenant per round (million points/sec)\",\n",
     );
     json.push_str("  \"headline\": {\n");

@@ -1,4 +1,11 @@
 //! Minimal flag parsing (no external dependencies).
+//!
+//! The `USAGE` text is the option table: a subcommand accepts exactly
+//! the `--options` its usage block lists, and an option takes a value
+//! when the block shows one after it (`[--period N]`) and is a flag
+//! when it does not (`[--json]`).
+
+use crate::commands::{closest, USAGE};
 
 /// Parsed positional arguments and `--key value` / `--flag` options.
 #[derive(Debug, Default)]
@@ -7,36 +14,70 @@ pub struct Parsed {
     options: Vec<(String, Option<String>)>,
 }
 
-/// Flags that take no value.
-const BOOL_FLAGS: [&str; 8] = [
-    "json",
-    "interprocedural",
-    "steal",
-    "pin",
-    "compress",
-    "no-finish",
-    "resume",
-    "cpd",
-];
+/// The options `regmon <command>` accepts, each with whether it takes
+/// a value, in the order its `USAGE` block lists them.
+fn options_of(command: &str) -> Vec<(&'static str, bool)> {
+    let mut out: Vec<(&'static str, bool)> = Vec::new();
+    let mut in_block = false;
+    for line in USAGE.lines() {
+        if let Some(rest) = line.trim_start().strip_prefix("regmon ") {
+            // A synopsis line opens a block; indented lines continue it.
+            in_block = line.starts_with("  ") && rest.split_whitespace().next() == Some(command);
+        } else if !line.starts_with("   ") {
+            in_block = false;
+        }
+        if !in_block {
+            continue;
+        }
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        for (i, token) in tokens.iter().enumerate() {
+            let Some(name) = token.trim_start_matches(['[', '(']).strip_prefix("--") else {
+                continue;
+            };
+            let closed = name.ends_with([']', ')']);
+            let name = name.trim_end_matches([']', ')']);
+            let takes_value = !closed
+                && tokens
+                    .get(i + 1)
+                    .is_some_and(|next| !next.starts_with(['-', '[', '(', '|']));
+            if !out.iter().any(|(known, _)| *known == name) {
+                out.push((name, takes_value));
+            }
+        }
+    }
+    out
+}
 
-/// Parses `argv` into positionals and options.
+/// Parses `regmon <command>`'s `argv` into positionals and options.
 ///
 /// # Errors
 ///
-/// Returns an error for an option with a missing value.
-pub fn parse(argv: &[String]) -> Result<Parsed, String> {
+/// Returns an error for an option `command` does not accept (with a
+/// did-you-mean when one is close) and for an option missing its value.
+pub fn parse(command: &str, argv: &[String]) -> Result<Parsed, String> {
+    let accepted = options_of(command);
     let mut out = Parsed::default();
-    let mut it = argv.iter().peekable();
+    let mut it = argv.iter();
     while let Some(arg) = it.next() {
         if let Some(key) = arg.strip_prefix("--") {
-            if BOOL_FLAGS.contains(&key) {
-                out.options.push((key.to_string(), None));
-            } else {
+            let Some(&(_, takes_value)) = accepted.iter().find(|(name, _)| *name == key) else {
+                let names: Vec<&str> = accepted.iter().map(|(name, _)| *name).collect();
+                return Err(match closest(key, &names) {
+                    Some(best) => {
+                        format!("regmon {command}: unknown option --{key}; did you mean --{best}?")
+                    }
+                    None => format!("regmon {command}: unknown option --{key}"),
+                });
+            };
+            let value = if takes_value {
                 let value = it
                     .next()
                     .ok_or_else(|| format!("--{key} requires a value"))?;
-                out.options.push((key.to_string(), Some(value.clone())));
-            }
+                Some(value.clone())
+            } else {
+                None
+            };
+            out.options.push((key.to_string(), value));
         } else {
             out.positional.push(arg.clone());
         }
@@ -80,7 +121,7 @@ mod tests {
 
     #[test]
     fn positionals_and_options() {
-        let p = parse(&argv(&["181.mcf", "--period", "45000", "--json"])).unwrap();
+        let p = parse("run", &argv(&["181.mcf", "--period", "45000", "--json"])).unwrap();
         assert_eq!(p.positional(0), Some("181.mcf"));
         assert!(p.flag("json"));
         assert_eq!(p.value_or("period", 0u64).unwrap(), 45_000);
@@ -89,19 +130,19 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(parse(&argv(&["--period"])).is_err());
+        assert!(parse("run", &argv(&["--period"])).is_err());
     }
 
     #[test]
     fn bad_value_is_an_error() {
-        let p = parse(&argv(&["--period", "abc"])).unwrap();
+        let p = parse("run", &argv(&["--period", "abc"])).unwrap();
         assert!(p.value_or("period", 0u64).is_err());
     }
 
     #[test]
     fn steal_is_a_bool_flag() {
         // `--steal` must not swallow the following argument as a value.
-        let p = parse(&argv(&["--steal", "--batch", "8"])).unwrap();
+        let p = parse("fleet", &argv(&["--steal", "--batch", "8"])).unwrap();
         assert!(p.flag("steal"));
         assert_eq!(p.value_or("batch", 1usize).unwrap(), 8);
     }
@@ -109,14 +150,65 @@ mod tests {
     #[test]
     fn pin_is_a_bool_flag() {
         // `--pin --json` must leave `--json` intact, not eat it as a value.
-        let p = parse(&argv(&["--pin", "--json"])).unwrap();
+        let p = parse("fleet", &argv(&["--pin", "--json"])).unwrap();
         assert!(p.flag("pin"));
         assert!(p.flag("json"));
     }
 
     #[test]
     fn last_occurrence_wins() {
-        let p = parse(&argv(&["--period", "1", "--period", "2"])).unwrap();
+        let p = parse("run", &argv(&["--period", "1", "--period", "2"])).unwrap();
         assert_eq!(p.value_or("period", 0u64).unwrap(), 2);
+    }
+
+    #[test]
+    fn resume_takes_a_file_in_replay_but_not_in_send() {
+        let p = parse("replay", &argv(&["j.rgj", "--resume", "ck.rgsn", "--json"])).unwrap();
+        assert_eq!(p.value_or("resume", String::new()).unwrap(), "ck.rgsn");
+        assert_eq!(p.positional(1), None);
+        let p = parse("send", &argv(&["j.rgj", "--resume", "--unix", "s.sock"])).unwrap();
+        assert!(p.flag("resume"));
+        assert_eq!(p.value_or("unix", String::new()).unwrap(), "s.sock");
+    }
+
+    #[test]
+    fn unknown_option_is_an_error_with_a_suggestion() {
+        let err = parse("fleet", &argv(&["--stael"])).unwrap_err();
+        assert!(
+            err.contains("--stael") && err.contains("did you mean --steal?"),
+            "{err}"
+        );
+        // Options belong to their subcommand: `--steal` is a fleet flag.
+        let err = parse("run", &argv(&["--steal"])).unwrap_err();
+        assert!(err.contains("unknown option --steal"), "{err}");
+    }
+
+    #[test]
+    fn options_are_read_from_each_usage_block() {
+        assert_eq!(
+            options_of("replay"),
+            [
+                ("json", false),
+                ("snapshot-at", true),
+                ("snapshot-out", true),
+                ("resume", true),
+                ("simd", true),
+            ]
+        );
+        // Both `regmon metrics` synopsis lines count.
+        assert_eq!(
+            options_of("metrics"),
+            [("intervals", true), ("json", false), ("check", true)]
+        );
+        assert!(options_of("list").is_empty());
+        for command in crate::SUBCOMMANDS {
+            let synopsis = format!("  regmon {command}");
+            assert!(
+                USAGE
+                    .lines()
+                    .any(|l| l == synopsis || l.starts_with(&format!("{synopsis} "))),
+                "no USAGE block for {command}"
+            );
+        }
     }
 }

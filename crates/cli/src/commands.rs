@@ -14,7 +14,7 @@ use regmon_fleet::{
     TenantSpec, BATCH_BUCKETS,
 };
 use regmon_serve::replay::ReplayOptions;
-use regmon_serve::server::{ServeMode, ServeOptions, ServeReport};
+use regmon_serve::server::{ServeOptions, ServeReport};
 use regmon_serve::wire::Frame;
 use regmon_stats::{simd, SimdLevel};
 
@@ -42,14 +42,14 @@ USAGE:
                [--trace-out FILE] [--record DIR]
                [--cpd] [--degrade TENANT:INTERVAL]
   regmon replay <journal> [--json] [--snapshot-at N] [--snapshot-out FILE]
-               [--resume FILE]
+               [--resume FILE] [--simd scalar|sse2|avx2]
   regmon serve (--unix PATH | --tcp ADDR) [--shards N] [--queue-depth N]
-               [--expect-sessions N] [--serve-loop threads|events]
-               [--event-workers N] [--wire-version 1|2|auto]
+               [--expect-sessions N] [--event-workers N]
+               [--wire-version 1|2|auto]
                [--durable DIR | --recover DIR] [--checkpoint-every N]
                [--fsync always|checkpoint|never] [--idle-timeout-ms N]
                [--max-conns N] [--drain-deadline-ms N]
-               [--json] [--trace-out FILE]
+               [--json] [--trace-out FILE] [--simd scalar|sse2|avx2]
   regmon send <journal> (--unix PATH | --tcp ADDR)
                [--wire-version 1|2|auto] [--compress] [--retries N]
                [--timeout-ms N] [--backoff-ms N] [--resume] [--no-finish]
@@ -77,11 +77,11 @@ raw-sample frames, byte-identical forever) and v2 (delta-encoded
 columnar batches, roughly 8x smaller, optionally LZ-compressed with
 --compress). `regmon send` negotiates by default (--wire-version auto)
 and falls back to v1 against an old server; results are byte-identical
-over every version/compression combination. `--serve-loop events`
-multiplexes all connections over a fixed pool of poll(2) workers
-instead of one thread per connection. `regmon migrate` moves a live
-session between two servers mid-stream: the first server checkpoints
-and retires the tenant, the second resumes it byte-identically.
+over every version/compression combination. `regmon serve` (unix
+only) multiplexes all connections over --event-workers poll(2)
+workers. `regmon migrate` moves a live session between two servers
+mid-stream: the first server checkpoints and retires the tenant, the
+second resumes it byte-identically.
 
 Durability: `serve --durable DIR` write-ahead-logs every admitted
 batch (CRC-checked wire frames) and checkpoints each session's RGSN
@@ -210,7 +210,7 @@ pub fn list() {
 
 /// `regmon run <benchmark>`
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("run", argv)?;
     apply_simd_flag(&p)?;
     let w = workload(p.positional(0))?;
     let period: u64 = p.value_or("period", 45_000)?;
@@ -327,7 +327,7 @@ fn print_summary_text(summary: &SessionSummary) {
 /// document can stay byte-identical across `REGMON_SIMD`/`--simd`/
 /// `--pin`.
 pub fn features(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("features", argv)?;
     apply_simd_flag(&p)?;
     let detected = simd::detected();
     let active = simd::active();
@@ -384,7 +384,7 @@ pub fn features(argv: &[String]) -> Result<(), String> {
 
 /// `regmon sweep <benchmark>` — the paper's three sampling periods.
 pub fn sweep(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("sweep", argv)?;
     let w = workload(p.positional(0))?;
     let intervals_45k: usize = p.value_or("intervals", 400)?;
     println!(
@@ -409,7 +409,7 @@ pub fn sweep(argv: &[String]) -> Result<(), String> {
 
 /// `regmon rto <benchmark>` — optimizer comparison at one period.
 pub fn rto(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("rto", argv)?;
     let w = workload(p.positional(0))?;
     let period: u64 = p.value_or("period", 800_000)?;
     let intervals: usize = p.value_or("intervals", usize::MAX)?;
@@ -449,7 +449,7 @@ pub fn rto(argv: &[String]) -> Result<(), String> {
 /// `--json` emits it machine-readably (wall-clock excluded so identical
 /// invocations yield byte-identical output).
 pub fn fleet(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("fleet", argv)?;
     apply_simd_flag(&p)?;
     let target = p.positional(0).ok_or("missing <benchmark|all> argument")?;
     let tenants: usize = p.value_or("tenants", 32)?;
@@ -840,7 +840,7 @@ fn cpd_json(c: &CpdReport) -> Json {
 /// session after N intervals (and continues); `--resume FILE` restores
 /// a checkpoint and skips the intervals it already covers.
 pub fn replay(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("replay", argv)?;
     apply_simd_flag(&p)?;
     let journal = p.positional(0).ok_or("missing <journal> argument")?;
     let snapshot_at: usize = p.value_or("snapshot-at", 0)?;
@@ -873,13 +873,18 @@ pub fn replay(argv: &[String]) -> Result<(), String> {
 }
 
 #[cfg(unix)]
-fn serve_over_unix(path: &str, options: ServeOptions) -> Result<ServeReport, String> {
-    regmon_serve::serve_unix(Path::new(path), options).map_err(|e| format!("--unix {path}: {e}"))
+fn serve_listener(unix: &str, tcp: &str, options: ServeOptions) -> Result<ServeReport, String> {
+    if unix.is_empty() {
+        regmon_serve::serve_tcp(tcp, options).map_err(|e| format!("--tcp {tcp}: {e}"))
+    } else {
+        regmon_serve::serve_unix(Path::new(unix), options)
+            .map_err(|e| format!("--unix {unix}: {e}"))
+    }
 }
 
 #[cfg(not(unix))]
-fn serve_over_unix(_path: &str, _options: ServeOptions) -> Result<ServeReport, String> {
-    Err("unix sockets are unavailable on this platform; use --tcp ADDR".into())
+fn serve_listener(_unix: &str, _tcp: &str, _options: ServeOptions) -> Result<ServeReport, String> {
+    Err("regmon serve runs on a poll(2) event loop, which this platform lacks".into())
 }
 
 /// `regmon serve` — ingest wire streams from producer processes.
@@ -889,7 +894,7 @@ fn serve_over_unix(_path: &str, _options: ServeOptions) -> Result<ServeReport, S
 /// then drains and reports every finished session in admission order —
 /// with `--json`, one `regmon run --json`-shaped document per session.
 pub fn serve(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("serve", argv)?;
     apply_simd_flag(&p)?;
     let unix: String = p.value_or("unix", String::new())?;
     let tcp: String = p.value_or("tcp", String::new())?;
@@ -923,8 +928,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         shards: p.value_or("shards", 2)?,
         queue_depth: p.value_or("queue-depth", 256)?,
         expect_sessions: p.value_or("expect-sessions", 1)?,
-        mode: ServeMode::parse(&p.value_or("serve-loop", "threads".to_string())?)
-            .map_err(|e| format!("--serve-loop: {e}"))?,
         event_workers: p.value_or("event-workers", 2)?,
         max_wire_version: parse_wire_version(&p.value_or("wire-version", "auto".to_string())?)?
             .unwrap_or(regmon_serve::WIRE_VERSION),
@@ -945,29 +948,22 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             "--shards/--queue-depth/--expect-sessions/--event-workers must be positive".into(),
         );
     }
-    let mode_label = options.mode.label();
     let trace_out: String = p.value_or("trace-out", String::new())?;
     if !trace_out.is_empty() {
         regmon_telemetry::set_enabled(true);
     }
 
-    let report = if unix.is_empty() {
-        regmon_serve::serve_tcp(&tcp, options).map_err(|e| format!("--tcp {tcp}: {e}"))?
-    } else {
-        serve_over_unix(&unix, options)?
-    };
+    let report = serve_listener(&unix, &tcp, options)?;
     if !trace_out.is_empty() {
         write_trace(&trace_out)?;
     }
 
     eprintln!(
-        "serve: {} session(s) over {} connection(s), {} frames, {} bytes, peak {} handler(s) [{}]",
+        "serve: {} session(s) over {} connection(s), {} frames, {} bytes",
         report.sessions.len(),
         report.connections,
         report.frames,
-        report.bytes,
-        report.peak_handlers,
-        mode_label
+        report.bytes
     );
     if report.recovered > 0 {
         eprintln!(
@@ -1091,7 +1087,7 @@ fn parse_wire_version(s: &str) -> Result<Option<u16>, String> {
 /// reached. `--no-finish` streams the journal but leaves every
 /// session open (for hand-off to a later `send --resume`).
 pub fn send(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("send", argv)?;
     let journal = p.positional(0).ok_or("missing <journal> argument")?;
     let unix: String = p.value_or("unix", String::new())?;
     let tcp: String = p.value_or("tcp", String::new())?;
@@ -1168,7 +1164,7 @@ pub fn send(argv: &[String]) -> Result<(), String> {
 /// session byte-identically to an uninterrupted run. Both servers must
 /// speak wire v2.
 pub fn migrate(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("migrate", argv)?;
     let journal = p.positional(0).ok_or("missing <journal> argument")?;
     let at: usize = p.value_or("at", 0)?;
     if at == 0 {
@@ -1321,7 +1317,7 @@ fn write_trace_events(
 /// `regmon metrics` — run a short demo and print the registry, or
 /// validate a previously written telemetry file with `--check`.
 pub fn metrics(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("metrics", argv)?;
 
     let check: String = p.value_or("check", String::new())?;
     if !check.is_empty() {
@@ -1391,7 +1387,7 @@ pub fn metrics(argv: &[String]) -> Result<(), String> {
 /// order — change-point detection over the repo's own committed bench
 /// history. Output is ranked by confidence, then magnitude.
 pub fn cpd(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("cpd", argv)?;
     apply_simd_flag(&p)?;
     let trace: String = p.value_or("trace", String::new())?;
     let bench: String = p.value_or("bench", String::new())?;
@@ -1632,7 +1628,7 @@ fn cpd_over_bench_history(list: &str) -> Result<Vec<ChangePointRow>, String> {
 
 /// `regmon baselines <benchmark>` — all three global schemes side by side.
 pub fn baselines(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv)?;
+    let p = parse("baselines", argv)?;
     let w = workload(p.positional(0))?;
     let period: u64 = p.value_or("period", 45_000)?;
     let intervals: usize = p.value_or("intervals", 400)?;

@@ -3,7 +3,7 @@
 //! ```text
 //! regmon list
 //! regmon run 181.mcf [--period 45000] [--intervals 200] [--json]
-//! regmon sweep 187.facerec [--intervals-45k 400]
+//! regmon sweep 187.facerec [--intervals 400]
 //! regmon rto 181.mcf [--period 1500000] [--intervals 200]
 //! regmon baselines 187.facerec [--period 45000] [--intervals 200]
 //! regmon fleet all [--tenants 64] [--shards 4] [--intervals 50] [--json]

@@ -1,14 +1,12 @@
-//! The readiness-based serve loop (unix only).
+//! The serve loop behind [`crate::server::serve_unix`] and
+//! [`crate::server::serve_tcp`] (unix only).
 //!
-//! Thread-per-connection serves a handful of producers fine, but every
-//! mostly-idle connection still costs a parked OS thread (stack,
-//! scheduler state, a slot in the thread table). This module
-//! multiplexes *all* connections over a small fixed pool of workers
-//! instead: each worker owns a set of nonblocking sockets, sleeps in
-//! `poll(2)` until one of them is readable (or writable, when a reply
-//! is pending), and feeds whatever bytes arrive through that
-//! connection's [`FrameParser`] + [`Conn`] state machine — the exact
-//! same machinery the threaded mode runs, so results are
+//! A small fixed pool of workers multiplexes *all* connections: each
+//! worker owns a set of nonblocking sockets, sleeps in `poll(2)` until
+//! one of them is readable (or writable, when a reply is pending), and
+//! feeds whatever bytes arrive through that connection's
+//! [`FrameParser`] + [`Conn`] state machine — the same machinery
+//! [`Server::handle_io`] runs in-process, so results are
 //! byte-identical. 256 idle producers cost 256 pollfd entries, not 256
 //! threads.
 //!
@@ -16,7 +14,7 @@
 //! precedent) rather than pulled in as a dependency: one `#[repr(C)]`
 //! struct and one foreign function, confined to the [`sys`] module.
 //!
-//! Properties preserved from the threaded mode:
+//! Properties:
 //!
 //! * **Per-connection error isolation** — a bad stream is recorded in
 //!   the report and its socket dropped; every other connection on the
@@ -25,6 +23,12 @@
 //!   finished, the listener stops accepting but workers keep polling
 //!   until every live connection reaches EOF, then the engine's drain
 //!   barrier runs as usual.
+//! * **Bounded shutdown** — connections still open at the drain
+//!   deadline are force-dropped and counted as stragglers.
+//! * **Idle reaping** — a connection silent past
+//!   [`ServeOptions::idle_timeout`] is dropped with a timeout error.
+//! * **Admission control** — beyond [`ServeOptions::max_conns`] live
+//!   connections, new ones get a `Busy` reply instead of a slot.
 
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::io::AsRawFd;
@@ -252,8 +256,7 @@ fn worker_loop<S: Read + Write + AsRawFd>(
             // means "go find out via read/write".
             if fds[i].revents == 0 {
                 // No readiness: reap the connection if it has been
-                // idle past the deadline (the events-mode analogue of
-                // the threaded mode's socket read timeout).
+                // idle past the deadline.
                 if let Some(idle) = idle {
                     if now.duration_since(conns[i].last_activity) >= idle {
                         conns.swap_remove(i);
@@ -375,7 +378,6 @@ where
         return Err(ServeError::Io(e));
     }
     let mut report = server.finish();
-    report.peak_handlers = workers;
     report.stragglers = shared.stragglers.load(Ordering::Relaxed);
     Ok(report)
 }
@@ -426,7 +428,6 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let options = ServeOptions {
             expect_sessions: active,
-            mode: crate::server::ServeMode::Events,
             event_workers: 2,
             ..ServeOptions::default()
         };
@@ -468,7 +469,6 @@ mod tests {
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(report.sessions.len(), active);
         assert_eq!(report.connections, active + 5);
-        assert_eq!(report.peak_handlers, 2);
         let w = suite::by_name("172.mgrid").unwrap();
         let direct = MonitoringSession::run_limited(&w, &config, 10);
         for session in &report.sessions {
@@ -486,7 +486,6 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let options = ServeOptions {
             expect_sessions: 1,
-            mode: crate::server::ServeMode::Events,
             event_workers: 1,
             ..ServeOptions::default()
         };

@@ -10,7 +10,8 @@
 //!
 //! * [`server::Server`] (`regmon serve`) — demultiplexes N concurrent
 //!   producer connections into [`regmon_fleet::FleetEngine`] shard
-//!   workers;
+//!   workers; on unix its socket listeners serve every connection from
+//!   one fixed pool of `poll(2)` workers ([`event_loop`]);
 //! * [`replay::replay`] (`regmon replay`) — re-processes a journal file
 //!   in-process, optionally checkpointing mid-stream;
 //! * [`journal::read_journal`] — plain decoding for tooling.
@@ -76,7 +77,7 @@ pub use error::ServeError;
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use journal::{read_journal, record_run, JournalWriter};
 pub use replay::{replay, ReplayOptions, ReplayOutcome, ReplayTenant};
-pub use server::{serve_tcp, ServeMode, ServeOptions, ServeReport, ServedSession, Server};
+pub use server::{ServeOptions, ServeReport, ServedSession, Server};
 pub use snapshot::{load_snapshot, save_snapshot};
 pub use wire::{
     read_frame, write_frame, AdmitFrame, Frame, FrameParser, FrameReader, SnapshotFrame,
@@ -84,4 +85,4 @@ pub use wire::{
 };
 
 #[cfg(unix)]
-pub use server::serve_unix;
+pub use server::{serve_tcp, serve_unix};

@@ -9,17 +9,13 @@
 //! ids at admission, so independent producers can both call their first
 //! session "tenant 0".
 //!
-//! Connections are served in one of two modes ([`ServeMode`]):
-//!
-//! * **Threads** — the classic thread-per-connection loop: simple, and
-//!   fine up to a few dozen producers.
-//! * **Events** — a readiness loop ([`crate::event_loop`], unix only):
-//!   a small fixed pool of workers multiplexes *all* connections over
-//!   nonblocking `poll(2)`, so hundreds of mostly-idle producers cost
-//!   two pollfds each instead of a parked thread each.
-//!
-//! Both modes drive the same per-connection [`Conn`] state machine, so
-//! results are byte-identical between them.
+//! The socket listeners ([`serve_unix`], [`serve_tcp`]; unix only) run
+//! one readiness loop ([`crate::event_loop`]): a small fixed pool of
+//! workers multiplexes *all* connections over nonblocking `poll(2)`, so
+//! hundreds of mostly-idle producers cost a pollfd each instead of a
+//! parked thread each. In-process callers feed a connection directly
+//! through [`Server::handle_io`]. Both drive the same per-connection
+//! [`Conn`] state machine, so results are byte-identical between them.
 //!
 //! Shutdown is graceful by construction: [`Server::finish`] first runs
 //! the engine's drain barrier (every queued frame is fully processed),
@@ -27,7 +23,7 @@
 //! Because the pipeline is deterministic and the wire codec bit-exact,
 //! a session streamed through the server finishes byte-identical to the
 //! same session run in-process — over either wire version, compressed
-//! or not, in either serve mode.
+//! or not.
 //!
 //! Wire-v2 additionally lets a producer *move* a live session: a
 //! `Checkpoint` frame freezes the tenant and sends its full RGSN
@@ -37,9 +33,8 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use regmon::{SessionConfig, SessionSummary};
@@ -50,46 +45,6 @@ use crate::durable::{self, DurableOptions, WalWriter};
 use crate::error::ServeError;
 use crate::wire::{Frame, FrameParser, SnapshotFrame, WIRE_VERSION};
 
-/// How connections are multiplexed onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeMode {
-    /// One handler thread per producer connection.
-    #[default]
-    Threads,
-    /// A fixed pool of readiness-loop workers over nonblocking
-    /// `poll(2)` (unix only; other platforms fall back to threads).
-    Events,
-}
-
-/// Accepted spellings, quoted in parse errors.
-const MODE_SPELLINGS: &str = "\"threads\", \"events\"";
-
-impl ServeMode {
-    /// Parses a mode name, accepting common alternate spellings.
-    ///
-    /// # Errors
-    ///
-    /// An unknown spelling, with the accepted ones listed.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "threads" | "thread" => Ok(Self::Threads),
-            "events" | "event" | "epoll" | "poll" => Ok(Self::Events),
-            other => Err(format!(
-                "unknown serve loop {other:?} (accepted: {MODE_SPELLINGS})"
-            )),
-        }
-    }
-
-    /// Canonical display name.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Threads => "threads",
-            Self::Events => "events",
-        }
-    }
-}
-
 /// Server construction knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -99,9 +54,7 @@ pub struct ServeOptions {
     pub queue_depth: usize,
     /// Stop accepting and shut down once this many sessions finished.
     pub expect_sessions: usize,
-    /// Connection multiplexing mode.
-    pub mode: ServeMode,
-    /// Readiness-loop workers (events mode only).
+    /// Readiness-loop workers multiplexing the socket connections.
     pub event_workers: usize,
     /// Highest wire version this server negotiates down to (pin to 1
     /// to serve as a v1-only peer).
@@ -113,9 +66,8 @@ pub struct ServeOptions {
     /// Rebuild sessions from [`ServeOptions::durable`]'s directory
     /// (checkpoint restore plus WAL tail replay) before accepting.
     pub recover: bool,
-    /// Per-connection read/idle deadline (threads mode arms it as the
-    /// socket read timeout, events mode reaps idle connections).
-    /// `None` waits forever.
+    /// Per-connection idle deadline: a socket connection silent for
+    /// this long is reaped. `None` waits forever.
     pub idle_timeout: Option<Duration>,
     /// Admission control: beyond this many live connections, new ones
     /// are shed with a `Busy` reply (0 = unlimited).
@@ -131,7 +83,6 @@ impl Default for ServeOptions {
             shards: 2,
             queue_depth: 256,
             expect_sessions: 1,
-            mode: ServeMode::Threads,
             event_workers: 2,
             max_wire_version: WIRE_VERSION,
             durable: None,
@@ -172,10 +123,6 @@ pub struct ServeReport {
     /// Connection-level errors, in arrival order (the server keeps
     /// serving other connections when one stream goes bad).
     pub errors: Vec<String>,
-    /// Peak concurrent connection handlers: handler threads in threads
-    /// mode, the (fixed) worker-pool size in events mode. The
-    /// connection-scaling story in one number.
-    pub peak_handlers: usize,
     /// Sessions rebuilt from the durable directory at startup.
     pub recovered: usize,
     /// Connections still unfinished when the drain deadline expired at
@@ -212,8 +159,9 @@ struct ServerState {
     shed: usize,
 }
 
-/// The ingestion server: share it across connection-handler threads
-/// with an [`Arc`], then call [`Server::finish`] to drain and collect.
+/// The ingestion server: share it across the threads feeding
+/// connections with an [`Arc`](std::sync::Arc), then call
+/// [`Server::finish`] to drain and collect.
 pub struct Server {
     state: Mutex<ServerState>,
     options: ServeOptions,
@@ -229,9 +177,10 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// The per-connection protocol state machine, shared by both serve
-/// modes: frames go in via [`Conn::on_frame`], reply bytes (negotiated
-/// `Hello`, migration `Snapshot`s) come out via the `out` buffer.
+/// The per-connection protocol state machine, shared by
+/// [`Server::handle_io`] and the event loop: frames go in via
+/// [`Conn::on_frame`], reply bytes (negotiated `Hello`, migration
+/// `Snapshot`s) come out via the `out` buffer.
 pub(crate) struct Conn {
     saw_hello: bool,
     /// Wire version settled for this connection (caps which frame
@@ -893,21 +842,6 @@ impl Server {
             let n = match stream.read(&mut buf) {
                 Ok(n) => n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // The socket read deadline fired: a stuck or
-                    // vanished peer must not hold its handler forever.
-                    if telemetry_on {
-                        regmon_telemetry::metrics::SERVE_TIMEOUTS.inc();
-                    }
-                    return Err(ServeError::Timeout(
-                        "connection idle past the read deadline".into(),
-                    ));
-                }
                 Err(e) => return Err(ServeError::Io(e)),
             };
             if n == 0 {
@@ -928,7 +862,8 @@ impl Server {
 
     /// Decodes every complete frame buffered in `parser` through
     /// `conn`, keeping the parser's version cap in lockstep with the
-    /// negotiated connection version. Shared by both serve modes.
+    /// negotiated connection version. Shared by [`Server::handle_io`]
+    /// and the event loop.
     pub(crate) fn drain_parser(
         &self,
         parser: &mut FrameParser,
@@ -1057,7 +992,6 @@ impl Server {
             frames: state.frames,
             bytes: state.bytes,
             errors: state.errors.clone(),
-            peak_handlers: 0,
             recovered: state.recovered,
             stragglers: 0,
             shed: state.shed,
@@ -1066,74 +1000,6 @@ impl Server {
 }
 
 // ------------------------------------------------------------ listeners
-
-fn run_listener<L, S>(
-    listener: L,
-    accept: impl Fn(&L) -> std::io::Result<S>,
-    options: ServeOptions,
-) -> Result<ServeReport, ServeError>
-where
-    S: Read + Write + Send + 'static,
-    L: Send,
-{
-    let telemetry_on = regmon_telemetry::enabled();
-    let max_conns = options.max_conns;
-    let drain_deadline = options.drain_deadline;
-    let server = Arc::new(Server::new(options));
-    server.recover()?;
-    let live = Arc::new(AtomicUsize::new(0));
-    let peak = Arc::new(AtomicUsize::new(0));
-    let mut handles = Vec::new();
-    while !server.done() {
-        match accept(&listener) {
-            Ok(mut stream) => {
-                // Admission control happens at accept time, before a
-                // handler exists: the cap is exact, not racy.
-                if max_conns > 0 && live.load(Ordering::Relaxed) >= max_conns {
-                    server.shed(&mut stream, telemetry_on);
-                    continue;
-                }
-                let now = live.fetch_add(1, Ordering::Relaxed) + 1;
-                peak.fetch_max(now, Ordering::Relaxed);
-                let server = Arc::clone(&server);
-                let live = Arc::clone(&live);
-                handles.push(std::thread::spawn(move || {
-                    // Errors are recorded in the report; a bad producer
-                    // must not take the server down.
-                    let _ = server.handle_io(stream);
-                    live.fetch_sub(1, Ordering::Relaxed);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(ServeError::Io(e)),
-        }
-    }
-    // Bounded drain: wait for handlers up to the deadline, then detach
-    // the stragglers — one stuck peer must never hang shutdown. A
-    // detached handler that wakes later meets "server already shut
-    // down" protocol errors, which is safe.
-    let deadline = std::time::Instant::now() + drain_deadline;
-    let mut stragglers = 0usize;
-    for handle in handles {
-        loop {
-            if handle.is_finished() {
-                let _ = handle.join();
-                break;
-            }
-            if std::time::Instant::now() >= deadline {
-                stragglers += 1;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    let mut report = server.finish();
-    report.peak_handlers = peak.load(Ordering::Relaxed);
-    report.stragglers = stragglers;
-    Ok(report)
-}
 
 /// Serves producers over a unix domain socket until
 /// [`ServeOptions::expect_sessions`] sessions finished, then drains and
@@ -1144,33 +1010,23 @@ where
 /// Socket setup failures; per-connection errors land in
 /// [`ServeReport::errors`] instead.
 #[cfg(unix)]
-pub fn serve_unix(path: &Path, options: ServeOptions) -> Result<ServeReport, ServeError> {
+pub fn serve_unix(
+    path: &std::path::Path,
+    options: ServeOptions,
+) -> Result<ServeReport, ServeError> {
     use std::os::unix::net::UnixListener;
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
     listener.set_nonblocking(true)?;
-    let idle = options.idle_timeout;
-    let report = match options.mode {
-        ServeMode::Threads => run_listener(
-            listener,
-            move |l| {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(idle)?;
-                Ok(stream)
-            },
-            options,
-        ),
-        ServeMode::Events => crate::event_loop::serve_events(
-            listener,
-            |l| {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(true)?;
-                Ok(stream)
-            },
-            options,
-        ),
-    };
+    let report = crate::event_loop::serve_events(
+        listener,
+        |l| {
+            let (stream, _) = l.accept()?;
+            stream.set_nonblocking(true)?;
+            Ok(stream)
+        },
+        options,
+    );
     let _ = std::fs::remove_file(path);
     report
 }
@@ -1182,29 +1038,16 @@ pub fn serve_unix(path: &Path, options: ServeOptions) -> Result<ServeReport, Ser
 ///
 /// Socket setup failures; per-connection errors land in
 /// [`ServeReport::errors`] instead.
+#[cfg(unix)]
 pub fn serve_tcp(addr: &str, options: ServeOptions) -> Result<ServeReport, ServeError> {
     use std::net::TcpListener;
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
-    #[cfg(unix)]
-    if options.mode == ServeMode::Events {
-        return crate::event_loop::serve_events(
-            listener,
-            |l| {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(true)?;
-                Ok(stream)
-            },
-            options,
-        );
-    }
-    let idle = options.idle_timeout;
-    run_listener(
+    crate::event_loop::serve_events(
         listener,
-        move |l| {
+        |l| {
             let (stream, _) = l.accept()?;
-            stream.set_nonblocking(false)?;
-            stream.set_read_timeout(idle)?;
+            stream.set_nonblocking(true)?;
             Ok(stream)
         },
         options,
@@ -1218,6 +1061,7 @@ mod tests {
     use crate::wire::{read_frame, AdmitFrame, FrameReader, WireDialect};
     use regmon::MonitoringSession;
     use regmon_sampling::Sampler;
+    use std::sync::Arc;
 
     fn stream_for(workload: &str, config: &SessionConfig, n: usize, tenant: u32) -> Vec<u8> {
         let w = suite::by_name(workload).unwrap();
@@ -1510,17 +1354,5 @@ mod tests {
         .unwrap();
         let err = server.handle(bytes.as_slice()).unwrap_err();
         assert!(matches!(err, ServeError::Protocol(_)), "{err}");
-    }
-
-    #[test]
-    fn serve_mode_parse_accepts_spellings_and_suggests_on_typo() {
-        assert_eq!(ServeMode::parse("threads").unwrap(), ServeMode::Threads);
-        assert_eq!(ServeMode::parse("thread").unwrap(), ServeMode::Threads);
-        assert_eq!(ServeMode::parse("events").unwrap(), ServeMode::Events);
-        assert_eq!(ServeMode::parse("epoll").unwrap(), ServeMode::Events);
-        assert_eq!(ServeMode::parse("poll").unwrap(), ServeMode::Events);
-        let err = ServeMode::parse("eventz").unwrap_err();
-        assert!(err.contains("\"threads\""), "{err}");
-        assert!(err.contains("\"events\""), "{err}");
     }
 }

@@ -33,6 +33,9 @@ fi
 step "cargo test"
 cargo test -q
 
+step "pipebench tests (the wire-to-verdict benchmark builds against the serve API)"
+cargo test --release --offline --manifest-path pipebench/Cargo.toml
+
 step "cargo test (REGMON_SIMD=scalar — vector kernels must be bitwise-inert)"
 REGMON_SIMD=scalar cargo test -q
 
@@ -128,17 +131,6 @@ cargo run -q --release -p regmon-cli -- send "$serve_dir/session.rgj" --unix "$s
 wait "$serve_pid"
 if [[ "$run_json" != "$(cat "$serve_dir/served_v2.json")" ]]; then
   echo "FAIL: wire-v2 served --json differed from the recorded run --json" >&2
-  exit 1
-fi
-
-step "serve smoke (event-loop serve mode)"
-cargo run -q --release -p regmon-cli -- serve --unix "$serve_dir/regmon.sock" --expect-sessions 1 --serve-loop events --json >"$serve_dir/served_ev.json" 2>/dev/null &
-serve_pid=$!
-for _ in $(seq 1 100); do [[ -S "$serve_dir/regmon.sock" ]] && break; sleep 0.1; done
-cargo run -q --release -p regmon-cli -- send "$serve_dir/session.rgj" --unix "$serve_dir/regmon.sock" 2>/dev/null
-wait "$serve_pid"
-if [[ "$run_json" != "$(cat "$serve_dir/served_ev.json")" ]]; then
-  echo "FAIL: event-loop served --json differed from the recorded run --json" >&2
   exit 1
 fi
 

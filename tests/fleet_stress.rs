@@ -139,75 +139,90 @@ fn freerun_drop_oldest_drops_deterministically() {
     assert_eq!(t.state, TenantState::Completed);
 }
 
-/// Freerun work stealing under a pathological skew: every heavy tenant
-/// is homed on shard 0 (throttled, long-running) while shard 1's
-/// tenants finish almost immediately. The idle worker must adopt
-/// tenant leases from the backlogged peer — and despite the migrations
-/// every summary must still match `run_limited` byte-for-byte.
+/// Freerun work stealing, deterministically: parking shard 0's worker
+/// with [`FleetEngine::hold_shard`] gives it a backlog that cannot
+/// drain, so the idle shard 1 *provably* steals the backlogged tenant —
+/// no throttling, no retry loop, no scheduler luck. The park does not
+/// block the steal itself: the thief flips the lease inside the gate
+/// of its `Release` push and keeps polling for the entry, which the
+/// victim hands over once released. Despite the migration every
+/// summary must match `run_limited` byte-for-byte.
 #[test]
 fn freerun_steal_rebalances_and_preserves_summaries() {
-    let names = suite::names();
-    let specs: Vec<TenantSpec> = (0..12)
-        .map(|i| {
-            // Even ids home on shard 0 of 2.
-            let heavy = i % 2 == 0;
-            let s = spec(names[i % names.len()], i, if heavy { 48 } else { 2 });
-            if heavy {
-                s.with_throttle_us(300)
-            } else {
-                s
-            }
-        })
+    const DEPTH: usize = 8;
+    // Workers steal from a peer whose queue holds DEPTH / 2 messages.
+    const BACKLOG: usize = DEPTH / 2;
+    const BATCH: usize = 4;
+    let mut engine = FleetEngine::new(
+        EngineConfig::new(2, DEPTH)
+            .with_policy(QueuePolicy::Block)
+            .with_steal(true),
+    );
+    // Tenant ids home round-robin: the victim on shard 0, a resident
+    // on shard 1.
+    let victim_spec = spec("172.mgrid", 0, BACKLOG * BATCH);
+    let resident_spec = spec("181.mcf", 1, 10);
+    let victim = engine.admit(&victim_spec);
+    let resident = engine.admit(&resident_spec);
+    assert_eq!((engine.shard_of(victim), engine.shard_of(resident)), (0, 1));
+
+    // Park shard 0 first so it cannot steal the resident while shard 1
+    // works; then run the resident to completion on shard 1 (a hold is
+    // also a barrier: it returns once everything queued before it ran).
+    let hold = engine.hold_shard(0);
+    let resident_intervals: Vec<_> =
+        Sampler::new(&resident_spec.workload, resident_spec.config.sampling)
+            .take(resident_spec.max_intervals)
+            .collect();
+    assert!(engine.offer_batch(resident, resident_intervals));
+    engine.finish(resident);
+    engine.hold_shard(1).release();
+
+    // Exactly BACKLOG batches for the parked shard: the steal threshold
+    // is met only once the last one is queued, so every interval lands
+    // on shard 0 and nothing else is left for a second steal.
+    let victim_intervals: Vec<_> = Sampler::new(&victim_spec.workload, victim_spec.config.sampling)
+        .take(victim_spec.max_intervals)
         .collect();
-    let reference: Vec<String> = specs
-        .iter()
-        .map(|s| {
+    for chunk in victim_intervals.chunks(BATCH) {
+        assert!(engine.offer_batch(victim, chunk.to_vec()));
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while engine.shard_of(victim) != 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "idle shard 1 never stole the backlogged tenant"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // Routed to the thief, which replays it after the hand-off.
+    engine.finish(victim);
+    hold.release();
+    let finals = engine.shutdown();
+
+    assert_eq!(finals[0].tenants_stolen, 0);
+    assert_eq!(finals[1].tenants_stolen, 1, "exactly one steal");
+    assert!(finals[0].tenants.is_empty(), "the victim left shard 0");
+    for (id, spec) in [(victim, &victim_spec), (resident, &resident_spec)] {
+        let t = finals[1]
+            .tenants
+            .iter()
+            .find(|t| t.id == id)
+            .expect("both tenants end on shard 1");
+        assert_eq!(t.state, TenantState::Completed);
+        assert_eq!(t.intervals_processed, spec.max_intervals);
+        let reference =
+            MonitoringSession::run_limited(&spec.workload, &spec.config, spec.max_intervals);
+        assert_eq!(
+            format!("{reference:?}"),
             format!(
                 "{:?}",
-                MonitoringSession::run_limited(&s.workload, &s.config, s.max_intervals)
-            )
-        })
-        .collect();
-    let config = FleetConfig::new(2, 4)
-        .with_policy(QueuePolicy::Block)
-        .with_pacing(Pacing::Freerun)
-        .with_batch(4)
-        .with_steal(true);
-
-    // Whether a steal fires at all depends on the host scheduler: a
-    // starved run can drain shard 0 before shard 1 ever goes idle. The
-    // correctness invariants must hold on *every* run; the migration
-    // count only has to be demonstrated on one of a few attempts.
-    let mut stole = false;
-    for _ in 0..5 {
-        let report = run_fleet(&config, &specs, &Schedule::new());
-
-        assert_eq!(report.aggregate.completed, 12);
-        assert_eq!(report.aggregate.dropped_intervals, 0, "Block never drops");
-        assert_eq!(
-            report.aggregate.intervals_produced, report.aggregate.intervals_processed,
-            "stealing must not lose or duplicate intervals"
+                t.summary.as_ref().expect("completed tenant has a summary")
+            ),
+            "{} diverged under work stealing",
+            t.name
         );
-        for (i, expect) in reference.iter().enumerate() {
-            let summary = report.tenants[i]
-                .summary
-                .as_ref()
-                .expect("completed tenant has a summary");
-            assert_eq!(
-                expect,
-                &format!("{summary:?}"),
-                "tenant {i} diverged under work stealing"
-            );
-        }
-        if report.aggregate.tenants_migrated > 0 {
-            stole = true;
-            break;
-        }
     }
-    assert!(
-        stole,
-        "idle shard 1 never stole from the throttled shard 0 backlog in 5 runs"
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ use regmon_sampling::{Interval, Sampler};
 use regmon_serve::wire::{read_frame, AdmitFrame, Frame};
 use regmon_serve::{
     parse_wal, send_plan, serve_unix, ClientError, DurableOptions, Fault, FaultKind, FaultPlan,
-    FsyncPolicy, RetryPolicy, SendPlan, ServeMode, ServeOptions, ServeReport, Server,
-    SessionStream,
+    FsyncPolicy, RetryPolicy, SendPlan, ServeOptions, ServeReport, Server, SessionStream,
 };
 use regmon_workload::suite;
 
@@ -451,12 +450,15 @@ fn excess_connections_shed_with_busy() {
     std::fs::remove_file(&sock).ok();
 }
 
-fn stuck_peer_cannot_hang_shutdown(mode: ServeMode, tag: &str) {
-    let sock = sock_path(tag);
+/// One wedged peer never hangs shutdown: the poll workers force-drop
+/// unfinished connections once the drain deadline expires and report
+/// a straggler.
+#[test]
+fn stuck_peer_cannot_hang_shutdown() {
+    let sock = sock_path("stuck");
     let server = start_server(
         &sock,
         ServeOptions {
-            mode,
             // No idle reaping: only the drain deadline may save us.
             idle_timeout: None,
             drain_deadline: Duration::from_millis(300),
@@ -492,20 +494,6 @@ fn stuck_peer_cannot_hang_shutdown(mode: ServeMode, tag: &str) {
     assert_eq!(summary_of(&report), clean_summary());
     drop(stuck);
     std::fs::remove_file(&sock).ok();
-}
-
-/// One wedged peer never hangs shutdown: the drain deadline detaches
-/// it and reports a straggler (threads mode).
-#[test]
-fn stuck_peer_cannot_hang_shutdown_threads() {
-    stuck_peer_cannot_hang_shutdown(ServeMode::Threads, "stuck-threads");
-}
-
-/// Same, events mode: the poll workers force-drop unfinished
-/// connections once the drain deadline expires.
-#[test]
-fn stuck_peer_cannot_hang_shutdown_events() {
-    stuck_peer_cannot_hang_shutdown(ServeMode::Events, "stuck-events");
 }
 
 /// A connection that goes silent mid-stream is reaped by the idle
