@@ -11,7 +11,7 @@ use regmon_baselines::{BbvConfig, BbvDetector, WssConfig, WssDetector};
 use regmon_cpd::{CpdHub, EDivConfig, Metric, SeriesKey, StreamConfig, NO_REGION, NO_TENANT};
 use regmon_fleet::{
     batch_bucket_label, run_fleet, CpdReport, FleetConfig, Pacing, QueuePolicy, Schedule,
-    TenantSpec, BATCH_BUCKETS,
+    TenantSpec, BATCH_BUCKETS, DEFAULT_QUEUE_DEPTH,
 };
 use regmon_serve::replay::ReplayOptions;
 use regmon_serve::server::{ServeOptions, ServeReport};
@@ -28,7 +28,7 @@ regmon — region monitoring for local phase detection (CGO'06 reproduction)
 USAGE:
   regmon list
   regmon run <benchmark> [--period N] [--intervals N] [--skid N] [--interprocedural]
-             [--index linear|tree|flat] [--parallel-attrib N] [--json]
+             [--index linear|tree|flat] [--json]
              [--simd scalar|sse2|avx2] [--trace-out FILE] [--record FILE]
   regmon features [--simd scalar|sse2|avx2] [--json]
   regmon sweep <benchmark> [--intervals N]
@@ -37,7 +37,7 @@ USAGE:
   regmon fleet <benchmark|all> [--tenants N] [--shards N] [--intervals N]
                [--period N] [--queue-depth N] [--policy block|drop-oldest]
                [--batch N] [--steal] [--pin] [--pacing lockstep|freerun]
-               [--index linear|tree|flat] [--parallel-attrib N] [--json]
+               [--index linear|tree|flat] [--json]
                [--simd scalar|sse2|avx2] [--metrics-every N]
                [--trace-out FILE] [--record DIR]
                [--cpd] [--degrade TENANT:INTERVAL]
@@ -116,6 +116,11 @@ JSON without `--cpd` is unchanged). `--degrade TENANT:INTERVAL` plants
 a synthetic regression to exercise it. Offline, `regmon cpd --trace`
 re-hunts a recorded trace artifact and finds the same points, and
 `regmon cpd --bench` watches the committed BENCH_*.json history.";
+
+/// `--index`, defaulting to [`IndexKind::default`] (the flat index).
+fn index_flag(p: &Parsed) -> Result<IndexKind, String> {
+    IndexKind::parse(&p.value_or("index", IndexKind::default().label().to_string())?)
+}
 
 /// Applies a `--simd LEVEL` override: the in-process equivalent of
 /// setting `REGMON_SIMD`, scoped to this invocation. Safe to dial
@@ -222,8 +227,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let mut config = SessionConfig::new(period);
     config.sampling = config.sampling.with_skid(skid);
     config.formation.interprocedural = p.flag("interprocedural");
-    config.index = IndexKind::parse(&p.value_or("index", "tree".to_string())?)?;
-    config.parallel_attrib = p.value_or("parallel-attrib", 0)?;
+    config.index = index_flag(&p)?;
     let trace_out: String = p.value_or("trace-out", String::new())?;
     if !trace_out.is_empty() {
         regmon_telemetry::set_enabled(true);
@@ -456,14 +460,13 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     let shards: usize = p.value_or("shards", 4)?;
     let intervals: usize = p.value_or("intervals", 50)?;
     let period: u64 = p.value_or("period", 0)?;
-    let queue_depth: usize = p.value_or("queue-depth", 16)?;
+    let queue_depth: usize = p.value_or("queue-depth", DEFAULT_QUEUE_DEPTH)?;
     let policy = QueuePolicy::parse(&p.value_or("policy", "block".to_string())?)?;
     let batch: usize = p.value_or("batch", 1)?;
     let steal = p.flag("steal");
     let pin = p.flag("pin");
     let pacing = Pacing::parse(&p.value_or("pacing", "lockstep".to_string())?)?;
-    let index = IndexKind::parse(&p.value_or("index", "tree".to_string())?)?;
-    let parallel_attrib: usize = p.value_or("parallel-attrib", 0)?;
+    let index = index_flag(&p)?;
     let metrics_every: usize = p.value_or("metrics-every", 0)?;
     let trace_out: String = p.value_or("trace-out", String::new())?;
     let record: String = p.value_or("record", String::new())?;
@@ -529,7 +532,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
         };
         let mut config = SessionConfig::new(tenant_period);
         config.index = index;
-        config.parallel_attrib = parallel_attrib;
         if !record.is_empty() {
             // One single-tenant journal per tenant (wire tenant id 0 in
             // each file), replayable with `regmon replay`.
@@ -926,7 +928,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let idle_ms: u64 = p.value_or("idle-timeout-ms", 30_000u64)?;
     let options = ServeOptions {
         shards: p.value_or("shards", 2)?,
-        queue_depth: p.value_or("queue-depth", 256)?,
+        queue_depth: p.value_or("queue-depth", DEFAULT_QUEUE_DEPTH)?,
         expect_sessions: p.value_or("expect-sessions", 1)?,
         event_workers: p.value_or("event-workers", 2)?,
         max_wire_version: parse_wire_version(&p.value_or("wire-version", "auto".to_string())?)?

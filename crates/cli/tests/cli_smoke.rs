@@ -47,6 +47,20 @@ fn run_json_is_parseable_shape() {
 }
 
 #[test]
+fn run_json_is_identical_for_every_index_kind() {
+    // The default index must not change a byte, and neither may the
+    // two reference kinds it replaced on the default path.
+    let base = ["run", "181.mcf", "--json"];
+    let (ok, default, _) = regmon(&base);
+    assert!(ok);
+    for kind in ["flat", "tree", "linear"] {
+        let (ok, got, _) = regmon(&[&base[..], &["--index", kind]].concat());
+        assert!(ok, "--index {kind}");
+        assert_eq!(got, default, "--index {kind} changed the report");
+    }
+}
+
+#[test]
 fn fuzzy_names_resolve_unambiguously() {
     let (ok, stdout, _) = regmon(&["run", "facerec", "--intervals", "8"]);
     assert!(ok);
@@ -104,6 +118,25 @@ fn fleet_text_reports_shards_and_aggregate() {
     assert!(stdout.contains("12 tenants over 3 shards"));
     assert!(stdout.contains("completed 12"));
     assert!(stdout.contains("high-water"));
+}
+
+#[test]
+fn serve_and_fleet_share_the_default_queue_depth() {
+    let (ok, stdout, _) = regmon(&[
+        "fleet",
+        "mcf",
+        "--tenants",
+        "2",
+        "--intervals",
+        "2",
+        "--json",
+    ]);
+    assert!(ok);
+    let depth = regmon_serve::ServeOptions::default().queue_depth;
+    assert!(
+        stdout.contains(&format!("\"queue_depth\":{depth},")),
+        "fleet default differs from serve default {depth}: {stdout}"
+    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! The end-to-end monitoring pipeline.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use regmon_gpd::{CentroidDetector, GpdConfig, GpdObservation, GpdSnapshot, PhaseStats};
 use regmon_lpd::{LpdConfig, LpdManager, LpdManagerSnapshot, LpdObservation, RegionPhaseStats};
@@ -27,7 +28,8 @@ pub struct SessionConfig {
     pub sampling: SamplingConfig,
     /// Region-formation policy.
     pub formation: FormationConfig,
-    /// Attribution index implementation.
+    /// Attribution index implementation ([`IndexKind::default`], the
+    /// flat index, unless a figure or an equivalence test picks another).
     pub index: IndexKind,
     /// Global (centroid) detector parameters.
     pub gpd: GpdConfig,
@@ -35,12 +37,6 @@ pub struct SessionConfig {
     pub lpd: LpdConfig,
     /// Optional cold-region pruning.
     pub pruning: Option<PruningConfig>,
-    /// Worker threads for sample attribution. `0` or `1` keeps the
-    /// serial zero-allocation arena path; larger values split each
-    /// interval's samples across scoped threads sharing the index
-    /// (results are identical — see
-    /// [`regmon_regions::RegionMonitor::attribute_parallel`]).
-    pub parallel_attrib: usize,
 }
 
 impl SessionConfig {
@@ -50,11 +46,10 @@ impl SessionConfig {
         Self {
             sampling: SamplingConfig::new(period),
             formation: FormationConfig::default(),
-            index: IndexKind::IntervalTree,
+            index: IndexKind::default(),
             gpd: GpdConfig::default(),
             lpd: LpdConfig::default(),
             pruning: None,
-            parallel_attrib: 0,
         }
     }
 }
@@ -167,7 +162,7 @@ pub struct MonitoringSession {
     lpd: LpdManager,
     ucr: UcrTracker,
     pruner: Option<Pruner>,
-    binary: Option<regmon_binary::Binary>,
+    binary: Option<Arc<regmon_binary::Binary>>,
     intervals: usize,
     regions_formed: usize,
     regions_pruned: usize,
@@ -207,15 +202,10 @@ impl MonitoringSession {
         }
 
         // The zero-allocation hot path: samples are attributed into the
-        // monitor's reusable arena (optionally across scoped worker
-        // threads) and every downstream consumer reads the borrow-based
-        // arena report — no per-interval maps or histogram copies.
-        if self.config.parallel_attrib > 1 {
-            self.monitor
-                .attribute_parallel(&interval.samples, self.config.parallel_attrib);
-        } else {
-            self.monitor.attribute(&interval.samples);
-        }
+        // monitor's reusable arena and every downstream consumer reads
+        // the borrow-based arena report — no per-interval maps or
+        // histogram copies.
+        self.monitor.attribute(&interval.samples);
         let ucr_fraction = self.monitor.report().ucr_fraction();
         self.ucr.record(ucr_fraction);
 
@@ -449,22 +439,23 @@ impl MonitoringSession {
     // --- binary plumbing -------------------------------------------------
     //
     // Formation needs the program image to find loops around hot samples.
-    // Sessions created via `run`/`run_limited` hold a clone; sessions fed
-    // manually must call `attach_binary` first.
+    // Sessions share the workload's image rather than copying it;
+    // sessions fed manually must call `attach_binary` first.
 
     /// Attaches the workload's binary so region formation can build loop
     /// regions. Must be called before [`MonitoringSession::process_interval`]
     /// on manually-driven sessions.
     pub fn attach_binary(&mut self, workload: &Workload) {
-        self.binary = Some(workload.binary().clone());
+        self.binary = Some(workload.shared_binary());
     }
 
     /// Attaches a program image directly (without a [`Workload`] in
     /// hand). The fleet engine uses this: shard workers receive the
     /// binary over the admission message rather than borrowing the
-    /// driver's workload.
-    pub fn attach_binary_image(&mut self, binary: regmon_binary::Binary) {
-        self.binary = Some(binary);
+    /// driver's workload. Passing an `Arc` shares the image without
+    /// copying it.
+    pub fn attach_binary_image(&mut self, binary: impl Into<Arc<regmon_binary::Binary>>) {
+        self.binary = Some(binary.into());
     }
 }
 
@@ -493,6 +484,11 @@ mod tests {
         assert!(very_stable >= 3, "only {very_stable} stable regions");
         // Formation covered the working set: UCR low after warmup.
         assert!(summary.ucr_median < 0.3, "ucr {}", summary.ucr_median);
+    }
+
+    #[test]
+    fn new_config_uses_the_default_index() {
+        assert_eq!(SessionConfig::new(45_000).index, IndexKind::default());
     }
 
     #[test]

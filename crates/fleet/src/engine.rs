@@ -37,6 +37,12 @@ use crate::shard::{
 };
 use crate::tenant::{EvictReason, TenantId, TenantSpec};
 
+/// Default shard queue depth, in messages, of `regmon fleet`,
+/// `regmon serve` and `regmon_serve::ServeOptions`. Shallow on purpose:
+/// when the shard keeps up, a deep queue only fills as far as thread
+/// scheduling lets it, and peak memory follows that fill.
+pub const DEFAULT_QUEUE_DEPTH: usize = 16;
+
 /// Engine-level configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -251,7 +257,7 @@ impl FleetEngine {
                 tenant: id,
                 name: spec.name.clone(),
                 config: spec.config.clone(),
-                binary: spec.workload.binary().clone(),
+                binary: spec.workload.shared_binary(),
                 workload_name: spec.workload.name().to_string(),
                 fault: spec.fault,
                 throttle_us: spec.throttle_us,

@@ -78,7 +78,7 @@ mod tenant;
 pub use affinity::{available_cpus, pinning_supported};
 pub use cpdfeed::{CpdFeed, CpdReport};
 pub use driver::{run_fleet, ControlAction, FleetConfig, Pacing, Schedule};
-pub use engine::{EngineConfig, FleetEngine, ShardHold};
+pub use engine::{EngineConfig, FleetEngine, ShardHold, DEFAULT_QUEUE_DEPTH};
 pub use queue::{
     batch_bucket_label, BoundedQueue, Closed, Droppable, Popped, PushError, QueuePolicy,
     QueueStats, RingQueue, BATCH_BUCKETS,

@@ -116,7 +116,7 @@ pub(crate) struct AdmitMsg {
     pub tenant: TenantId,
     pub name: String,
     pub config: SessionConfig,
-    pub binary: Binary,
+    pub binary: Arc<Binary>,
     pub workload_name: String,
     pub fault: Option<FaultPlan>,
     pub throttle_us: u64,
@@ -348,7 +348,7 @@ pub(crate) struct TenantEntry {
     name: String,
     workload_name: String,
     config: SessionConfig,
-    binary: Binary,
+    binary: Arc<Binary>,
     fault: Option<FaultPlan>,
     throttle_us: u64,
     state: TenantState,
@@ -363,7 +363,7 @@ pub(crate) struct TenantEntry {
 impl TenantEntry {
     fn fresh_session(&self) -> MonitoringSession {
         let mut session = MonitoringSession::new(self.config.clone());
-        session.attach_binary_image(self.binary.clone());
+        session.attach_binary_image(Arc::clone(&self.binary));
         session
     }
 
@@ -599,7 +599,7 @@ impl Worker {
                 entry.session = Some(match snapshot {
                     Some(snap) => {
                         let mut session = MonitoringSession::from_snapshot(*snap);
-                        session.attach_binary_image(entry.binary.clone());
+                        session.attach_binary_image(Arc::clone(&entry.binary));
                         session
                     }
                     None => entry.fresh_session(),

@@ -5,8 +5,9 @@
 //! is the paper's proposed O(log n + k) replacement; [`FlatSortedIndex`]
 //! flattens the interval set into sorted elementary segments fronted by
 //! a direct-mapped bucket table, so a stab is one shift + one load + a
-//! short scan — no pointer chasing at all. All three answer exactly the
-//! same queries — Figure 16 compares only their cost.
+//! short scan — no pointer chasing at all, and is the default
+//! ([`IndexKind::default`]). All three answer exactly the same queries —
+//! Figure 16 compares only their cost.
 //!
 //! # Batch attribution
 //!
@@ -87,6 +88,14 @@ impl HitCache {
 pub trait RegionIndex: fmt::Debug {
     /// Adds an interval.
     fn insert(&mut self, id: RegionId, range: AddrRange);
+    /// Adds every interval of `items`: the same index as inserting them
+    /// one at a time. Indexes that recompile on mutation override this
+    /// to recompile once.
+    fn insert_many(&mut self, items: &[(RegionId, AddrRange)]) {
+        for &(id, range) in items {
+            self.insert(id, range);
+        }
+    }
     /// Removes an interval; returns `true` when it was present.
     fn remove(&mut self, id: RegionId, range: AddrRange) -> bool;
     /// Appends all ids whose interval contains `addr` to `out`.
@@ -149,10 +158,12 @@ pub enum IndexKind {
     /// O(n) list scan per sample (the prototype's scheme).
     Linear,
     /// O(log n + k) augmented-tree stab per sample (paper §3.2.3).
-    #[default]
     IntervalTree,
     /// Flat sorted segment array behind a direct-mapped bucket table:
     /// O(1) per stab with zero pointer chasing; rebuilds on mutation.
+    /// The default: the only kind with the AVX2 fused attribution
+    /// kernel.
+    #[default]
     FlatSorted,
 }
 
@@ -621,6 +632,14 @@ impl RegionIndex for FlatSortedIndex {
         self.rebuild();
     }
 
+    fn insert_many(&mut self, items: &[(RegionId, AddrRange)]) {
+        self.entries
+            .extend(items.iter().map(|&(id, range)| (range, id)));
+        self.entries
+            .sort_unstable_by_key(|&(r, i)| (r.start(), r.end(), i.0));
+        self.rebuild();
+    }
+
     fn remove(&mut self, id: RegionId, range: AddrRange) -> bool {
         match self.entries.iter().position(|e| *e == (range, id)) {
             Some(pos) => {
@@ -1023,8 +1042,8 @@ mod tests {
     }
 
     #[test]
-    fn default_kind_is_tree() {
-        assert_eq!(IndexKind::default(), IndexKind::IntervalTree);
+    fn default_kind_is_flat() {
+        assert_eq!(IndexKind::default(), IndexKind::FlatSorted);
     }
 
     #[test]

@@ -205,15 +205,6 @@ impl AttributionArena {
         slot.hist.record((off / INST_BYTES) as usize);
     }
 
-    /// Merges a whole per-chunk histogram into `id`'s slot via the
-    /// 8-lane [`CountHistogram::accumulate`] kernel — the parallel
-    /// path's counterpart of per-sample [`AttributionArena::record`].
-    /// Histogram addition commutes, so chunk-order merging reproduces
-    /// the serial result exactly.
-    fn merge(&mut self, id: RegionId, hist: &CountHistogram, regions: &BTreeMap<RegionId, Region>) {
-        self.ensure(id, regions).hist.accumulate(hist);
-    }
-
     #[inline]
     fn slot(&self, id: RegionId) -> Option<&ArenaSlot> {
         self.slots
@@ -299,65 +290,6 @@ impl AttributionView for ArenaReport<'_> {
     }
 }
 
-/// One region's chunk-local histogram inside a [`ParScratch`].
-#[derive(Debug)]
-struct MiniSlot {
-    hist: CountHistogram,
-    /// Cached region start, mirroring [`ArenaSlot`].
-    start: u64,
-    /// Last interval epoch this mini received a sample; stale minis are
-    /// logically clear without being touched.
-    epoch: u64,
-}
-
-/// Per-worker scratch for [`RegionMonitor::attribute_parallel`], pooled
-/// on the monitor so repeated parallel intervals reuse the buffers.
-///
-/// Workers accumulate chunk-local mini-histograms (dense by
-/// `RegionId.0`, epoch-cleared like the arena) instead of emitting one
-/// `(region, addr)` pair per hit; the join then merges whole histograms
-/// with the vectorised accumulate kernel rather than replaying every
-/// sample through `AttributionArena::record`.
-#[derive(Debug, Default)]
-struct ParScratch {
-    minis: Vec<Option<MiniSlot>>,
-    /// Regions this chunk touched, in first-hit order.
-    touched: Vec<RegionId>,
-    unattributed: Vec<PcSample>,
-}
-
-impl ParScratch {
-    /// Chunk-local equivalent of [`AttributionArena::record`].
-    #[inline]
-    fn record(
-        &mut self,
-        id: RegionId,
-        addr: Addr,
-        epoch: u64,
-        regions: &BTreeMap<RegionId, Region>,
-    ) {
-        let idx = id.0 as usize;
-        if idx >= self.minis.len() {
-            self.minis.resize_with(idx + 1, || None);
-        }
-        let slot = self.minis[idx].get_or_insert_with(|| {
-            let region = &regions[&id];
-            MiniSlot {
-                hist: CountHistogram::new(region.slots()),
-                start: region.range().start().get(),
-                epoch: 0,
-            }
-        });
-        if slot.epoch != epoch {
-            slot.hist.clear();
-            slot.epoch = epoch;
-            self.touched.push(id);
-        }
-        slot.hist
-            .record(((addr.get() - slot.start) / INST_BYTES) as usize);
-    }
-}
-
 /// Durable identity of one monitored region — what [`MonitorSnapshot`]
 /// records per region. Everything else the monitor holds (index
 /// structures, range table, arena) is derived state rebuilt on restore.
@@ -397,7 +329,6 @@ pub struct RegionMonitor {
     index: Box<dyn RegionIndex + Send + Sync>,
     next_id: u64,
     arena: AttributionArena,
-    par_pool: Vec<ParScratch>,
     /// Reusable buffers of the fused flat-index attribution kernel.
     #[cfg(target_arch = "x86_64")]
     flat_scratch: flat_attrib::FlatScratch,
@@ -413,7 +344,6 @@ impl RegionMonitor {
             index: index.make(),
             next_id: 0,
             arena: AttributionArena::default(),
-            par_pool: Vec::new(),
             #[cfg(target_arch = "x86_64")]
             flat_scratch: flat_attrib::FlatScratch::default(),
         }
@@ -542,62 +472,6 @@ impl RegionMonitor {
         arena.finish();
     }
 
-    /// Like [`RegionMonitor::attribute`], but splits the interval across
-    /// `threads` scoped worker threads, each stabbing its contiguous
-    /// chunk against the shared index; the hits are then merged into the
-    /// arena in chunk order, which reproduces the serial result exactly
-    /// (histogram addition commutes; the UCR buffer is concatenated in
-    /// input order).
-    pub fn attribute_parallel(&mut self, samples: &[PcSample], threads: usize) {
-        let threads = threads.clamp(1, samples.len().max(1));
-        if threads <= 1 {
-            return self.attribute(samples);
-        }
-        let chunk = samples.len().div_ceil(threads);
-        let nchunks = samples.len().div_ceil(chunk);
-        let Self {
-            regions,
-            index,
-            arena,
-            par_pool,
-            ..
-        } = self;
-        if par_pool.len() < nchunks {
-            par_pool.resize_with(nchunks, ParScratch::default);
-        }
-        arena.begin(samples.len());
-        let epoch = arena.epoch;
-        std::thread::scope(|scope| {
-            let index: &(dyn RegionIndex + Send + Sync) = &**index;
-            let regions: &BTreeMap<RegionId, Region> = regions;
-            for (scratch, chunk_samples) in par_pool.iter_mut().zip(samples.chunks(chunk)) {
-                scope.spawn(move || {
-                    scratch.touched.clear();
-                    scratch.unattributed.clear();
-                    index.stab_batch(chunk_samples, &mut |i, ids| {
-                        if ids.is_empty() {
-                            scratch.unattributed.push(chunk_samples[i]);
-                        } else {
-                            for &id in ids {
-                                scratch.record(id, chunk_samples[i].addr, epoch, regions);
-                            }
-                        }
-                    });
-                });
-            }
-        });
-        for scratch in par_pool.iter().take(nchunks) {
-            for &id in &scratch.touched {
-                let mini = scratch.minis[id.0 as usize]
-                    .as_ref()
-                    .expect("touched region has a mini histogram");
-                arena.merge(id, &mini.hist, regions);
-            }
-            arena.unattributed.extend_from_slice(&scratch.unattributed);
-        }
-        arena.finish();
-    }
-
     /// A borrow-based view of the most recent
     /// [`RegionMonitor::attribute`] result.
     #[must_use]
@@ -669,6 +543,7 @@ impl RegionMonitor {
     pub fn restore(index: IndexKind, snapshot: MonitorSnapshot) -> Self {
         let mut monitor = Self::new(index);
         let mut prev: Option<RegionId> = None;
+        let mut entries = Vec::with_capacity(snapshot.regions.len());
         for record in snapshot.regions {
             assert!(
                 prev.map_or(true, |p| p < record.id),
@@ -687,7 +562,7 @@ impl RegionMonitor {
                 record.kind,
                 record.created_interval,
             );
-            monitor.index.insert(record.id, record.range);
+            entries.push((record.id, record.range));
             monitor
                 .by_range
                 .entry(record.range)
@@ -695,6 +570,7 @@ impl RegionMonitor {
                 .push(record.id);
             monitor.regions.insert(record.id, region);
         }
+        monitor.index.insert_many(&entries);
         monitor.next_id = snapshot.next_id;
         monitor
     }
@@ -1129,34 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_attribution_matches_serial() {
-        for kind in [
-            IndexKind::Linear,
-            IndexKind::IntervalTree,
-            IndexKind::FlatSorted,
-        ] {
-            let mut serial = RegionMonitor::new(kind);
-            let mut par = RegionMonitor::new(kind);
-            for (s, e) in [(0x100u64, 0x200u64), (0x180, 0x280), (0x400, 0x440)] {
-                serial.add_region(range(s, e), RegionKind::Custom, 0);
-                par.add_region(range(s, e), RegionKind::Custom, 0);
-            }
-            let samples: Vec<PcSample> =
-                (0..997).map(|i| sample(0x80 + (i * 13) % 0x500)).collect();
-            serial.attribute(&samples);
-            let want = serial.report().to_owned_report();
-            for threads in [2, 3, 7, 64] {
-                par.attribute_parallel(&samples, threads);
-                assert_eq!(
-                    par.report().to_owned_report(),
-                    want,
-                    "{kind:?} with {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn export_restore_preserves_regions_ids_and_attribution() {
         for kind in [
             IndexKind::Linear,
@@ -1191,6 +1039,51 @@ mod tests {
     }
 
     #[test]
+    fn bulk_restore_matches_incremental_build() {
+        for kind in [
+            IndexKind::Linear,
+            IndexKind::IntervalTree,
+            IndexKind::FlatSorted,
+        ] {
+            // Overlapping, nested and duplicate ranges, with removals so
+            // the snapshot's ids have gaps.
+            let mut mon = RegionMonitor::new(kind);
+            for i in 0..120u64 {
+                let start = 0x100 + (i * 0x34) % 0x900;
+                let id = mon.add_region(
+                    range(start, start + 0x40 + (i % 7) * 0x20),
+                    RegionKind::Custom,
+                    i as usize,
+                );
+                if i % 5 == 3 {
+                    mon.remove_region(id);
+                }
+            }
+            let mut restored = RegionMonitor::restore(kind, mon.export());
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            for a in (0x80..0xc00u64).step_by(4) {
+                want.clear();
+                got.clear();
+                mon.index.stab(Addr::new(a), &mut want);
+                restored.index.stab(Addr::new(a), &mut got);
+                want.sort();
+                got.sort();
+                assert_eq!(got, want, "{kind:?} stab {a:#x}");
+            }
+            let samples: Vec<PcSample> = (0..2_000)
+                .map(|i| sample(0x80 + (i * 13) % 0xb80))
+                .collect();
+            mon.attribute(&samples);
+            restored.attribute(&samples);
+            assert_eq!(
+                restored.report().to_owned_report(),
+                mon.report().to_owned_report(),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "strictly ascending")]
     fn restore_rejects_unsorted_snapshot() {
         let record = |id: u64| RegionRecord {
@@ -1206,16 +1099,5 @@ mod tests {
                 next_id: 4,
             },
         );
-    }
-
-    #[test]
-    fn parallel_attribution_handles_edge_sizes() {
-        let mut mon = RegionMonitor::new(IndexKind::FlatSorted);
-        mon.add_region(range(0x100, 0x140), RegionKind::Custom, 0);
-        mon.attribute_parallel(&[], 4);
-        assert_eq!(mon.report().total_samples(), 0);
-        mon.attribute_parallel(&[sample(0x100)], 8);
-        assert_eq!(mon.report().total_samples(), 1);
-        assert_eq!(mon.report().active_regions(), 1);
     }
 }

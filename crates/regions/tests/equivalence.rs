@@ -1,5 +1,5 @@
-//! Cross-implementation equivalence: every `IndexKind` (and the serial,
-//! batch and parallel attribution paths layered on them) must produce
+//! Cross-implementation equivalence: every `IndexKind` (and the arena
+//! and batch attribution paths layered on them) must produce
 //! *identical* `DistributionReport`s — same histograms byte for byte,
 //! same unattributed sample list, same UCR fraction.
 //!
@@ -87,36 +87,6 @@ proptest! {
         }
     }
 
-    /// `attribute_parallel` is bit-identical to serial `attribute` for
-    /// every kind and thread count (including more threads than samples).
-    #[test]
-    fn parallel_attribution_is_bit_identical(
-        regions in prop::collection::vec((0u64..2_000, 4u64..256), 1..16),
-        addrs in prop::collection::vec(0u64..2_600, 0..256),
-        threads in 2usize..9,
-    ) {
-        let regions: Vec<(u64, u64)> = regions
-            .iter()
-            .map(|&(s, l)| (s & !3, (l & !3).max(4)))
-            .collect();
-        let s = samples(&addrs);
-        for &kind in &KINDS {
-            let mut serial = RegionMonitor::new(kind);
-            let mut par = RegionMonitor::new(kind);
-            for &(start, len) in &regions {
-                serial.add_region(range(start, len), RegionKind::Custom, 0);
-                par.add_region(range(start, len), RegionKind::Custom, 0);
-            }
-            serial.attribute(&s);
-            par.attribute_parallel(&s, threads);
-            prop_assert_eq!(
-                serial.report().to_owned_report(),
-                par.report().to_owned_report(),
-                "kind {:?} threads {}", kind, threads
-            );
-        }
-    }
-
     /// The batch stab path (with its locality cache) visits exactly the
     /// regions the per-sample stab path reports, sample by sample.
     #[test]
@@ -193,20 +163,6 @@ fn boundary_conditions_agree_across_kinds_and_paths() {
     let serial = attribute_all(&mut mons, &s);
     assert_eq!(serial[0], serial[1]);
     assert_eq!(serial[0], serial[2]);
-    for threads in [2, 3, 5, 64] {
-        for (&kind, expect) in KINDS.iter().zip(&serial) {
-            let mut mon = RegionMonitor::new(kind);
-            for &(start, len) in &regions {
-                mon.add_region(range(start, len), RegionKind::Custom, 0);
-            }
-            mon.attribute_parallel(&s, threads);
-            assert_eq!(
-                &mon.report().to_owned_report(),
-                expect,
-                "{kind:?} x{threads}"
-            );
-        }
-    }
     // legacy `distribute` is the same arena pass under the hood.
     let mut mon = RegionMonitor::new(IndexKind::FlatSorted);
     for &(start, len) in &regions {

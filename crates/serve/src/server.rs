@@ -38,7 +38,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use regmon::{SessionConfig, SessionSummary};
-use regmon_fleet::{EngineConfig, FleetEngine, TenantId, TenantSpec};
+use regmon_fleet::{EngineConfig, FleetEngine, TenantId, TenantSpec, DEFAULT_QUEUE_DEPTH};
 use regmon_workload::suite;
 
 use crate::durable::{self, DurableOptions, WalWriter};
@@ -81,7 +81,7 @@ impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             shards: 2,
-            queue_depth: 256,
+            queue_depth: DEFAULT_QUEUE_DEPTH,
             expect_sessions: 1,
             event_workers: 2,
             max_wire_version: WIRE_VERSION,

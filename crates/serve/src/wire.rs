@@ -413,8 +413,9 @@ pub fn encode_config(config: &SessionConfig, out: &mut Vec<u8>) {
             push_u64(out, p.min_samples);
         }
     }
-    // Attribution parallelism.
-    push_u64(out, config.parallel_attrib as u64);
+    // Reserved slot: written as 0 and ignored on decode, so frames and
+    // WALs from writers that filled it still parse.
+    push_u64(out, 0);
 }
 
 pub(crate) fn decode_config(cur: &mut Cursor<'_>) -> Result<SessionConfig, WireError> {
@@ -507,7 +508,7 @@ pub(crate) fn decode_config(cur: &mut Cursor<'_>) -> Result<SessionConfig, WireE
         _ => return Err(WireError::Malformed("bad pruning flag")),
     };
 
-    let parallel_attrib = cur.usize_field()?;
+    let _reserved = cur.u64()?;
 
     Ok(SessionConfig {
         sampling,
@@ -516,7 +517,6 @@ pub(crate) fn decode_config(cur: &mut Cursor<'_>) -> Result<SessionConfig, WireE
         gpd,
         lpd,
         pruning,
-        parallel_attrib,
     })
 }
 
@@ -1517,7 +1517,6 @@ mod tests {
             cold_intervals: 9,
             min_samples: 3,
         });
-        config.parallel_attrib = 4;
         config
     }
 
@@ -1577,6 +1576,13 @@ mod tests {
         let decoded = decode_config(&mut cur).unwrap();
         cur.finish().unwrap();
         assert_eq!(decoded, config);
+        // The trailing reserved slot is written as 0 and any value an
+        // older writer left there is ignored.
+        let slot = bytes.len() - 8;
+        assert_eq!(bytes[slot..], [0; 8]);
+        bytes[slot] = 4;
+        let mut cur = Cursor::new(&bytes);
+        assert_eq!(decode_config(&mut cur).unwrap(), config);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! 3. *"What would the performance counters read over `[a, b)`?"* —
 //!    [`Workload::window_perf`], consumed by the CPI/DPI phase signals.
 
+use std::sync::Arc;
+
 use regmon_binary::{Addr, AddrRange, Binary};
 
 use crate::activity::Activity;
@@ -63,7 +65,7 @@ impl PerfSample {
 #[derive(Debug, Clone)]
 pub struct Workload {
     name: String,
-    binary: Binary,
+    binary: Arc<Binary>,
     script: PhaseScript,
     seed: u64,
 }
@@ -74,7 +76,7 @@ impl Workload {
     pub fn new(name: impl Into<String>, binary: Binary, script: PhaseScript, seed: u64) -> Self {
         Self {
             name: name.into(),
-            binary,
+            binary: Arc::new(binary),
             script,
             seed,
         }
@@ -105,6 +107,13 @@ impl Workload {
     #[must_use]
     pub fn binary(&self) -> &Binary {
         &self.binary
+    }
+
+    /// A shared handle to the binary, so a session can hold the image
+    /// without copying it.
+    #[must_use]
+    pub fn shared_binary(&self) -> Arc<Binary> {
+        Arc::clone(&self.binary)
     }
 
     /// The phase script.

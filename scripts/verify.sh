@@ -60,17 +60,16 @@ cargo run -q --release -p regmon-cli -- metrics --check "$expo.prom"
 cargo run -q --release -p regmon-cli -- metrics --check "$trace"
 rm -f "$trace" "$expo" "$expo.prom"
 
-step "fleet JSON invariance (REGMON_SIMD=scalar and --pin must not change a byte)"
-s="$(REGMON_SIMD=scalar cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --json)"
-if [[ "$a" != "$s" ]]; then
-  echo "FAIL: fleet --json differed under REGMON_SIMD=scalar" >&2
-  exit 1
-fi
-p="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --pin --json)"
-if [[ "$a" != "$p" ]]; then
-  echo "FAIL: fleet --json differed under --pin" >&2
-  exit 1
-fi
+step "fleet JSON invariance (REGMON_SIMD=scalar, --pin, --index tree and --index linear must not change a byte)"
+for variant in "REGMON_SIMD=scalar" "--pin" "--index tree" "--index linear"; do
+  envs=() args=()
+  if [[ "$variant" == *=* ]]; then envs=("$variant"); else read -ra args <<<"$variant"; fi
+  v="$(env "${envs[@]}" cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 "${args[@]}" --json)"
+  if [[ "$a" != "$v" ]]; then
+    echo "FAIL: fleet --json differed under $variant" >&2
+    exit 1
+  fi
+done
 
 step "fleet JSON determinism (batched + stealing)"
 a="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --steal --json)"

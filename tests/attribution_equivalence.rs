@@ -1,7 +1,6 @@
 //! End-to-end proof that the attribution engine's fast paths change
-//! nothing observable: for real workloads, every combination of index
-//! kind (`linear` / `tree` / `flat`) and attribution parallelism
-//! produces *identical* interval outcomes — the same GPD observations,
+//! nothing observable: for real workloads, every index kind
+//! (`linear` / `tree` / `flat`) produces *identical* interval outcomes — the same GPD observations,
 //! the same per-region LPD verdicts and phase-change sequences, the
 //! same UCR fractions, the same formation and pruning decisions.
 //!
@@ -27,13 +26,11 @@ fn outcomes(
     period: u64,
     intervals: usize,
     kind: IndexKind,
-    parallel: usize,
     pruning: Option<PruningConfig>,
 ) -> Vec<IntervalOutcome> {
     let w = suite::by_name(bench).expect("known benchmark");
     let mut config = SessionConfig::new(period);
     config.index = kind;
-    config.parallel_attrib = parallel;
     config.pruning = pruning;
     let mut session = MonitoringSession::new(config.clone());
     session.attach_binary(&w);
@@ -44,27 +41,12 @@ fn outcomes(
 }
 
 fn assert_identical(bench: &str, period: u64, intervals: usize, pruning: Option<PruningConfig>) {
-    let baseline = outcomes(
-        bench,
-        period,
-        intervals,
-        IndexKind::IntervalTree,
-        0,
-        pruning,
-    );
+    let baseline = outcomes(bench, period, intervals, IndexKind::IntervalTree, pruning);
     assert_eq!(baseline.len(), intervals);
-    for kind in KINDS {
-        for parallel in [0, 2, 4] {
-            if kind == IndexKind::IntervalTree && parallel == 0 {
-                continue; // that IS the baseline
-            }
-            let got = outcomes(bench, period, intervals, kind, parallel, pruning);
-            for (i, (a, b)) in baseline.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    a, b,
-                    "{bench}: {kind:?} x{parallel} diverged at interval {i}"
-                );
-            }
+    for kind in [IndexKind::Linear, IndexKind::FlatSorted] {
+        let got = outcomes(bench, period, intervals, kind, pruning);
+        for (i, (a, b)) in baseline.iter().zip(&got).enumerate() {
+            assert_eq!(a, b, "{bench}: {kind:?} diverged at interval {i}");
         }
     }
 }
@@ -112,7 +94,7 @@ fn outcomes_are_simd_level_invariant() {
             if simd::force(level) != level {
                 continue; // not supported on this host
             }
-            let got = outcomes("172.mgrid", 45_000, 50, kind, 0, None);
+            let got = outcomes("172.mgrid", 45_000, 50, kind, None);
             match &reference {
                 None => reference = Some(got),
                 Some(expect) => {
@@ -138,26 +120,21 @@ fn summaries_match_across_all_paths() {
     let w = suite::by_name("181.mcf").unwrap();
     let mut reference = None;
     for kind in KINDS {
-        for parallel in [0, 3] {
-            let mut config = SessionConfig::new(45_000);
-            config.index = kind;
-            config.parallel_attrib = parallel;
-            let summary = MonitoringSession::run_limited(&w, &config, 120);
-            let digest = (
-                summary.intervals,
-                summary.gpd.phase_changes,
-                summary.gpd.stable_intervals,
-                summary.lpd_total_phase_changes(),
-                summary.ucr_median.to_bits(),
-                summary.regions_formed,
-                summary.regions_pruned,
-            );
-            match &reference {
-                None => reference = Some(digest),
-                Some(expect) => {
-                    assert_eq!(expect, &digest, "{kind:?} x{parallel}");
-                }
-            }
+        let mut config = SessionConfig::new(45_000);
+        config.index = kind;
+        let summary = MonitoringSession::run_limited(&w, &config, 120);
+        let digest = (
+            summary.intervals,
+            summary.gpd.phase_changes,
+            summary.gpd.stable_intervals,
+            summary.lpd_total_phase_changes(),
+            summary.ucr_median.to_bits(),
+            summary.regions_formed,
+            summary.regions_pruned,
+        );
+        match &reference {
+            None => reference = Some(digest),
+            Some(expect) => assert_eq!(expect, &digest, "{kind:?}"),
         }
     }
 }
