@@ -395,7 +395,7 @@ fn run_wire(shape: Shape, frames: &[(usize, Vec<u8>)]) -> f64 {
 /// batch-32 frames + Finish) for the connection-scaling rows. v1 is
 /// deliberate: v1 producers are one-way (no Hello reply to wait for),
 /// so the rows time the serve loop's connection handling, not the
-/// codec or the negotiation round-trip.
+/// codec or the `Hello` round-trip.
 #[cfg(unix)]
 fn encode_session_streams(active: usize, per_conn: usize) -> Vec<Vec<u8>> {
     use regmon_serve::wire::AdmitFrame;
@@ -418,13 +418,10 @@ fn encode_session_streams(active: usize, per_conn: usize) -> Vec<Vec<u8>> {
                 .encode(),
             );
             for chunk in intervals.chunks(HEADLINE_BATCH) {
-                bytes.extend(
-                    Frame::Batch {
-                        tenant: 0,
-                        intervals: chunk.to_vec(),
-                    }
-                    .encode(),
-                );
+                bytes.extend(WireDialect::V1.encode_frame(&Frame::Batch {
+                    tenant: 0,
+                    intervals: chunk.to_vec(),
+                }));
             }
             bytes.extend(Frame::Finish { tenant: 0 }.encode());
             bytes

@@ -201,7 +201,7 @@ mod tests {
             [("intervals", true), ("json", false), ("check", true)]
         );
         assert!(options_of("list").is_empty());
-        for command in crate::SUBCOMMANDS {
+        for (command, _) in crate::SUBCOMMANDS {
             let synopsis = format!("  regmon {command}");
             assert!(
                 USAGE

@@ -45,14 +45,13 @@ USAGE:
                [--resume FILE] [--simd scalar|sse2|avx2]
   regmon serve (--unix PATH | --tcp ADDR) [--shards N] [--queue-depth N]
                [--expect-sessions N] [--event-workers N]
-               [--wire-version 1|2|auto]
                [--durable DIR | --recover DIR] [--checkpoint-every N]
                [--fsync always|checkpoint|never] [--idle-timeout-ms N]
                [--max-conns N] [--drain-deadline-ms N]
                [--json] [--trace-out FILE] [--simd scalar|sse2|avx2]
-  regmon send <journal> (--unix PATH | --tcp ADDR)
-               [--wire-version 1|2|auto] [--compress] [--retries N]
-               [--timeout-ms N] [--backoff-ms N] [--resume] [--no-finish]
+  regmon send <journal> (--unix PATH | --tcp ADDR) [--compress]
+               [--retries N] [--timeout-ms N] [--backoff-ms N] [--resume]
+               [--no-finish]
   regmon migrate <journal> --at N (--from PATH | --from-tcp ADDR)
                (--to PATH | --to-tcp ADDR) [--compress] [--retries N]
                [--timeout-ms N] [--backoff-ms N]
@@ -72,12 +71,11 @@ with --snapshot-at/--snapshot-out, or resuming with --resume);
 `regmon serve` ingests journals streamed by `regmon send` over a unix
 socket or TCP and reports each finished session like `regmon run`.
 
-The wire speaks two versions, settled per connection: v1 (the original
-raw-sample frames, byte-identical forever) and v2 (delta-encoded
-columnar batches, roughly 8x smaller, optionally LZ-compressed with
---compress). `regmon send` negotiates by default (--wire-version auto)
-and falls back to v1 against an old server; results are byte-identical
-over every version/compression combination. `regmon serve` (unix
+Everything regmon writes — journals, the --durable WAL, `send` and
+`migrate` — is wire v2: delta-encoded columnar batches, roughly 8x
+smaller than v1's raw samples, optionally LZ-compressed with
+--compress. v1 is read-only: journals and WALs recorded as v1 still
+replay, send and recover byte-identically. `regmon serve` (unix
 only) multiplexes all connections over --event-workers poll(2)
 workers. `regmon migrate` moves a live session between two servers
 mid-stream: the first server checkpoints and retires the tenant, the
@@ -189,8 +187,8 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// `regmon list`
-pub fn list() {
+/// `regmon list` (takes no arguments; any are ignored)
+pub fn list(_argv: &[String]) -> Result<(), String> {
     println!("{:<14} {:>7} {:>8}  notes", "benchmark", "procs", "loops");
     for name in suite::names() {
         let w = suite::by_name(name).expect("listed names build");
@@ -211,6 +209,7 @@ pub fn list() {
         };
         println!("{name:<14} {procs:>7} {loops:>8}  {note}");
     }
+    Ok(())
 }
 
 /// `regmon run <benchmark>`
@@ -931,8 +930,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         queue_depth: p.value_or("queue-depth", DEFAULT_QUEUE_DEPTH)?,
         expect_sessions: p.value_or("expect-sessions", 1)?,
         event_workers: p.value_or("event-workers", 2)?,
-        max_wire_version: parse_wire_version(&p.value_or("wire-version", "auto".to_string())?)?
-            .unwrap_or(regmon_serve::WIRE_VERSION),
         durable,
         recover: !recover_dir.is_empty(),
         idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
@@ -1058,31 +1055,15 @@ fn parse_retry_policy(p: &crate::args::Parsed) -> Result<regmon_serve::RetryPoli
     })
 }
 
-/// Parses a `--wire-version` value: `None` means negotiate (auto).
-fn parse_wire_version(s: &str) -> Result<Option<u16>, String> {
-    match s {
-        "auto" | "negotiate" => Ok(None),
-        "1" | "v1" => Ok(Some(1)),
-        "2" | "v2" => Ok(Some(2)),
-        other => Err(format!(
-            "unknown wire version {other:?} (accepted: \"1\", \"2\", \"auto\")"
-        )),
-    }
-}
-
 /// `regmon send <journal>` — stream a recorded journal to a live server.
 ///
-/// By default (`--wire-version auto`) the sender offers wire v2 and
-/// settles on whatever the server answers, transcoding the journal's
-/// frames into the settled dialect — so a v1 journal can travel as
-/// delta-encoded (optionally `--compress`ed) v2 frames, and an old v1
-/// server still gets byte-identical v1 frames. `--wire-version 1`
-/// skips negotiation entirely and streams one-way, exactly like the
-/// original sender.
+/// The journal's frames travel in wire v2 (`--compress`ed on request)
+/// whichever version the journal was recorded in, so a v1 journal
+/// arrives as delta-encoded v2 frames.
 ///
 /// With `--retries N` a dropped connection reconnects after a
 /// deterministic exponential backoff and resumes from the last
-/// interval the server acknowledged (wire v2 only); `--resume` opens
+/// interval the server acknowledged; `--resume` opens
 /// even the first connection with the resume handshake, continuing a
 /// stream a previous process started. On giving up the exit is
 /// nonzero and the error reports the exact frame / interval position
@@ -1098,11 +1079,6 @@ pub fn send(argv: &[String]) -> Result<(), String> {
     }
     let compress = p.flag("compress");
     let resume = p.flag("resume");
-    let want = parse_wire_version(&p.value_or("wire-version", "auto".to_string())?)
-        .map_err(|e| format!("--wire-version: {e}"))?;
-    if want == Some(1) && compress {
-        return Err("--compress requires wire v2 (drop --wire-version 1)".into());
-    }
     let policy = parse_retry_policy(&p)?;
 
     let frames =
@@ -1124,7 +1100,6 @@ pub fn send(argv: &[String]) -> Result<(), String> {
             Ok(stream)
         },
         &plan,
-        want,
         compress,
         &policy,
         resume,
@@ -1140,18 +1115,13 @@ pub fn send(argv: &[String]) -> Result<(), String> {
     };
     eprintln!(
         "send: {} frames, {} bytes streamed, {} intervals, \
-         {:.1} ms, {:.3} M intervals/s (wire v{}{}{retried})",
+         {:.1} ms, {:.3} M intervals/s ({}{retried})",
         outcome.frames,
         outcome.bytes,
         outcome.intervals,
         elapsed * 1e3,
         outcome.intervals as f64 / elapsed / 1e6,
-        outcome.dialect.version,
-        if outcome.dialect.compress {
-            ", compressed"
-        } else {
-            ""
-        }
+        wire_label(compress),
     );
     Ok(())
 }
@@ -1163,8 +1133,7 @@ pub fn send(argv: &[String]) -> Result<(), String> {
 /// first server ingests the prefix, a `Checkpoint` frame freezes and
 /// retires the tenant there, and the returned session snapshot plus
 /// the remaining intervals go to the second server, which finishes the
-/// session byte-identically to an uninterrupted run. Both servers must
-/// speak wire v2.
+/// session byte-identically to an uninterrupted run.
 pub fn migrate(argv: &[String]) -> Result<(), String> {
     let p = parse("migrate", argv)?;
     let journal = p.positional(0).ok_or("missing <journal> argument")?;
@@ -1235,7 +1204,6 @@ pub fn migrate(argv: &[String]) -> Result<(), String> {
     let first = regmon_serve::send_plan(
         connect(&from, &from_tcp),
         &prefix,
-        None,
         compress,
         &policy,
         false,
@@ -1263,7 +1231,6 @@ pub fn migrate(argv: &[String]) -> Result<(), String> {
     let second = regmon_serve::send_plan(
         connect(&to, &to_tcp),
         &suffix,
-        None,
         compress,
         &policy,
         false,
@@ -1278,17 +1245,21 @@ pub fn migrate(argv: &[String]) -> Result<(), String> {
         String::new()
     };
     eprintln!(
-        "migrate: session {:?} handed off after {at}/{} intervals (wire v{}{}{retried})",
+        "migrate: session {:?} handed off after {at}/{} intervals ({}{retried})",
         admit.name,
         intervals.len(),
-        second.dialect.version,
-        if second.dialect.compress {
-            ", compressed"
-        } else {
-            ""
-        }
+        wire_label(compress),
     );
     Ok(())
+}
+
+/// How `send`/`migrate` frames travelled, for their stderr summary.
+fn wire_label(compress: bool) -> &'static str {
+    if compress {
+        "wire v2, compressed"
+    } else {
+        "wire v2"
+    }
 }
 
 /// Drains the event journal and writes it to `path` as chrome://tracing

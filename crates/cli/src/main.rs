@@ -9,11 +9,15 @@
 //! regmon fleet all [--tenants 64] [--shards 4] [--intervals 50] [--json]
 //! regmon replay session.rgj [--json] [--snapshot-at 20 --snapshot-out ck.rgsn]
 //! regmon serve --unix /tmp/regmon.sock [--expect-sessions 4] [--json]
-//! regmon send session.rgj --unix /tmp/regmon.sock [--wire-version auto] [--compress]
+//! regmon send session.rgj --unix /tmp/regmon.sock [--compress]
 //! regmon migrate session.rgj --at 20 --from /tmp/a.sock --to /tmp/b.sock
 //! regmon metrics [187.facerec] [--json] | regmon metrics --check trace.json
 //! regmon cpd --trace trace.json [--json] | regmon cpd --bench BENCH_a.json,BENCH_b.json
 //! ```
+//!
+//! Every wire byte `regmon` writes (`--record` journals, the `--durable`
+//! WAL, `send` and `migrate`) is wire v2; wire v1 journals and WALs are
+//! read-only and still replay, send and recover byte-identically.
 
 mod args;
 mod commands;
@@ -38,52 +42,42 @@ fn run(argv: &[String]) -> Result<(), String> {
     let Some(cmd) = argv.first() else {
         return Err("missing subcommand".into());
     };
-    let rest = &argv[1..];
-    match cmd.as_str() {
-        "list" => {
-            commands::list();
-            Ok(())
-        }
-        "run" => commands::run(rest),
-        "features" => commands::features(rest),
-        "sweep" => commands::sweep(rest),
-        "rto" => commands::rto(rest),
-        "baselines" => commands::baselines(rest),
-        "fleet" => commands::fleet(rest),
-        "replay" => commands::replay(rest),
-        "serve" => commands::serve(rest),
-        "send" => commands::send(rest),
-        "migrate" => commands::migrate(rest),
-        "metrics" => commands::metrics(rest),
-        "cpd" => commands::cpd(rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
-        other => Err(unknown_subcommand(other)),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", commands::USAGE);
+        return Ok(());
+    }
+    match SUBCOMMANDS.iter().find(|(name, _)| name == cmd) {
+        Some((_, handler)) => handler(&argv[1..]),
+        None => Err(unknown_subcommand(cmd)),
     }
 }
 
-const SUBCOMMANDS: [&str; 13] = [
-    "list",
-    "run",
-    "features",
-    "sweep",
-    "rto",
-    "baselines",
-    "fleet",
-    "replay",
-    "serve",
-    "send",
-    "migrate",
-    "metrics",
-    "cpd",
+/// A subcommand: it receives the arguments after its name.
+type Handler = fn(&[String]) -> Result<(), String>;
+
+/// Every subcommand, in `USAGE` order: the dispatch table and the
+/// candidates for did-you-mean suggestions.
+const SUBCOMMANDS: [(&str, Handler); 13] = [
+    ("list", commands::list),
+    ("run", commands::run),
+    ("features", commands::features),
+    ("sweep", commands::sweep),
+    ("rto", commands::rto),
+    ("baselines", commands::baselines),
+    ("fleet", commands::fleet),
+    ("replay", commands::replay),
+    ("serve", commands::serve),
+    ("send", commands::send),
+    ("migrate", commands::migrate),
+    ("metrics", commands::metrics),
+    ("cpd", commands::cpd),
 ];
 
 /// `unknown subcommand "cdp"; did you mean "cpd"?` — the same
 /// ergonomics the benchmark argument already has.
 fn unknown_subcommand(given: &str) -> String {
-    match commands::closest(given, &SUBCOMMANDS) {
+    let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, _)| *name).collect();
+    match commands::closest(given, &names) {
         Some(best) => format!("unknown subcommand {given:?}; did you mean {best:?}?"),
         None => format!("unknown subcommand {given:?}"),
     }

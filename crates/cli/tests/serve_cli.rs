@@ -216,10 +216,10 @@ fn spawn_server(sock: &std::path::Path, extra: &[&str]) -> std::process::Child {
     server
 }
 
-/// Every wire version × compression combination must emit
-/// the byte-identical `--json` report of the in-process run — including
-/// both halves of version negotiation (new client × old server, old
-/// client × new server).
+/// Compressed wire v2, over one or two event workers, must emit the
+/// byte-identical `--json` report of the in-process run (plain v2 is
+/// `served_session_json_matches_in_process_run`; wire v1 is read-only,
+/// and its journals and WALs are covered by the old-format tests).
 #[cfg(unix)]
 #[test]
 fn wire_version_matrix_is_byte_identical_to_run() {
@@ -239,9 +239,6 @@ fn wire_version_matrix_is_byte_identical_to_run() {
     assert!(ok);
 
     let cases: &[(&str, &[&str], &[&str])] = &[
-        ("v2 server, v1 sender", &[], &["--wire-version", "1"]),
-        ("v1 server, v2 sender", &["--wire-version", "1"], &[]),
-        ("v2 negotiated", &[], &["--wire-version", "2"]),
         ("v2 compressed", &[], &["--compress"]),
         (
             "two event workers, v2 compressed",
@@ -435,14 +432,24 @@ fn exhausted_send_reports_position_and_exits_nonzero() {
 
 #[test]
 fn wire_flag_typos_get_spelling_help() {
-    let (ok, _, stderr) = regmon(&["send", "x.rgj", "--unix", "/nope", "--wire-version", "3"]);
+    let (ok, _, stderr) = regmon(&["send", "x.rgj", "--unix", "/nope", "--compres"]);
     assert!(!ok);
-    assert!(stderr.contains("\"auto\""), "{stderr}");
-    // A removed option fails loudly instead of being swallowed along
-    // with its value.
-    let (ok, _, stderr) = regmon(&["serve", "--unix", "/nope", "--serve-loop", "events"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown option --serve-loop"), "{stderr}");
+    assert!(stderr.contains("did you mean --compress?"), "{stderr}");
+    // Removed options fail loudly instead of being swallowed along
+    // with their value.
+    for argv in [
+        &["serve", "--unix", "/nope", "--serve-loop", "events"][..],
+        &["serve", "--unix", "/nope", "--wire-version", "2"],
+        &["send", "x.rgj", "--unix", "/nope", "--wire-version", "1"],
+    ] {
+        let (ok, _, stderr) = regmon(argv);
+        let option = argv[argv.len() - 2];
+        assert!(!ok, "{option} was accepted");
+        assert!(
+            stderr.contains(&format!("unknown option {option}")),
+            "{stderr}"
+        );
+    }
 }
 
 /// The serve smoke: a server on a unix socket, a producer streaming a
@@ -503,5 +510,138 @@ fn served_session_json_matches_in_process_run() {
         run_json, served_json,
         "served --json diverged from run --json"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Frame type of a wire-v1 `Batch` (raw samples).
+const TYPE_BATCH: u8 = 3;
+/// Frame type of a wire-v2 `Batch2` (delta-encoded columns).
+const TYPE_BATCH2: u8 = 5;
+
+/// The type byte of every frame in a wire byte image (a journal or a
+/// WAL), read from the `[len][crc][type ...]` headers.
+fn frame_types(bytes: &[u8]) -> Vec<u8> {
+    let mut types = Vec::new();
+    let mut pos = 0;
+    while pos + 8 < bytes.len() {
+        types.push(bytes[pos + 8]);
+        pos += 8 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+    }
+    assert_eq!(pos, bytes.len(), "image ends mid-frame");
+    types
+}
+
+/// Re-encodes frames as wire v1, the format older builds wrote.
+fn encode_v1(frames: &[regmon_serve::Frame]) -> Vec<u8> {
+    use regmon_serve::{Frame, WireDialect};
+    let hello = Frame::Hello { version: 1 };
+    frames
+        .iter()
+        .map(|frame| match frame {
+            Frame::Hello { .. } => &hello,
+            other => other,
+        })
+        .flat_map(|frame| WireDialect::V1.encode_frame(frame))
+        .collect()
+}
+
+/// `regmon run 181.mcf --intervals N --json --record <journal>`: the
+/// report every other transport must reproduce.
+fn run_recorded(intervals: &str, journal: &std::path::Path) -> String {
+    let record = ["--json", "--record", journal.to_str().unwrap()];
+    let (ok, json, stderr) =
+        regmon(&[&["run", "181.mcf", "--intervals", intervals], &record[..]].concat());
+    assert!(ok, "{stderr}");
+    json
+}
+
+/// Runs `regmon send <send...> --unix <sock>` into a fresh server (see
+/// [`spawn_server`]) and returns the server's stdout and stderr once it
+/// exits cleanly.
+#[cfg(unix)]
+fn serve_one(sock: &std::path::Path, serve_extra: &[&str], send: &[&str]) -> (String, String) {
+    let server = spawn_server(sock, serve_extra);
+    let argv = [&["send"], send, &["--unix", sock.to_str().unwrap()]].concat();
+    let (ok, _, stderr) = regmon(&argv);
+    assert!(ok, "{stderr}");
+    let out = server.wait_with_output().expect("server exit");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{stderr}");
+    (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+}
+
+/// Wire v1 is read-only, not gone: a journal recorded as v1 by an older
+/// build replays and sends byte-identically to the in-process run, and
+/// a WAL of v1 records, as an older durable server left it when it
+/// crashed 12 intervals in, recovers byte-identically under
+/// `--recover` plus `send --resume`.
+#[cfg(unix)]
+#[test]
+fn v1_journals_and_wals_reproduce_run_byte_identically() {
+    use regmon_serve::Frame;
+    let dir = temp_dir("v1");
+    let (full, prefix, v1) = (dir.join("full.rgj"), dir.join("12.rgj"), dir.join("v1.rgj"));
+    let sock = dir.join("regmon.sock");
+    let run_json = run_recorded("30", &full);
+    run_recorded("12", &prefix);
+
+    let bytes = encode_v1(&regmon_serve::read_journal(&full).unwrap());
+    assert!(frame_types(&bytes).contains(&TYPE_BATCH));
+    std::fs::write(&v1, bytes).unwrap();
+    let v1 = v1.to_str().unwrap();
+    let (ok, replay_json, stderr) = regmon(&["replay", v1, "--json"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(run_json, replay_json, "v1 journal replay diverged");
+    let (served_json, _) = serve_one(&sock, &[], &[v1]);
+    assert_eq!(run_json, served_json, "sent v1 journal diverged");
+
+    // WAL records are the opener and each folded batch: no Hello, and
+    // no Finish for a session the crash cut short.
+    let mut records = regmon_serve::read_journal(&prefix).unwrap();
+    records.retain(|frame| matches!(frame, Frame::Admit(_) | Frame::Batch { .. }));
+    let wal_dir = dir.join("wal");
+    std::fs::create_dir_all(&wal_dir).unwrap();
+    std::fs::write(wal_dir.join("session-0000.wal"), encode_v1(&records)).unwrap();
+    let recover = ["--recover", wal_dir.to_str().unwrap()];
+    let send = [full.to_str().unwrap(), "--resume", "--retries", "3"];
+    let (served_json, served_err) = serve_one(&sock, &recover, &send);
+    assert!(served_err.contains("recovered"), "{served_err}");
+    assert_eq!(run_json, served_json, "recovered v1 WAL diverged");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Nothing writes wire v1 any more: a fresh `run --record` journal, the
+/// `fleet --record` journals and a fresh `serve --durable` WAL hold
+/// `Batch2` frames and no v1 `Batch`.
+#[cfg(unix)]
+#[test]
+fn fresh_journals_and_wals_hold_no_v1_batch() {
+    let dir = temp_dir("no-v1");
+    let (journal, fleet_dir, wal_dir) = (dir.join("s.rgj"), dir.join("fleet"), dir.join("wal"));
+    run_recorded("12", &journal);
+    let fleet = "fleet all --tenants 3 --intervals 6 --record".split(' ');
+    let (ok, _, stderr) = regmon(
+        &fleet
+            .chain([fleet_dir.to_str().unwrap()])
+            .collect::<Vec<_>>(),
+    );
+    assert!(ok, "{stderr}");
+    let durable = ["--durable", wal_dir.to_str().unwrap()];
+    serve_one(
+        &dir.join("regmon.sock"),
+        &durable,
+        &[journal.to_str().unwrap()],
+    );
+
+    let mut images = vec![journal, wal_dir.join("session-0000.wal")];
+    for entry in std::fs::read_dir(&fleet_dir).unwrap() {
+        images.push(entry.unwrap().path());
+    }
+    assert_eq!(images.len(), 5);
+    for path in images {
+        let types = frame_types(&std::fs::read(&path).unwrap());
+        let only_v2 = types.contains(&TYPE_BATCH2) && !types.contains(&TYPE_BATCH);
+        assert!(only_v2, "{}: {types:?}", path.display());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

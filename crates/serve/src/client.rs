@@ -2,11 +2,13 @@
 //!
 //! `regmon send` / `regmon migrate` (and the fault-injection suite)
 //! stream sessions through [`send_plan`]: the journal's frames are
-//! grouped per session ([`SendPlan`]), streamed in the negotiated
-//! dialect, and — when a retry budget is configured — every transport
-//! failure triggers a reconnect with deterministic exponential backoff
+//! grouped per session ([`SendPlan`]), re-encoded in wire-v2 (LZ-wrapped
+//! with `--compress`) whatever dialect the journal was recorded in, and
+//! — when a retry budget is configured — every transport failure
+//! triggers a reconnect with deterministic exponential backoff
 //! (`backoff · 2^attempt`, no jitter: the retry schedule of a run is
-//! reproducible).
+//! reproducible). Each connection opens with a v2 `Hello` and waits for
+//! the server's `Hello` answer; nothing is negotiated.
 //!
 //! On reconnect the client does not blindly replay. It sends a wire-v2
 //! `Resume` frame naming each session; the server answers `ResumeAck`
@@ -26,16 +28,14 @@ use std::time::Duration;
 use regmon_sampling::Interval;
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::wire::{
-    read_frame, AdmitFrame, Frame, SnapshotFrame, WireDialect, WireError, WIRE_VERSION,
-};
+use crate::wire::{read_frame, AdmitFrame, Frame, SnapshotFrame, WireDialect, WireError};
 
 /// Reconnect policy for one send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Reconnect attempts after the first (0 = fail on the first drop).
     pub retries: u32,
-    /// Socket read deadline for negotiation and resume replies (the
+    /// Socket read deadline for `Hello` and resume replies (the
     /// connect callback is expected to arm it on each new stream).
     pub timeout: Duration,
     /// Base backoff; attempt `n` sleeps `backoff · 2^n` before
@@ -106,75 +106,61 @@ impl SendPlan {
     pub fn from_frames(frames: Vec<Frame>) -> Result<Self, ClientError> {
         let mut sessions: Vec<SessionStream> = Vec::new();
         let mut slot_of = std::collections::HashMap::new();
+        let slot = |slot_of: &std::collections::HashMap<u32, usize>, tenant, what| {
+            slot_of.get(&tenant).copied().ok_or_else(|| {
+                ClientError::Protocol(format!("{what} for unadmitted tenant {tenant}"))
+            })
+        };
         for frame in frames {
-            match frame {
-                Frame::Hello { .. } => {}
-                Frame::Admit(admit) => {
-                    if slot_of.contains_key(&admit.tenant) {
-                        return Err(ClientError::Protocol(format!(
-                            "duplicate Admit for tenant {}",
-                            admit.tenant
-                        )));
-                    }
-                    slot_of.insert(admit.tenant, sessions.len());
-                    sessions.push(SessionStream {
-                        admit: *admit,
-                        snapshot: None,
-                        base: 0,
-                        batches: Vec::new(),
-                        finish: false,
-                        checkpoint: false,
-                    });
-                }
+            let (admit, snapshot, base) = match frame {
+                Frame::Hello { .. } => continue,
+                Frame::Admit(admit) => (*admit, None, 0),
                 Frame::Snapshot(snap) => {
-                    if slot_of.contains_key(&snap.tenant) {
-                        return Err(ClientError::Protocol(format!(
-                            "duplicate Admit for tenant {}",
-                            snap.tenant
-                        )));
-                    }
                     let decoded = crate::snapshot::decode_snapshot(&snap.snapshot)
                         .map_err(|e| ClientError::Protocol(format!("snapshot frame: {e}")))?;
-                    slot_of.insert(snap.tenant, sessions.len());
-                    sessions.push(SessionStream {
-                        admit: AdmitFrame {
-                            tenant: snap.tenant,
-                            name: snap.name,
-                            workload: snap.workload,
-                            config: decoded.config,
-                            max_intervals: snap.max_intervals,
-                        },
-                        snapshot: Some(snap.snapshot),
-                        base: decoded.intervals as u64,
-                        batches: Vec::new(),
-                        finish: false,
-                        checkpoint: false,
-                    });
+                    let admit = AdmitFrame {
+                        tenant: snap.tenant,
+                        name: snap.name,
+                        workload: snap.workload,
+                        config: decoded.config,
+                        max_intervals: snap.max_intervals,
+                    };
+                    (admit, Some(snap.snapshot), decoded.intervals as u64)
                 }
                 Frame::Batch { tenant, intervals } => {
-                    let &slot = slot_of.get(&tenant).ok_or_else(|| {
-                        ClientError::Protocol(format!("Batch for unadmitted tenant {tenant}"))
-                    })?;
-                    sessions[slot].batches.push(intervals);
+                    sessions[slot(&slot_of, tenant, "Batch")?]
+                        .batches
+                        .push(intervals);
+                    continue;
                 }
                 Frame::Finish { tenant } => {
-                    let &slot = slot_of.get(&tenant).ok_or_else(|| {
-                        ClientError::Protocol(format!("Finish for unadmitted tenant {tenant}"))
-                    })?;
-                    sessions[slot].finish = true;
+                    sessions[slot(&slot_of, tenant, "Finish")?].finish = true;
+                    continue;
                 }
                 Frame::Checkpoint { tenant } => {
-                    let &slot = slot_of.get(&tenant).ok_or_else(|| {
-                        ClientError::Protocol(format!("Checkpoint for unadmitted tenant {tenant}"))
-                    })?;
-                    sessions[slot].checkpoint = true;
+                    sessions[slot(&slot_of, tenant, "Checkpoint")?].checkpoint = true;
+                    continue;
                 }
                 other @ (Frame::Resume(_) | Frame::ResumeAck { .. } | Frame::Busy { .. }) => {
                     return Err(ClientError::Protocol(format!(
                         "live-connection frame {other:?} in a journal"
                     )));
                 }
+            };
+            if slot_of.insert(admit.tenant, sessions.len()).is_some() {
+                return Err(ClientError::Protocol(format!(
+                    "duplicate Admit for tenant {}",
+                    admit.tenant
+                )));
             }
+            sessions.push(SessionStream {
+                admit,
+                snapshot,
+                base,
+                batches: Vec::new(),
+                finish: false,
+                checkpoint: false,
+            });
         }
         Ok(Self { sessions })
     }
@@ -192,7 +178,7 @@ pub struct SendOutcome {
     pub intervals: u64,
     /// Reconnect attempts used (0 = first connection succeeded).
     pub retries: u32,
-    /// The settled dialect of the final (successful) connection.
+    /// The dialect the frames travelled in (v2, compressed or not).
     pub dialect: WireDialect,
     /// Per session: the `Snapshot` reply when
     /// [`SessionStream::checkpoint`] asked for one.
@@ -258,12 +244,10 @@ struct Totals {
 /// Streams a plan to a server, reconnecting and resuming on failure.
 ///
 /// `connect` opens a fresh transport per attempt (it should arm
-/// [`RetryPolicy::timeout`] as the socket read deadline). `offer` is
-/// the wire version to speak: `Some(1)` streams one-way v1 (no resume
-/// — incompatible with a non-zero retry budget), anything else offers
-/// v2 and settles on the server's answer. With `resume`, even the
-/// first attempt opens with a `Resume` handshake instead of blind
-/// openers — for continuing a stream a previous process started.
+/// [`RetryPolicy::timeout`] as the socket read deadline). Frames travel
+/// in wire-v2, LZ-compressed when `compress` is set. With `resume`,
+/// even the first attempt opens with a `Resume` handshake instead of
+/// blind openers — for continuing a stream a previous process started.
 ///
 /// # Errors
 ///
@@ -273,7 +257,6 @@ struct Totals {
 pub fn send_plan<S, C>(
     mut connect: C,
     plan: &SendPlan,
-    offer: Option<u16>,
     compress: bool,
     policy: &RetryPolicy,
     resume: bool,
@@ -283,26 +266,19 @@ where
     S: Read + Write,
     C: FnMut() -> std::io::Result<S>,
 {
-    if offer == Some(1) && (policy.retries > 0 || resume) {
-        return Err(ClientError::Protocol(
-            "retry/resume requires wire v2 (drop --wire-version 1)".into(),
-        ));
-    }
     let telemetry_on = regmon_telemetry::enabled();
+    let dialect = WireDialect::v2(compress);
     let mut totals = Totals::default();
     let mut snapshots: Vec<Option<SnapshotFrame>> = vec![None; plan.sessions.len()];
-    let mut settled = WireDialect::V1;
     let mut attempt = 0u32;
     loop {
         let outcome = run_attempt(
             &mut connect,
             plan,
-            offer,
-            compress,
+            dialect,
             attempt > 0 || resume,
             &mut totals,
             &mut snapshots,
-            &mut settled,
             &mut faults,
         );
         match outcome {
@@ -312,7 +288,7 @@ where
                     bytes: totals.bytes,
                     intervals: plan.sessions.iter().map(SessionStream::intervals).sum(),
                     retries: attempt,
-                    dialect: settled,
+                    dialect,
                     snapshots,
                 });
             }
@@ -336,16 +312,13 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_attempt<S, C>(
     connect: &mut C,
     plan: &SendPlan,
-    offer: Option<u16>,
-    compress: bool,
+    dialect: WireDialect,
     resuming: bool,
     totals: &mut Totals,
     snapshots: &mut [Option<SnapshotFrame>],
-    settled: &mut WireDialect,
     faults: &mut Option<&mut FaultPlan>,
 ) -> Result<(), AttemptFail>
 where
@@ -354,50 +327,22 @@ where
 {
     let mut stream = connect().map_err(|e| AttemptFail::Retry(format!("connect: {e}")))?;
     let mut buf = Vec::with_capacity(64 * 1024);
-    let dialect = if offer == Some(1) {
-        push_frame(
-            &mut stream,
-            &mut buf,
-            WireDialect::V1,
-            &Frame::Hello { version: 1 },
-            totals,
-            faults,
-        )?;
-        WireDialect::V1
-    } else {
-        push_frame(
-            &mut stream,
-            &mut buf,
-            WireDialect::V1,
-            &Frame::hello(),
-            totals,
-            faults,
-        )?;
-        flush(&mut stream, &mut buf)?;
-        match read_reply(&mut stream, "wire negotiation")? {
-            Frame::Hello { version } => WireDialect::settle(version, WIRE_VERSION, compress),
-            other => {
-                return Err(AttemptFail::Fatal(ClientError::Protocol(format!(
-                    "expected a Hello answer, got {other:?}"
-                ))))
-            }
+    push_frame(
+        &mut stream,
+        &mut buf,
+        dialect,
+        &Frame::hello(),
+        totals,
+        faults,
+    )?;
+    flush(&mut stream, &mut buf)?;
+    match read_reply(&mut stream, "hello")? {
+        Frame::Hello { .. } => {}
+        other => {
+            return Err(AttemptFail::Fatal(ClientError::Protocol(format!(
+                "expected a Hello answer, got {other:?}"
+            ))))
         }
-    };
-    *settled = dialect;
-    if resuming && dialect.version < 2 {
-        return Err(AttemptFail::Fatal(ClientError::Protocol(
-            "server only speaks wire v1; cannot resume a dropped stream".into(),
-        )));
-    }
-    if dialect.version < 2
-        && plan
-            .sessions
-            .iter()
-            .any(|s| s.checkpoint || s.snapshot.is_some())
-    {
-        return Err(AttemptFail::Fatal(ClientError::Protocol(
-            "server only speaks wire v1; migration frames need v2".into(),
-        )));
     }
 
     for (slot, session) in plan.sessions.iter().enumerate() {
@@ -539,7 +484,7 @@ fn push_frame<S: Write>(
     let mut bytes = dialect.encode_frame(frame);
     let fault = faults.as_deref_mut().and_then(|p| p.take(totals.frames));
     totals.frames += 1;
-    match fault {
+    let injected = match fault {
         Some(FaultKind::Drop) => {
             let _ = flush(stream, buf);
             return Err(AttemptFail::Retry(
@@ -548,28 +493,25 @@ fn push_frame<S: Write>(
         }
         Some(FaultKind::Truncate) => {
             bytes.truncate((bytes.len() / 2).max(1));
-            totals.bytes += bytes.len() as u64;
-            buf.extend_from_slice(&bytes);
-            let _ = flush(stream, buf);
-            return Err(AttemptFail::Retry(
-                "injected fault: frame truncated mid-record".into(),
-            ));
+            Some("injected fault: frame truncated mid-record")
         }
         Some(FaultKind::BitFlip) => {
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0x10;
-            totals.bytes += bytes.len() as u64;
-            buf.extend_from_slice(&bytes);
-            let _ = flush(stream, buf);
-            return Err(AttemptFail::Retry(
-                "injected fault: frame corrupted in flight".into(),
-            ));
+            Some("injected fault: frame corrupted in flight")
         }
-        Some(FaultKind::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        None => {}
-    }
+        Some(FaultKind::Delay(ms)) => {
+            std::thread::sleep(Duration::from_millis(ms));
+            None
+        }
+        None => None,
+    };
     totals.bytes += bytes.len() as u64;
     buf.extend_from_slice(&bytes);
+    if let Some(reason) = injected {
+        let _ = flush(stream, buf);
+        return Err(AttemptFail::Retry(reason.into()));
+    }
     if buf.len() >= 48 * 1024 {
         flush(stream, buf)?;
     }
@@ -647,26 +589,6 @@ mod tests {
             tenant: 9,
             intervals: vec![],
         }])
-        .unwrap_err();
-        assert!(matches!(err, ClientError::Protocol(_)), "{err}");
-    }
-
-    #[test]
-    fn v1_with_retries_is_rejected_up_front() {
-        let plan = SendPlan { sessions: vec![] };
-        let policy = RetryPolicy {
-            retries: 2,
-            ..RetryPolicy::default()
-        };
-        let err = send_plan(
-            || Ok(std::io::Cursor::new(Vec::new())),
-            &plan,
-            Some(1),
-            false,
-            &policy,
-            false,
-            None,
-        )
         .unwrap_err();
         assert!(matches!(err, ClientError::Protocol(_)), "{err}");
     }

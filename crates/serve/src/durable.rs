@@ -7,7 +7,9 @@
 //! `Checkpoint`. Records reuse the wire envelope (`[len][crc32][body]`),
 //! so the WAL inherits the codec's bit-exactness and corruption
 //! detection for free, and recovery is just a replay of the frames a
-//! live connection would have delivered.
+//! live connection would have delivered. Records are written in
+//! wire-v2 (delta-encoded batches); WALs of v1 records from older
+//! builds still recover, because the codec still reads v1.
 //!
 //! Periodically (every [`DurableOptions::checkpoint_every`] intervals)
 //! the server additionally snapshots the live session into
@@ -35,9 +37,8 @@ use std::path::{Path, PathBuf};
 
 use regmon::SessionSnapshot;
 
-use crate::crc::crc32;
 use crate::snapshot::{decode_snapshot, encode_snapshot};
-use crate::wire::{Frame, MAX_FRAME_LEN, WIRE_VERSION};
+use crate::wire::{Frame, FrameReader};
 
 /// When durable serve calls `fsync` on its WAL and checkpoint files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -183,27 +184,14 @@ impl WalWriter {
 /// is a torn tail: the crash interrupted an append mid-record.
 #[must_use]
 pub fn parse_wal(bytes: &[u8]) -> (Vec<Frame>, usize) {
+    let mut reader = FrameReader::new(bytes);
     let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while let Some(header) = bytes.get(pos..pos + 8) {
-        let len = u32::from_le_bytes(header[..4].try_into().expect("8-byte header"));
-        let want_crc = u32::from_le_bytes(header[4..].try_into().expect("8-byte header"));
-        if len == 0 || len > MAX_FRAME_LEN {
-            break;
-        }
-        let Some(body) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-            break;
-        };
-        if crc32(body) != want_crc {
-            break;
-        }
-        let Ok(frame) = Frame::decode(body[0], &body[1..], WIRE_VERSION) else {
-            break;
-        };
+    let mut good = 0;
+    while let Ok(Some(frame)) = reader.next_frame() {
         frames.push(frame);
-        pos += 8 + len as usize;
+        good = reader.bytes_read() as usize;
     }
-    (frames, pos)
+    (frames, good)
 }
 
 /// One recovered WAL file.

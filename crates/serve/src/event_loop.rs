@@ -386,7 +386,7 @@ where
 mod tests {
     use super::*;
     use crate::journal::JournalWriter;
-    use crate::wire::AdmitFrame;
+    use crate::wire::{AdmitFrame, Frame};
     use regmon::{MonitoringSession, SessionConfig};
     use regmon_sampling::Sampler;
     use regmon_workload::suite;
@@ -398,7 +398,10 @@ mod tests {
         dir.join(format!("{stem}-{}.sock", std::process::id()))
     }
 
-    fn v1_stream(workload: &str, config: &SessionConfig, n: usize) -> Vec<u8> {
+    /// A one-way producer stream: a journal whose `Hello` is swapped
+    /// for a v1 one, which the server never answers, so the producer
+    /// may close without reading.
+    fn one_way_stream(workload: &str, config: &SessionConfig, n: usize) -> Vec<u8> {
         let w = suite::by_name(workload).unwrap();
         let mut journal = JournalWriter::new(Vec::new()).unwrap();
         journal
@@ -415,7 +418,9 @@ mod tests {
             journal.batch(0, chunk.to_vec()).unwrap();
         }
         journal.finish(0).unwrap();
-        journal.into_inner().unwrap()
+        let mut bytes = Frame::Hello { version: 1 }.encode();
+        bytes.extend_from_slice(&journal.into_inner().unwrap()[bytes.len()..]);
+        bytes
     }
 
     #[test]
@@ -450,7 +455,7 @@ mod tests {
         // ...and some that stream full sessions concurrently.
         let senders: Vec<_> = (0..active)
             .map(|_| {
-                let bytes = v1_stream("172.mgrid", &config, 10);
+                let bytes = one_way_stream("172.mgrid", &config, 10);
                 let path = server_path.clone();
                 std::thread::spawn(move || {
                     let mut stream = UnixStream::connect(&path).unwrap();
@@ -502,14 +507,14 @@ mod tests {
             )
         });
         // A corrupt producer (bad CRC mid-stream)...
-        let mut bad = v1_stream("172.mgrid", &config, 6);
+        let mut bad = one_way_stream("172.mgrid", &config, 6);
         let idx = bad.len() / 2;
         bad[idx] ^= 0xFF;
         let mut bad_stream = UnixStream::connect(&server_path).unwrap();
         let _ = bad_stream.write_all(&bad);
         drop(bad_stream);
         // ...must not stop a healthy one on the same worker.
-        let good = v1_stream("172.mgrid", &config, 6);
+        let good = one_way_stream("172.mgrid", &config, 6);
         let mut good_stream = UnixStream::connect(&server_path).unwrap();
         good_stream.write_all(&good).unwrap();
         drop(good_stream);

@@ -7,12 +7,10 @@
 //! bytes at a live `regmon serve`, so one artifact exercises every
 //! ingestion path and all three must agree byte-identically.
 //!
-//! Journals default to the **v1 dialect** (and stay byte-identical to
-//! every journal ever recorded): a journal is a one-way recording with
-//! nobody on the other end to negotiate with. Pass a v2
-//! [`WireDialect`] to [`JournalWriter::with_dialect`] to record
-//! delta-encoded (optionally compressed) batches instead — the replay
-//! and serve paths decode both identically.
+//! Journals are written in **wire-v2**: every `Batch` is a
+//! delta-encoded `Batch2` frame. Journals recorded as v1 by older
+//! builds still read, replay and send byte-identically, because the
+//! codec still decodes v1; nothing writes v1 any more.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -22,38 +20,24 @@ use regmon::SessionConfig;
 use regmon_sampling::{Interval, Sampler};
 use regmon_workload::Workload;
 
-use crate::wire::{AdmitFrame, Frame, FrameReader, WireDialect, WireError};
+use crate::wire::{write_frame, AdmitFrame, Frame, FrameReader, WireError};
 
 /// Writes a wire stream, one frame at a time. The `Hello` opener is
 /// emitted on construction.
 #[derive(Debug)]
 pub struct JournalWriter<W: Write> {
     inner: W,
-    dialect: WireDialect,
 }
 
 impl<W: Write> JournalWriter<W> {
-    /// Opens a v1-dialect journal on a transport, writing the `Hello`
-    /// frame.
+    /// Opens a journal on a transport, writing the `Hello` frame.
     ///
     /// # Errors
     ///
     /// Propagates transport write failures.
-    pub fn new(inner: W) -> std::io::Result<Self> {
-        Self::with_dialect(inner, WireDialect::V1)
-    }
-
-    /// Opens a journal in an explicit wire dialect, writing a `Hello`
-    /// frame that advertises the dialect's version.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport write failures.
-    pub fn with_dialect(mut inner: W, dialect: WireDialect) -> std::io::Result<Self> {
-        inner.write_all(&dialect.encode_frame(&Frame::Hello {
-            version: dialect.version,
-        }))?;
-        Ok(Self { inner, dialect })
+    pub fn new(mut inner: W) -> std::io::Result<Self> {
+        write_frame(&mut inner, &Frame::hello())?;
+        Ok(Self { inner })
     }
 
     /// Records a tenant admission.
@@ -84,7 +68,7 @@ impl<W: Write> JournalWriter<W> {
     }
 
     fn write(&mut self, frame: &Frame) -> std::io::Result<()> {
-        self.inner.write_all(&self.dialect.encode_frame(frame))
+        write_frame(&mut self.inner, frame)
     }
 
     /// Flushes and returns the transport.

@@ -3,7 +3,7 @@
 //!
 //! The paper's monitoring pipeline runs inside the profiled process;
 //! this crate lets it run *outside* one. A producer samples (or
-//! records) PC-sample intervals and streams them as `regmon-wire-v1`
+//! records) PC-sample intervals and streams them as `regmon-wire-v2`
 //! frames — length-prefixed, CRC-checked, versioned — over a unix
 //! socket, TCP connection or file. Three consumers understand the
 //! stream and agree byte-identically:

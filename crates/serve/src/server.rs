@@ -1,8 +1,8 @@
 //! `regmon serve`: a wire-ingesting server over the fleet engine.
 //!
 //! The server accepts N concurrent producer connections (unix socket or
-//! TCP), decodes their `regmon-wire` frames (v1 or v2, settled per
-//! connection in the `Hello` exchange) and demultiplexes the intervals
+//! TCP), decodes their `regmon-wire` frames (v2, or v1 from producers
+//! of older builds) and demultiplexes the intervals
 //! into [`FleetEngine`] shard workers — the same bounded ring queues,
 //! batching and telemetry the in-process fleet driver uses. Each
 //! connection's wire tenant ids are remapped to engine-global tenant
@@ -23,7 +23,8 @@
 //! Because the pipeline is deterministic and the wire codec bit-exact,
 //! a session streamed through the server finishes byte-identical to the
 //! same session run in-process — over either wire version, compressed
-//! or not.
+//! or not. A producer opening with a v2 `Hello` gets a v2 `Hello`
+//! back; a v1 `Hello` opens a one-way stream that is never answered.
 //!
 //! Wire-v2 additionally lets a producer *move* a live session: a
 //! `Checkpoint` frame freezes the tenant and sends its full RGSN
@@ -43,7 +44,7 @@ use regmon_workload::suite;
 
 use crate::durable::{self, DurableOptions, WalWriter};
 use crate::error::ServeError;
-use crate::wire::{Frame, FrameParser, SnapshotFrame, WIRE_VERSION};
+use crate::wire::{Frame, FrameParser, SnapshotFrame};
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]
@@ -56,9 +57,6 @@ pub struct ServeOptions {
     pub expect_sessions: usize,
     /// Readiness-loop workers multiplexing the socket connections.
     pub event_workers: usize,
-    /// Highest wire version this server negotiates down to (pin to 1
-    /// to serve as a v1-only peer).
-    pub max_wire_version: u16,
     /// Write a per-tenant WAL plus periodic checkpoints under this
     /// directory, so a crashed server can be restarted with
     /// [`ServeOptions::recover`] and resume byte-identically.
@@ -84,7 +82,6 @@ impl Default for ServeOptions {
             queue_depth: DEFAULT_QUEUE_DEPTH,
             expect_sessions: 1,
             event_workers: 2,
-            max_wire_version: WIRE_VERSION,
             durable: None,
             recover: false,
             idle_timeout: Some(Duration::from_secs(30)),
@@ -179,13 +176,10 @@ impl std::fmt::Debug for Server {
 
 /// The per-connection protocol state machine, shared by
 /// [`Server::handle_io`] and the event loop: frames go in via
-/// [`Conn::on_frame`], reply bytes (negotiated `Hello`, migration
+/// [`Conn::on_frame`], reply bytes (the `Hello` answer, migration
 /// `Snapshot`s) come out via the `out` buffer.
 pub(crate) struct Conn {
     saw_hello: bool,
-    /// Wire version settled for this connection (caps which frame
-    /// types the feeding parser accepts).
-    version: u16,
     /// Wire tenant id (connection-scoped) → index into state.sessions.
     local: HashMap<u32, usize>,
     /// Sessions this connection finished (or migrated away).
@@ -198,17 +192,10 @@ impl Conn {
     pub(crate) fn new() -> Self {
         Self {
             saw_hello: false,
-            version: WIRE_VERSION,
             local: HashMap::new(),
             finished: 0,
             out: Vec::new(),
         }
-    }
-
-    /// The settled wire version (defaults to the build maximum until
-    /// the `Hello` exchange caps it).
-    pub(crate) fn version(&self) -> u16 {
-        self.version
     }
 
     pub(crate) fn finished_sessions(&self) -> usize {
@@ -229,17 +216,11 @@ impl Conn {
                     return Err(ServeError::Protocol("duplicate Hello frame".into()));
                 }
                 self.saw_hello = true;
-                self.version = version.min(server.options.max_wire_version);
                 if version >= 2 {
-                    // v2 producers wait for the negotiated version; v1
-                    // producers are one-way and never read, so writing
-                    // to them could deadlock against an unread socket.
-                    self.out.extend_from_slice(
-                        &Frame::Hello {
-                            version: self.version,
-                        }
-                        .encode(),
-                    );
+                    // v2 producers wait for the answer; v1 producers
+                    // are one-way and never read, so writing to them
+                    // could deadlock against an unread socket.
+                    self.out.extend_from_slice(&Frame::hello().encode());
                 }
             }
             _ if !self.saw_hello => {
@@ -814,7 +795,7 @@ impl Server {
     }
 
     /// Handles one producer connection to completion, writing reply
-    /// frames (negotiated `Hello`, migration `Snapshot`s) back to the
+    /// frames (the `Hello` answer, migration `Snapshot`s) back to the
     /// peer promptly. Returns the number of sessions the connection
     /// finished.
     ///
@@ -861,9 +842,7 @@ impl Server {
     }
 
     /// Decodes every complete frame buffered in `parser` through
-    /// `conn`, keeping the parser's version cap in lockstep with the
-    /// negotiated connection version. Shared by [`Server::handle_io`]
-    /// and the event loop.
+    /// `conn`. Shared by [`Server::handle_io`] and the event loop.
     pub(crate) fn drain_parser(
         &self,
         parser: &mut FrameParser,
@@ -895,7 +874,6 @@ impl Server {
                 }
             }
             conn.on_frame(frame, self, telemetry_on)?;
-            parser.set_max_version(conn.version());
         }
     }
 
@@ -1084,7 +1062,7 @@ mod tests {
         journal.into_inner().unwrap()
     }
 
-    /// Re-encodes a v1 byte stream in the given dialect (Hello carries
+    /// Re-encodes a byte stream in the given dialect (Hello carries
     /// the dialect's version, batches its representation).
     fn transcode(bytes: &[u8], dialect: WireDialect) -> Vec<u8> {
         let mut reader = FrameReader::new(bytes);
@@ -1153,14 +1131,14 @@ mod tests {
         // The same session over wire v1, v2 and v2+compress must land
         // identically in the engine.
         let config = SessionConfig::new(45_000);
-        let v1 = stream_for("172.mgrid", &config, 20, 0);
+        let written = stream_for("172.mgrid", &config, 20, 0);
         let mut summaries = Vec::new();
         for dialect in [
             WireDialect::V1,
             WireDialect::v2(false),
             WireDialect::v2(true),
         ] {
-            let bytes = transcode(&v1, dialect);
+            let bytes = transcode(&written, dialect);
             let server = Server::new(ServeOptions {
                 shards: 2,
                 queue_depth: 16,
@@ -1177,35 +1155,24 @@ mod tests {
     }
 
     #[test]
-    fn v2_hello_is_answered_and_version_settles() {
-        // A v2 offer against a v2 server settles on 2; against a
-        // pinned-v1 server settles on 1 (still answered — the offerer
-        // is waiting). A v1 offer is never answered.
-        let cases = [(WIRE_VERSION, 2, 2u16), (1, 2, 1), (WIRE_VERSION, 1, 0)];
-        for (server_max, offer, want_reply) in cases {
-            let server = Server::new(ServeOptions {
-                max_wire_version: server_max,
-                ..ServeOptions::default()
-            });
-            let request = Frame::Hello { version: offer }.encode();
+    fn v2_hello_is_answered_and_v1_hello_is_not() {
+        // A v2 producer waits for the server's Hello; a v1 producer is
+        // one-way and never gets one.
+        for (version, answered) in [(2u16, true), (1, false)] {
+            let server = Server::new(ServeOptions::default());
+            let request = Frame::Hello { version }.encode();
             let mut transport = Loopback {
                 input: &request,
                 replies: Vec::new(),
             };
             server.handle_io(&mut transport).unwrap();
-            if want_reply == 0 {
-                assert!(transport.replies.is_empty(), "v1 offers are one-way");
-            } else {
+            if answered {
                 let reply = read_frame(&mut transport.replies.as_slice())
                     .unwrap()
                     .unwrap();
-                assert_eq!(
-                    reply,
-                    Frame::Hello {
-                        version: want_reply
-                    },
-                    "server_max {server_max}, offer {offer}"
-                );
+                assert_eq!(reply, Frame::hello());
+            } else {
+                assert!(transport.replies.is_empty(), "v1 streams are one-way");
             }
             // Engine still alive; shut it down cleanly.
             let _ = server.finish();
@@ -1256,12 +1223,7 @@ mod tests {
 
         // The replies: a Hello answer, then the Snapshot frame.
         let mut replies = FrameReader::new(transport.replies.as_slice());
-        assert_eq!(
-            replies.next_frame().unwrap().unwrap(),
-            Frame::Hello {
-                version: WIRE_VERSION
-            }
-        );
+        assert_eq!(replies.next_frame().unwrap().unwrap(), Frame::hello());
         let snapshot_frame = replies.next_frame().unwrap().unwrap();
         let Frame::Snapshot(snap) = &snapshot_frame else {
             panic!("expected Snapshot reply, got {snapshot_frame:?}");

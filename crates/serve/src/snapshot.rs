@@ -242,11 +242,7 @@ fn decode_lpd(cur: &mut Cursor<'_>) -> Result<LpdManagerSnapshot, WireError> {
         for _ in 0..slots {
             prev_hist.push(cur.u64()?);
         }
-        let prev_empty = match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::Malformed("bad prev_empty flag")),
-        };
+        let prev_empty = cur.flag("bad prev_empty flag")?;
         let state = match cur.u8()? {
             0 => LpdState::Unstable,
             1 => LpdState::LessUnstable,

@@ -1,4 +1,4 @@
-//! `regmon-wire`: the framed binary ingestion protocol (v1 and v2).
+//! `regmon-wire`: the framed binary ingestion protocol.
 //!
 //! Every frame on the wire is laid out as
 //!
@@ -16,7 +16,8 @@
 //! configurations are *bit-identical* to what the producer encoded —
 //! the whole determinism contract rests on that.
 //!
-//! **Wire-v2** adds, under the same frame envelope:
+//! Everything regmon writes — journals, the durable WAL, `send` and
+//! `migrate` — is **wire-v2**:
 //!
 //! * `Batch2` — the delta-columnar batch representation: per interval
 //!   the addr and cycle streams travel as separate columns, each a
@@ -24,17 +25,19 @@
 //!   deltas narrowed to the smallest of {1, 2, 4} bytes that fits (or
 //!   raw 8-byte values when deltas do not help). PC streams are
 //!   overwhelmingly local, so real batches shrink roughly 8x — and the
-//!   CRC and decode passes shrink with them. A `Batch2` decodes into
-//!   the same [`Frame::Batch`] value v1 produces, bit-identical.
+//!   CRC and decode passes shrink with them.
 //! * `Compressed` — an optional LZ wrapper ([`crate::compress`]) around
-//!   another frame's payload, negotiated per producer via `--compress`.
+//!   another frame's payload, chosen per producer via `--compress`.
 //! * `Snapshot` / `Checkpoint` — the live-migration handshake: a
 //!   checkpoint request pulls a tenant's RGSN session snapshot back
 //!   over the wire, and a snapshot frame admits that tenant elsewhere.
 //!
-//! The version settles in the `Hello` exchange: a v2 producer offers 2
-//! and the server answers with `min(offer, own)`; a v1 producer sends
-//! the same one-way byte stream as before and is served byte-identically.
+//! **Wire-v1** is read-only: its raw-sample `Batch` (16 bytes per
+//! sample) decodes into the same [`Frame::Batch`] a `Batch2` does, so
+//! old journals replay and old WALs recover bit-identically.
+//! [`WireDialect::V1`] stays only as the tests' and bench's reference
+//! encoder. Nothing is negotiated: a v2 `Hello` gets a v2 `Hello` back,
+//! and a v1 `Hello` opens a one-way stream.
 //!
 //! Decoding is strict: truncated streams, corrupt checksums, foreign
 //! magic, unknown frame types and out-of-range field values are all
@@ -51,15 +54,15 @@ use regmon_regions::{FormationConfig, IndexKind};
 use regmon_sampling::{Interval, SamplingConfig};
 
 use crate::compress;
-use crate::crc::{crc32, Crc32};
+use crate::crc::crc32;
 
 /// Magic bytes opening every `Hello` frame and snapshot file header.
 pub const WIRE_MAGIC: [u8; 4] = *b"RGMN";
 
-/// The newest protocol version this build speaks (and offers).
+/// The protocol version this build writes.
 pub const WIRE_VERSION: u16 = 2;
 
-/// The oldest protocol version this build still accepts.
+/// The oldest protocol version this build still reads.
 pub const WIRE_VERSION_MIN: u16 = 1;
 
 /// Upper bound on a single frame's `len` field (64 MiB). A frame
@@ -71,9 +74,10 @@ const MAX_STRING_LEN: u32 = 4096;
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_ADMIT: u8 = 2;
+// Wire-v1 raw-sample batch: decoded, written only by `WireDialect::V1`.
 const TYPE_BATCH: u8 = 3;
 const TYPE_FINISH: u8 = 4;
-// Wire-v2 frame types: rejected as unknown on a settled-v1 connection.
+// Wire-v2 frame types.
 const TYPE_BATCH2: u8 = 5;
 const TYPE_COMPRESSED: u8 = 6;
 const TYPE_SNAPSHOT: u8 = 7;
@@ -343,6 +347,15 @@ impl<'a> Cursor<'a> {
         usize::try_from(self.u64()?).map_err(|_| WireError::Malformed("usize field overflows"))
     }
 
+    /// A `0`/`1` byte; anything else is malformed as `what`.
+    pub(crate) fn flag(&mut self, what: &'static str) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Malformed(what)),
+        }
+    }
+
     pub(crate) fn finish(&self) -> Result<(), WireError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -437,11 +450,7 @@ pub(crate) fn decode_config(cur: &mut Cursor<'_>) -> Result<SessionConfig, WireE
     let formation = FormationConfig {
         ucr_trigger: cur.f64()?,
         min_region_samples: cur.usize_field()?,
-        interprocedural: match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::Malformed("bad interprocedural flag")),
-        },
+        interprocedural: cur.flag("bad interprocedural flag")?,
     };
     if !(0.0..=1.0).contains(&formation.ucr_trigger) {
         return Err(WireError::Malformed("ucr_trigger outside [0,1]"));
@@ -900,6 +909,17 @@ pub(crate) mod bulk {
 
 // ------------------------------------------------------ frame codec
 
+/// The payload `Admit` and `Resume` share.
+fn decode_admit(cur: &mut Cursor<'_>) -> Result<Box<AdmitFrame>, WireError> {
+    Ok(Box::new(AdmitFrame {
+        tenant: cur.u32()?,
+        name: cur.string()?,
+        workload: cur.string()?,
+        config: decode_config(cur)?,
+        max_intervals: cur.u64()?,
+    }))
+}
+
 impl Frame {
     /// The stream-opening frame this build emits.
     #[must_use]
@@ -913,7 +933,7 @@ impl Frame {
         match self {
             Self::Hello { .. } => TYPE_HELLO,
             Self::Admit(_) => TYPE_ADMIT,
-            Self::Batch { .. } => TYPE_BATCH,
+            Self::Batch { .. } => TYPE_BATCH2,
             Self::Finish { .. } => TYPE_FINISH,
             Self::Snapshot(_) => TYPE_SNAPSHOT,
             Self::Checkpoint { .. } => TYPE_CHECKPOINT,
@@ -940,7 +960,7 @@ impl Frame {
                 push_u32(out, *tenant);
                 push_u32(out, intervals.len() as u32);
                 for interval in intervals {
-                    encode_interval(interval, out);
+                    encode_interval_v2(interval, out);
                 }
             }
             Self::Finish { tenant } => push_u32(out, *tenant),
@@ -968,86 +988,35 @@ impl Frame {
         }
     }
 
-    /// Encodes the Batch payload in the v2 delta-columnar layout
-    /// (`TYPE_BATCH2`).
-    fn encode_payload_batch2(tenant: u32, intervals: &[Interval], out: &mut Vec<u8>) {
-        push_u32(out, tenant);
-        push_u32(out, intervals.len() as u32);
-        for interval in intervals {
-            encode_interval_v2(interval, out);
-        }
-    }
-
-    pub(crate) fn decode(
-        frame_type: u8,
-        payload: &[u8],
-        max_version: u16,
-    ) -> Result<Self, WireError> {
-        if matches!(
-            frame_type,
-            TYPE_BATCH2
-                | TYPE_COMPRESSED
-                | TYPE_SNAPSHOT
-                | TYPE_CHECKPOINT
-                | TYPE_RESUME
-                | TYPE_RESUME_ACK
-                | TYPE_BUSY
-        ) && max_version < 2
-        {
-            // Wire-v2 frames on a settled-v1 connection are as foreign
-            // as any unassigned type byte.
-            return Err(WireError::UnknownFrameType(frame_type));
-        }
+    fn decode(frame_type: u8, payload: &[u8]) -> Result<Self, WireError> {
         let mut cur = Cursor::new(payload);
         let frame = match frame_type {
             TYPE_HELLO => {
                 if cur.take(4)? != WIRE_MAGIC {
                     return Err(WireError::BadMagic);
                 }
-                // The offer is checked against what this *build* can
-                // speak, not the connection's settled cap: negotiation
-                // (picking min(offer, own)) happens above the codec.
                 let version = cur.u16()?;
                 if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
                     return Err(WireError::BadVersion { got: version });
                 }
                 Self::Hello { version }
             }
-            TYPE_ADMIT => {
-                let tenant = cur.u32()?;
-                let name = cur.string()?;
-                let workload = cur.string()?;
-                let config = decode_config(&mut cur)?;
-                let max_intervals = cur.u64()?;
-                Self::Admit(Box::new(AdmitFrame {
-                    tenant,
-                    name,
-                    workload,
-                    config,
-                    max_intervals,
-                }))
-            }
-            TYPE_BATCH => {
+            TYPE_ADMIT => Self::Admit(decode_admit(&mut cur)?),
+            TYPE_BATCH | TYPE_BATCH2 => {
                 let tenant = cur.u32()?;
                 let count = cur.u32()? as usize;
                 let mut intervals = Vec::with_capacity(count.min(4096));
                 for _ in 0..count {
-                    intervals.push(decode_interval(&mut cur)?);
+                    intervals.push(match frame_type {
+                        TYPE_BATCH => decode_interval(&mut cur)?,
+                        _ => decode_interval_v2(&mut cur)?,
+                    });
                 }
+                // v1 and v2 decode to the same variant: downstream
+                // consumers never see which representation travelled.
                 Self::Batch { tenant, intervals }
             }
             TYPE_FINISH => Self::Finish { tenant: cur.u32()? },
-            TYPE_BATCH2 => {
-                let tenant = cur.u32()?;
-                let count = cur.u32()? as usize;
-                let mut intervals = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    intervals.push(decode_interval_v2(&mut cur)?);
-                }
-                // Same variant as v1: downstream consumers never see
-                // which representation travelled.
-                Self::Batch { tenant, intervals }
-            }
             TYPE_COMPRESSED => {
                 let inner_type = cur.u8()?;
                 if inner_type == TYPE_COMPRESSED {
@@ -1059,7 +1028,7 @@ impl Frame {
                 }
                 let packed = cur.take(cur.bytes.len() - cur.pos)?;
                 let payload = compress::decompress(packed, uncompressed_len as usize)?;
-                return Self::decode(inner_type, &payload, max_version);
+                return Self::decode(inner_type, &payload);
             }
             TYPE_SNAPSHOT => {
                 let tenant = cur.u32()?;
@@ -1080,40 +1049,13 @@ impl Frame {
                 }))
             }
             TYPE_CHECKPOINT => Self::Checkpoint { tenant: cur.u32()? },
-            TYPE_RESUME => {
-                let tenant = cur.u32()?;
-                let name = cur.string()?;
-                let workload = cur.string()?;
-                let config = decode_config(&mut cur)?;
-                let max_intervals = cur.u64()?;
-                Self::Resume(Box::new(AdmitFrame {
-                    tenant,
-                    name,
-                    workload,
-                    config,
-                    max_intervals,
-                }))
-            }
-            TYPE_RESUME_ACK => {
-                let tenant = cur.u32()?;
-                let found = match cur.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("resume-ack found flag")),
-                };
-                let done = match cur.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("resume-ack done flag")),
-                };
-                let next_interval = cur.u64()?;
-                Self::ResumeAck {
-                    tenant,
-                    found,
-                    done,
-                    next_interval,
-                }
-            }
+            TYPE_RESUME => Self::Resume(decode_admit(&mut cur)?),
+            TYPE_RESUME_ACK => Self::ResumeAck {
+                tenant: cur.u32()?,
+                found: cur.flag("resume-ack found flag")?,
+                done: cur.flag("resume-ack done flag")?,
+                next_interval: cur.u64()?,
+            },
             TYPE_BUSY => Self::Busy {
                 message: cur.string()?,
             },
@@ -1124,16 +1066,12 @@ impl Frame {
     }
 
     /// Serializes the frame into its full wire representation
-    /// (header + checksum + body), in the v1 dialect for frames v1 can
-    /// express. `Snapshot`/`Checkpoint`/`Resume`/`ResumeAck`/`Busy`
-    /// have no v1 spelling and encode as their v2 types. Byte-identical
-    /// to what this crate has always emitted for
-    /// Hello/Admit/Batch/Finish.
+    /// (header + checksum + body) in wire-v2, uncompressed: `Batch`
+    /// travels as `Batch2`. This is what every journal, WAL record and
+    /// reply frame holds.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = vec![self.type_byte()];
-        self.encode_payload(&mut body);
-        seal_frame(body)
+        WireDialect::v2(false).encode_frame(self)
     }
 }
 
@@ -1147,10 +1085,10 @@ fn seal_frame(body: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// A settled wire dialect: which protocol version frames are encoded
-/// in, and whether v2 payloads are LZ-compressed. Decoding does not
-/// need one — the frame type byte says it all — so the dialect is an
-/// encoder concern only.
+/// A wire encoding: which protocol version frames are encoded in, and
+/// whether v2 payloads are LZ-compressed. Decoding does not need one —
+/// the frame type byte says it all — so the dialect is an encoder
+/// concern only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireDialect {
     /// Protocol version to encode (1 or 2).
@@ -1160,15 +1098,11 @@ pub struct WireDialect {
     pub compress: bool,
 }
 
-impl Default for WireDialect {
-    fn default() -> Self {
-        Self::V1
-    }
-}
-
 impl WireDialect {
-    /// The v1 dialect: exactly the bytes this crate emitted before v2
-    /// existed.
+    /// The v1 encoder: `Batch` as the raw-sample `TYPE_BATCH` layout
+    /// builds before v2 wrote. Nothing in regmon writes it; it is the
+    /// reference for the old-format compatibility tests and the
+    /// transport bench.
     pub const V1: Self = Self {
         version: 1,
         compress: false,
@@ -1183,26 +1117,17 @@ impl WireDialect {
         }
     }
 
-    /// The dialect settled between an offered and a supported version.
-    #[must_use]
-    pub fn settle(offer: u16, own: u16, compress: bool) -> Self {
-        let version = offer.min(own);
-        Self {
-            version,
-            compress: compress && version >= 2,
-        }
-    }
-
     /// Serializes `frame` in this dialect (header + checksum + body).
     #[must_use]
     pub fn encode_frame(&self, frame: &Frame) -> Vec<u8> {
-        if self.version < 2 {
-            return frame.encode();
-        }
         let mut body = match frame {
-            Frame::Batch { tenant, intervals } => {
-                let mut body = vec![TYPE_BATCH2];
-                Frame::encode_payload_batch2(*tenant, intervals, &mut body);
+            Frame::Batch { tenant, intervals } if self.version < 2 => {
+                let mut body = vec![TYPE_BATCH];
+                push_u32(&mut body, *tenant);
+                push_u32(&mut body, intervals.len() as u32);
+                for interval in intervals {
+                    encode_interval(interval, &mut body);
+                }
                 body
             }
             _ => {
@@ -1211,7 +1136,7 @@ impl WireDialect {
                 body
             }
         };
-        if self.compress && matches!(body[0], TYPE_BATCH2 | TYPE_SNAPSHOT) {
+        if self.compress && self.version >= 2 && matches!(body[0], TYPE_BATCH2 | TYPE_SNAPSHOT) {
             if let Some(packed) = compress::compress_if_smaller(&body[1..]) {
                 let mut wrapped = vec![TYPE_COMPRESSED, body[0]];
                 push_u32(&mut wrapped, (body.len() - 1) as u32);
@@ -1247,6 +1172,34 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
     reader.next_frame()
 }
 
+/// The frame check [`FrameReader`] and [`FrameParser`] share, in wire
+/// order: the length cap, the zero-length rejection, the CRC and the
+/// payload decode. `rest(len)` supplies the `4 + len` bytes after the
+/// length word (checksum, then body), or `None` while they have not
+/// all arrived. Returns the frame with its type byte.
+fn check_frame<B: AsRef<[u8]>>(
+    len_word: [u8; 4],
+    rest: impl FnOnce(usize) -> Result<Option<B>, WireError>,
+) -> Result<Option<(u8, Frame)>, WireError> {
+    let len = u32::from_le_bytes(len_word);
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::FrameTooLarge(len));
+    }
+    if len == 0 {
+        return Err(WireError::Malformed("zero-length frame"));
+    }
+    let Some(rest) = rest(len as usize)? else {
+        return Ok(None);
+    };
+    let (crc, body) = rest.as_ref().split_at(4);
+    let want = u32::from_le_bytes(crc.try_into().expect("four bytes"));
+    let got = crc32(body);
+    if got != want {
+        return Err(WireError::BadCrc { want, got });
+    }
+    Ok(Some((body[0], Frame::decode(body[0], &body[1..])?)))
+}
+
 /// A frame decoder over a byte stream that also tracks how many wire
 /// bytes it has consumed (for ingestion telemetry) and which frame it
 /// is in (for truncation reports).
@@ -1255,24 +1208,16 @@ pub struct FrameReader<R> {
     inner: R,
     bytes_read: u64,
     frames_read: u64,
-    max_version: u16,
 }
 
 impl<R: Read> FrameReader<R> {
-    /// Wraps a transport, accepting every frame this build can decode.
+    /// Wraps a transport.
     pub fn new(inner: R) -> Self {
         Self {
             inner,
             bytes_read: 0,
             frames_read: 0,
-            max_version: WIRE_VERSION,
         }
-    }
-
-    /// Caps the frames this reader accepts at `version` (a settled-v1
-    /// connection rejects v2 frame types as unknown).
-    pub fn set_max_version(&mut self, version: u16) {
-        self.max_version = version;
     }
 
     /// Total wire bytes consumed so far (headers included).
@@ -1296,17 +1241,6 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// Reads exactly `buf`, mapping EOF to a positioned truncation.
-    fn read_exact_at(&mut self, start: u64, buf: &mut [u8]) -> Result<(), WireError> {
-        match read_exact_or_eof(&mut self.inner, buf)? {
-            ReadOutcome::Full => {
-                self.bytes_read += buf.len() as u64;
-                Ok(())
-            }
-            ReadOutcome::Partial | ReadOutcome::CleanEof => Err(self.truncated_at(start)),
-        }
-    }
-
     /// Reads the next frame; `Ok(None)` on clean end-of-stream.
     ///
     /// # Errors
@@ -1314,32 +1248,24 @@ impl<R: Read> FrameReader<R> {
     /// Any [`WireError`]; see [`read_frame`].
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let start = self.bytes_read;
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(&mut self.inner, &mut len_buf)? {
+        let mut len_word = [0u8; 4];
+        match read_exact_or_eof(&mut self.inner, &mut len_word)? {
             ReadOutcome::CleanEof => return Ok(None),
             ReadOutcome::Partial => return Err(self.truncated_at(start)),
             ReadOutcome::Full => {}
         }
         self.bytes_read += 4;
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge(len));
-        }
-        if len == 0 {
-            return Err(WireError::Malformed("zero-length frame"));
-        }
-        let mut crc_buf = [0u8; 4];
-        self.read_exact_at(start, &mut crc_buf)?;
-        let want = u32::from_le_bytes(crc_buf);
-        let mut body = vec![0u8; len as usize];
-        self.read_exact_at(start, &mut body)?;
-        let mut crc = Crc32::new();
-        crc.update(&body);
-        let got = crc.finish();
-        if got != want {
-            return Err(WireError::BadCrc { want, got });
-        }
-        let frame = Frame::decode(body[0], &body[1..], self.max_version)?;
+        let checked = check_frame(len_word, |len| {
+            let mut rest = vec![0u8; 4 + len];
+            match read_exact_or_eof(&mut self.inner, &mut rest)? {
+                ReadOutcome::Full => self.bytes_read += rest.len() as u64,
+                ReadOutcome::Partial | ReadOutcome::CleanEof => {
+                    return Err(self.truncated_at(start))
+                }
+            }
+            Ok(Some(rest))
+        })?;
+        let (_, frame) = checked.expect("a blocking read supplies the whole frame");
         self.frames_read += 1;
         Ok(Some(frame))
     }
@@ -1360,22 +1286,13 @@ pub struct FrameParser {
     frames_read: u64,
     v2_frames: u64,
     compressed_frames: u64,
-    max_version: u16,
 }
 
 impl FrameParser {
-    /// A parser accepting every frame this build can decode.
+    /// An empty parser.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            max_version: WIRE_VERSION,
-            ..Self::default()
-        }
-    }
-
-    /// Caps the frames this parser accepts at `version`.
-    pub fn set_max_version(&mut self, version: u16) {
-        self.max_version = version;
+        Self::default()
     }
 
     /// Appends transport bytes to the parse buffer.
@@ -1414,30 +1331,18 @@ impl FrameParser {
     /// can know the stream ended).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        let Some(len_word) = avail.get(..4) else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("four bytes"));
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge(len));
-        }
-        if len == 0 {
-            return Err(WireError::Malformed("zero-length frame"));
-        }
-        let total = 8 + len as usize;
-        if avail.len() < total {
+        };
+        let mut total = 0;
+        let checked = check_frame(len_word.try_into().expect("four bytes"), |len| {
+            total = 8 + len;
+            Ok(avail.get(4..total))
+        })?;
+        let Some((frame_type, frame)) = checked else {
             return Ok(None);
-        }
-        let want = u32::from_le_bytes(avail[4..8].try_into().expect("four bytes"));
-        let body = &avail[8..total];
-        let mut crc = Crc32::new();
-        crc.update(body);
-        let got = crc.finish();
-        if got != want {
-            return Err(WireError::BadCrc { want, got });
-        }
-        let frame = Frame::decode(body[0], &body[1..], self.max_version)?;
-        match body[0] {
+        };
+        match frame_type {
             TYPE_COMPRESSED => {
                 self.v2_frames += 1;
                 self.compressed_frames += 1;
@@ -1657,10 +1562,7 @@ mod tests {
         let mut body = vec![TYPE_HELLO];
         body.extend_from_slice(b"NOPE");
         body.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        let mut bytes = Vec::new();
-        push_u32(&mut bytes, body.len() as u32);
-        push_u32(&mut bytes, crc32(&body));
-        bytes.extend_from_slice(&body);
+        let bytes = seal_frame(body);
         let err = read_frame(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::BadMagic));
     }
@@ -1668,10 +1570,7 @@ mod tests {
     #[test]
     fn unknown_frame_type_rejected() {
         let body = vec![99u8, 1, 2, 3];
-        let mut bytes = Vec::new();
-        push_u32(&mut bytes, body.len() as u32);
-        push_u32(&mut bytes, crc32(&body));
-        bytes.extend_from_slice(&body);
+        let bytes = seal_frame(body);
         let err = read_frame(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::UnknownFrameType(99)));
     }
@@ -1690,10 +1589,7 @@ mod tests {
         let mut body = vec![TYPE_FINISH];
         push_u32(&mut body, 7);
         body.push(0xAB); // one byte too many
-        let mut bytes = Vec::new();
-        push_u32(&mut bytes, body.len() as u32);
-        push_u32(&mut bytes, crc32(&body));
-        bytes.extend_from_slice(&body);
+        let bytes = seal_frame(body);
         let err = read_frame(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)));
     }
@@ -1709,10 +1605,7 @@ mod tests {
         push_u64(&mut body, 0); // start
         push_u64(&mut body, 1); // end
         push_u32(&mut body, 1_000_000); // claimed samples
-        let mut bytes = Vec::new();
-        push_u32(&mut bytes, body.len() as u32);
-        push_u32(&mut bytes, crc32(&body));
-        bytes.extend_from_slice(&body);
+        let bytes = seal_frame(body);
         let err = read_frame(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)));
     }
@@ -1748,10 +1641,11 @@ mod tests {
 
     #[test]
     fn batch_roundtrip_is_identical_at_every_simd_level() {
-        // The full frame codec must produce the same decoded Batch no
-        // matter which level `REGMON_SIMD` dials dispatch to.
+        // The v1 frame codec (the bulk sample decode old journals take)
+        // must produce the same decoded Batch no matter which level
+        // `REGMON_SIMD` dials dispatch to.
         let frame = &sample_frames()[2];
-        let bytes = frame.encode();
+        let bytes = WireDialect::V1.encode_frame(frame);
         let baseline = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
         assert_eq!(baseline, *frame);
         let before = regmon_stats::simd::active();
@@ -1882,8 +1776,8 @@ mod tests {
                 samples,
             }],
         };
-        let v1 = frame.encode();
-        let v2 = WireDialect::v2(false).encode_frame(&frame);
+        let v1 = WireDialect::V1.encode_frame(&frame);
+        let v2 = frame.encode();
         assert!(v2.len() * 4 < v1.len(), "v1 {} v2 {}", v1.len(), v2.len());
     }
 
@@ -1916,23 +1810,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_dialect_is_byte_identical_to_plain_encode() {
+    fn plain_encode_is_v2_and_v1_differs_only_in_batches() {
+        // Plain encoding writes `Batch` as `Batch2`; the v1 reference
+        // encoder writes the raw-sample `Batch`. Every other frame is
+        // spelled the same in both, and both decode to the same value.
         for frame in sample_frames() {
-            assert_eq!(WireDialect::V1.encode_frame(&frame), frame.encode());
-        }
-    }
-
-    #[test]
-    fn v2_frame_types_are_unknown_on_a_settled_v1_connection() {
-        let frames = [
-            WireDialect::v2(false).encode_frame(&stress_batch(8)),
-            Frame::Checkpoint { tenant: 0 }.encode(),
-        ];
-        for bytes in frames {
-            let mut reader = FrameReader::new(bytes.as_slice());
-            reader.set_max_version(1);
-            let err = reader.next_frame().unwrap_err();
-            assert!(matches!(err, WireError::UnknownFrameType(_)), "{err}");
+            let plain = frame.encode();
+            assert_eq!(plain, WireDialect::v2(false).encode_frame(&frame));
+            let v1 = WireDialect::V1.encode_frame(&frame);
+            if matches!(frame, Frame::Batch { .. }) {
+                assert_eq!((plain[8], v1[8]), (TYPE_BATCH2, TYPE_BATCH));
+            } else {
+                assert_eq!(v1, plain);
+            }
+            assert_eq!(read_frame(&mut v1.as_slice()).unwrap().unwrap(), frame);
         }
     }
 
@@ -1943,14 +1834,6 @@ mod tests {
             let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
             assert_eq!(frame, Frame::Hello { version });
         }
-    }
-
-    #[test]
-    fn dialect_settles_on_the_minimum() {
-        assert_eq!(WireDialect::settle(2, 2, false), WireDialect::v2(false));
-        assert_eq!(WireDialect::settle(2, 2, true), WireDialect::v2(true));
-        assert_eq!(WireDialect::settle(2, 1, true), WireDialect::V1);
-        assert_eq!(WireDialect::settle(1, 2, true), WireDialect::V1);
     }
 
     #[test]
@@ -2030,5 +1913,145 @@ mod tests {
         }))
         .encode();
         assert!(read_frame(&mut bad.as_slice()).is_err());
+    }
+
+    // ------------------------------------------ decoder property test
+
+    use proptest::TestRng;
+
+    /// Uniform in `0..n` (0 when `n` is 0).
+    fn below(rng: &mut TestRng, n: usize) -> usize {
+        rng.gen_u64(0, n.max(1) as u64) as usize
+    }
+
+    /// Every frame a decoder yields from a stream, then how it stopped:
+    /// `None` at a clean end, else the error's text (its kind, plus the
+    /// frame position for truncations).
+    type Decoded = (Vec<Frame>, Option<String>);
+
+    fn read_all(bytes: &[u8]) -> Decoded {
+        let mut reader = FrameReader::new(bytes);
+        let mut frames = Vec::new();
+        loop {
+            match reader.next_frame() {
+                Ok(Some(frame)) => frames.push(frame),
+                end => return (frames, end.err().map(|e| e.to_string())),
+            }
+        }
+    }
+
+    /// Feeds `bytes` to a [`FrameParser`] in random chunks of 1–64 bytes.
+    fn parse_all(bytes: &[u8], rng: &mut TestRng) -> Decoded {
+        let mut parser = FrameParser::new();
+        let mut frames = Vec::new();
+        for chunk in bytes.chunks(1 + below(rng, 64)) {
+            parser.feed(chunk);
+            loop {
+                match parser.next_frame() {
+                    Ok(Some(frame)) => frames.push(frame),
+                    Ok(None) => break,
+                    Err(e) => return (frames, Some(e.to_string())),
+                }
+            }
+        }
+        (frames, parser.finish_eof().err().map(|e| e.to_string()))
+    }
+
+    fn random_bytes(rng: &mut TestRng, n: usize) -> Vec<u8> {
+        (0..n).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// Arbitrary bytes, or a byte-mutated copy of a valid v1 or v2
+    /// stream.
+    fn fuzz_stream(rng: &mut TestRng) -> Vec<u8> {
+        let dialects = [
+            WireDialect::V1,
+            WireDialect::v2(false),
+            WireDialect::v2(true),
+        ];
+        let dialect = dialects[below(rng, 3)];
+        let mut frames = sample_frames();
+        frames.insert(3, stress_batch(below(rng, 24)));
+        frames.push(Frame::Checkpoint { tenant: 3 });
+        let mut bodies: Vec<Vec<u8>> = frames
+            .iter()
+            .map(|frame| dialect.encode_frame(frame)[8..].to_vec())
+            .collect();
+        match below(rng, 4) {
+            0 => {
+                let n = below(rng, 96);
+                return random_bytes(rng, n);
+            }
+            // Arbitrary payloads behind valid envelopes, so every frame
+            // type's payload decoder (and unassigned type 12) sees them.
+            1 => {
+                bodies = (0..1 + below(rng, 3))
+                    .map(|_| {
+                        let n = 1 + below(rng, 64);
+                        let mut body = random_bytes(rng, n);
+                        body[0] = 1 + below(rng, 12) as u8;
+                        body
+                    })
+                    .collect();
+            }
+            // Bodies overwritten, cut short or grown behind a valid
+            // checksum, so the payload decoders see the damage.
+            2 => {
+                for _ in 0..1 + below(rng, 3) {
+                    let f = below(rng, bodies.len());
+                    let at = below(rng, bodies[f].len());
+                    match below(rng, 3) {
+                        0 => bodies[f][at] = rng.next_u64() as u8,
+                        1 => bodies[f].truncate(at + 1),
+                        _ => bodies[f].insert(at, rng.next_u64() as u8),
+                    }
+                }
+            }
+            _ => {}
+        }
+        let mut bytes: Vec<u8> = bodies.into_iter().flat_map(seal_frame).collect();
+        if rng.gen_u64(0, 3) == 0 {
+            // Bit flips and a cut anywhere: length, checksum and
+            // truncation damage.
+            for _ in 0..1 + below(rng, 4) {
+                let at = below(rng, bytes.len());
+                bytes[at] ^= 1 << below(rng, 8);
+            }
+            bytes.truncate(below(rng, 2 * bytes.len()));
+        }
+        bytes
+    }
+
+    #[test]
+    fn frame_parser_and_reader_agree_on_arbitrary_and_mutated_streams() {
+        let mut endings = std::collections::BTreeSet::new();
+        for case in 0..4000 {
+            // Case `case` replays from `TestRng::for_case` alone.
+            let mut rng = TestRng::for_case("wire::decoder_fuzz", case);
+            let bytes = fuzz_stream(&mut rng);
+            let (read, parsed) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (read_all(&bytes), parse_all(&bytes, &mut rng))
+            }))
+            .unwrap_or_else(|_| panic!("case {case}: a decoder panicked on {bytes:02x?}"));
+            assert_eq!(
+                read, parsed,
+                "case {case}: decoders disagree on {bytes:02x?}"
+            );
+            endings.insert(read.1.unwrap_or_default());
+        }
+        // The cases reach past the envelope into the payload decoders.
+        for want in [
+            "wire stream",
+            "frame checksum",
+            "malformed",
+            "unknown frame",
+            "bad magic",
+        ] {
+            assert!(
+                endings.iter().any(|e| e.starts_with(want)),
+                "no {want:?} ending"
+            );
+        }
+        assert!(endings.contains(""), "no stream ended cleanly");
     }
 }

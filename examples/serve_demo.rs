@@ -1,6 +1,6 @@
 //! Out-of-process ingestion, end to end, in one process.
 //!
-//! A producer thread samples a workload and streams `regmon-wire-v1`
+//! A producer thread samples a workload and streams `regmon-wire-v2`
 //! frames over one half of a unix socket pair; the server ingests the
 //! other half through the fleet engine, drains, and reports. The demo
 //! closes by verifying the served summary is byte-identical to running

@@ -11,9 +11,10 @@
 //!    index kinds × similarity metrics × pruning × wire batching ×
 //!    telemetry on/off.
 //! 2. **Replay identity** — replaying a recorded journal (at any frame
-//!    batching) reproduces `MonitoringSession::run_limited` exactly,
-//!    and a replay resumed from a mid-stream checkpoint agrees with the
-//!    straight replay.
+//!    batching, as `JournalWriter` writes it or re-encoded as the v1
+//!    journals older builds wrote) reproduces
+//!    `MonitoringSession::run_limited` exactly, and a replay resumed
+//!    from a mid-stream checkpoint agrees with the straight replay.
 //! 3. **Rejection** — corrupting any byte of a journal or snapshot, or
 //!    truncating either, is caught with a typed error, never a wrong
 //!    result; a version-bumped stream is refused outright.
@@ -24,10 +25,10 @@ use regmon::{MonitoringSession, PruningConfig, SessionConfig};
 use regmon_lpd::SimilarityKind;
 use regmon_regions::IndexKind;
 use regmon_sampling::Sampler;
-use regmon_serve::journal::JournalWriter;
+use regmon_serve::journal::{read_frames, JournalWriter};
 use regmon_serve::replay::{replay_stream, ReplayOptions};
 use regmon_serve::snapshot::{decode_snapshot, encode_snapshot};
-use regmon_serve::wire::{AdmitFrame, WireDialect, WireError};
+use regmon_serve::wire::{AdmitFrame, Frame, WireDialect, WireError};
 use regmon_workload::suite;
 
 const WORKLOADS: [&str; 3] = ["172.mgrid", "181.mcf", "254.gap"];
@@ -54,22 +55,18 @@ fn config_for(index: u8, similarity: u8, pruning: bool, period_sel: u8) -> Sessi
     config
 }
 
-/// A single-tenant wire stream with the given frame batching.
-fn journal_bytes(workload: &str, config: &SessionConfig, n: usize, chunk: usize) -> Vec<u8> {
-    journal_bytes_dialect(workload, config, n, chunk, WireDialect::V1)
-}
-
-/// Same stream, recorded through an explicit wire dialect (v1, v2, or
-/// v2 + compression).
-fn journal_bytes_dialect(
+/// A single-tenant journal with the given frame batching: as
+/// `JournalWriter` writes it (`None`), or re-encoded in a wire dialect
+/// (v1 as older builds wrote it, v2, or v2 + compression).
+fn journal_bytes(
     workload: &str,
     config: &SessionConfig,
     n: usize,
     chunk: usize,
-    dialect: WireDialect,
+    dialect: Option<WireDialect>,
 ) -> Vec<u8> {
     let w = suite::by_name(workload).unwrap();
-    let mut journal = JournalWriter::with_dialect(Vec::new(), dialect).unwrap();
+    let mut journal = JournalWriter::new(Vec::new()).unwrap();
     journal
         .admit(AdmitFrame {
             tenant: 0,
@@ -84,7 +81,22 @@ fn journal_bytes_dialect(
         journal.batch(0, batch.to_vec()).unwrap();
     }
     journal.finish(0).unwrap();
-    journal.into_inner().unwrap()
+    let written = journal.into_inner().unwrap();
+    let Some(dialect) = dialect else {
+        return written;
+    };
+    let hello = Frame::Hello {
+        version: dialect.version,
+    };
+    read_frames(written.as_slice())
+        .unwrap()
+        .iter()
+        .map(|frame| match frame {
+            Frame::Hello { .. } => &hello,
+            other => other,
+        })
+        .flat_map(|frame| dialect.encode_frame(frame))
+        .collect()
 }
 
 fn checkpoint_roundtrip_case(workload: &str, config: &SessionConfig, total: usize, cut: usize) {
@@ -158,11 +170,12 @@ proptest! {
         chunk in 1usize..6,
         snapshot_at in 2usize..14,
         workload_sel in 0usize..3,
+        v1 in prop::bool::ANY,
     ) {
         let config = config_for(index, 0, pruning, workload_sel as u8);
         let workload = WORKLOADS[workload_sel];
         let n = 16;
-        let bytes = journal_bytes(workload, &config, n, chunk);
+        let bytes = journal_bytes(workload, &config, n, chunk, v1.then_some(WireDialect::V1));
 
         let w = suite::by_name(workload).unwrap();
         let direct = MonitoringSession::run_limited(&w, &config, n);
@@ -207,9 +220,10 @@ proptest! {
     fn corrupt_journal_byte_is_rejected(
         flip_bit in 0u32..8,
         position in 0usize..10_000,
+        v1 in prop::bool::ANY,
     ) {
         let config = config_for(1, 0, false, 0);
-        let mut bytes = journal_bytes("172.mgrid", &config, 6, 2);
+        let mut bytes = journal_bytes("172.mgrid", &config, 6, 2, v1.then_some(WireDialect::V1));
         let idx = position * (bytes.len() - 1) / 10_000;
         bytes[idx] ^= 1 << flip_bit;
         let result = replay_stream(bytes.as_slice(), &ReplayOptions::default());
@@ -220,17 +234,19 @@ proptest! {
     #[test]
     fn truncated_journal_is_rejected(
         position in 0usize..10_000,
+        v1 in prop::bool::ANY,
     ) {
         let config = config_for(0, 0, false, 0);
-        let bytes = journal_bytes("172.mgrid", &config, 4, 1);
+        let bytes = journal_bytes("172.mgrid", &config, 4, 1, v1.then_some(WireDialect::V1));
         let cut = 1 + position * (bytes.len() - 2) / 10_000;
         let result = replay_stream(&bytes[..cut], &ReplayOptions::default());
         prop_assert!(result.is_err(), "cut at {} accepted", cut);
     }
 
     /// Wire-v2 streams (delta-encoded batches, optionally LZ-wrapped)
-    /// replay byte-identically to the v1 recording of the same session:
-    /// the dialect changes the bytes on the wire, never the result.
+    /// replay byte-identically to the in-process run of the same
+    /// session: the dialect changes the bytes on the wire, never the
+    /// result.
     #[test]
     fn v2_journal_replays_identically(
         index in 0u8..3,
@@ -244,7 +260,7 @@ proptest! {
         let w = suite::by_name(workload).unwrap();
         let direct = MonitoringSession::run_limited(&w, &config, n);
         let bytes =
-            journal_bytes_dialect(workload, &config, n, chunk, WireDialect::v2(compress));
+            journal_bytes(workload, &config, n, chunk, Some(WireDialect::v2(compress)));
         let outcome = replay_stream(bytes.as_slice(), &ReplayOptions::default()).unwrap();
         prop_assert_eq!(outcome.tenants.len(), 1);
         prop_assert_eq!(
@@ -263,8 +279,8 @@ proptest! {
         position in 0usize..10_000,
     ) {
         let config = config_for(1, 0, false, 0);
-        let mut bytes = journal_bytes_dialect(
-            "172.mgrid", &config, 6, 2, WireDialect::v2(compress));
+        let mut bytes = journal_bytes(
+            "172.mgrid", &config, 6, 2, Some(WireDialect::v2(compress)));
         let idx = position * (bytes.len() - 1) / 10_000;
         bytes[idx] ^= 1 << flip_bit;
         let result = replay_stream(bytes.as_slice(), &ReplayOptions::default());
@@ -280,8 +296,8 @@ proptest! {
         position in 0usize..10_000,
     ) {
         let config = config_for(0, 0, false, 0);
-        let bytes = journal_bytes_dialect(
-            "172.mgrid", &config, 4, 1, WireDialect::v2(compress));
+        let bytes = journal_bytes(
+            "172.mgrid", &config, 4, 1, Some(WireDialect::v2(compress)));
         let starts = frame_starts(&bytes);
         let cut = 1 + position * (bytes.len() - 2) / 10_000;
         let result = replay_stream(&bytes[..cut], &ReplayOptions::default());
@@ -327,23 +343,31 @@ fn frame_starts(bytes: &[u8]) -> Vec<usize> {
 
 /// The whole out-of-process path — wire decode included — is invariant
 /// under the SIMD dispatch level: a journal replayed under forced
-/// scalar, sse2 and avx2 dispatch yields byte-identical summaries.
+/// scalar, sse2 and avx2 dispatch yields byte-identical summaries,
+/// whether it was written as v2 or as v1 (the bulk sample decode).
 #[test]
 fn replay_is_simd_level_invariant() {
     use regmon_stats::{simd, SimdLevel};
     let config = config_for(2, 0, false, 0);
-    let bytes = journal_bytes(WORKLOADS[0], &config, 12, 3);
     let before = simd::active();
     let mut reference: Option<String> = None;
-    for level in SimdLevel::ALL {
-        if simd::force(level) != level {
-            continue; // not supported on this host
-        }
-        let outcome = replay_stream(bytes.as_slice(), &ReplayOptions::default()).unwrap();
-        let summary = format!("{:?}", outcome.tenants[0].summary);
-        match &reference {
-            None => reference = Some(summary),
-            Some(expect) => assert_eq!(expect, &summary, "diverged under {}", level.label()),
+    for v1 in [false, true] {
+        let bytes = journal_bytes(WORKLOADS[0], &config, 12, 3, v1.then_some(WireDialect::V1));
+        for level in SimdLevel::ALL {
+            if simd::force(level) != level {
+                continue; // not supported on this host
+            }
+            let outcome = replay_stream(bytes.as_slice(), &ReplayOptions::default()).unwrap();
+            let summary = format!("{:?}", outcome.tenants[0].summary);
+            match &reference {
+                None => reference = Some(summary),
+                Some(expect) => assert_eq!(
+                    expect,
+                    &summary,
+                    "diverged under {} (v1 {v1})",
+                    level.label()
+                ),
+            }
         }
     }
     simd::force(before);

@@ -140,7 +140,6 @@ fn clean_summary() -> &'static str {
         send_plan(
             move || Ok(stream.take().unwrap()),
             &plan(TOTAL, true),
-            None,
             false,
             &policy(0),
             false,
@@ -177,7 +176,6 @@ fn injected_faults_converge_within_retry_budget() {
         let outcome = send_plan(
             dial(&sock),
             &plan(TOTAL, true),
-            None,
             false,
             &policy(10),
             false,
@@ -208,7 +206,6 @@ fn dropped_send_reports_position_and_resumes() {
     let err = send_plan(
         dial(&sock),
         &plan(TOTAL, true),
-        None,
         false,
         &policy(0),
         false,
@@ -237,7 +234,6 @@ fn dropped_send_reports_position_and_resumes() {
     let outcome = send_plan(
         dial(&sock),
         &plan(TOTAL, true),
-        None,
         false,
         &policy(0),
         true,
@@ -322,7 +318,6 @@ fn ingest_partial(dir: &Path, take: usize) {
     send_plan(
         move || Ok(stream.take().unwrap()),
         &plan(take, false),
-        None,
         false,
         &policy(0),
         false,
@@ -351,7 +346,6 @@ fn recover_and_complete(dir: &Path) -> ServeReport {
     let outcome = send_plan(
         move || Ok(stream.take().unwrap()),
         &plan(TOTAL, true),
-        None,
         false,
         &policy(0),
         true,
@@ -436,7 +430,6 @@ fn excess_connections_shed_with_busy() {
     let outcome = send_plan(
         dial(&sock),
         &plan(TOTAL, true),
-        None,
         false,
         &policy(8),
         false,
@@ -474,7 +467,6 @@ fn stuck_peer_cannot_hang_shutdown() {
     let outcome = send_plan(
         dial(&sock),
         &plan(TOTAL, true),
-        None,
         false,
         &policy(0),
         false,
@@ -514,7 +506,6 @@ fn idle_peer_is_reaped() {
     let outcome = send_plan(
         dial(&sock),
         &plan(TOTAL, true),
-        None,
         false,
         &policy(0),
         false,
