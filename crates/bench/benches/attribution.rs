@@ -10,8 +10,8 @@
 //! which the validity-window cache turns into O(1) lookups.
 //!
 //! `cargo run --release -p regmon-bench --bin attribution_matrix` emits
-//! the same matrix as machine-readable JSON (plus the legacy per-sample
-//! baseline) for the committed `BENCH_attribution.json` snapshot.
+//! the same matrix as machine-readable JSON (plus per-SIMD-level rows)
+//! for the committed `BENCH_attribution.json` snapshot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

@@ -1,31 +1,26 @@
 //! Emits the attribution-engine benchmark matrix as JSON.
 //!
-//! Cells: attribution path × index kind × region count × samples per
-//! interval × sample locality, each measured as **median ns/sample**
-//! over repeated full-interval attributions. Two paths are timed:
-//!
-//! * `legacy` — the seed's per-sample algorithm, reconstructed here
-//!   exactly as `RegionMonitor::distribute` used to work: one `stab`
-//!   call per sample and a *fresh* `BTreeMap<RegionId, CountHistogram>`
-//!   allocated per interval. This is the baseline the ISSUE's ≥3×
-//!   acceptance criterion is measured against.
-//! * `batch` — today's engine: `stab_batch` with the validity-window
-//!   locality cache feeding the monitor's epoch-reset arena.
+//! Cells: index kind × region count × samples per interval × sample
+//! locality, each measured as **median ns/sample** over repeated
+//! full-interval attributions through today's engine (`stab_batch` with
+//! the validity-window locality cache feeding the monitor's epoch-reset
+//! arena). The index kinds give identical histograms
+//! (`tests/attribution_equivalence.rs`); only the cost differs.
 //!
 //! Usage: `attribution_matrix [OUTPUT.json]` (default
 //! `BENCH_attribution.json` in the current directory). The `headline`
-//! object compares legacy/tree against batch/flat at the reference cell
-//! (64 regions, 2032-sample interval — one paper interval at the 45K
-//! period) and is what CI's regression guard reads.
+//! object reports the flat index at the reference cell (64 regions,
+//! 2032-sample interval — one paper interval at the 45K period) under
+//! every SIMD level this host supports; `scripts/bench_guard.sh` gates
+//! its within-run vector-over-scalar ratios.
 
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use regmon::regions::{IndexKind, RegionId, RegionIndex, RegionKind, RegionMonitor};
+use regmon::regions::{IndexKind, RegionKind, RegionMonitor};
 use regmon::sampling::PcSample;
-use regmon_binary::{Addr, AddrRange, INST_BYTES};
-use regmon_stats::{simd, CountHistogram, SimdLevel};
+use regmon_binary::{Addr, AddrRange};
+use regmon_stats::{simd, SimdLevel};
 
 const BASE: u64 = 0x10000;
 const REGION_COUNTS: [usize; 4] = [4, 16, 64, 256];
@@ -68,51 +63,6 @@ fn local_samples(n: usize, count: usize) -> Vec<PcSample> {
         .collect()
 }
 
-/// The seed's attribution loop, preserved for baseline measurement: a
-/// per-sample stab and per-interval histogram map allocation.
-struct LegacyDistributor {
-    index: Box<dyn RegionIndex + Send + Sync>,
-    meta: BTreeMap<RegionId, (u64, usize)>, // region id -> (start, slots)
-}
-
-impl LegacyDistributor {
-    fn new(kind: IndexKind, regions: &[AddrRange]) -> Self {
-        let mut index = kind.make();
-        let mut meta = BTreeMap::new();
-        for (i, r) in regions.iter().enumerate() {
-            let id = RegionId(i as u64);
-            index.insert(id, *r);
-            meta.insert(id, (r.start().get(), (r.len() / INST_BYTES) as usize));
-        }
-        Self { index, meta }
-    }
-
-    fn distribute(
-        &self,
-        samples: &[PcSample],
-    ) -> (BTreeMap<RegionId, CountHistogram>, Vec<PcSample>) {
-        let mut histograms: BTreeMap<RegionId, CountHistogram> = BTreeMap::new();
-        let mut unattributed = Vec::new();
-        let mut hits = Vec::new();
-        for sample in samples {
-            hits.clear();
-            self.index.stab(sample.addr, &mut hits);
-            if hits.is_empty() {
-                unattributed.push(*sample);
-                continue;
-            }
-            for &id in &hits {
-                let (start, slots) = self.meta[&id];
-                let hist = histograms
-                    .entry(id)
-                    .or_insert_with(|| CountHistogram::new(slots));
-                hist.record(((sample.addr.get() - start) / INST_BYTES) as usize);
-            }
-        }
-        (histograms, unattributed)
-    }
-}
-
 /// Median of `reps` timed runs of `f`, in ns per sample.
 fn median_ns_per_sample<F: FnMut()>(samples: usize, reps: usize, mut f: F) -> f64 {
     // Warmup: populate arenas / caches / allocator pools.
@@ -131,7 +81,6 @@ fn median_ns_per_sample<F: FnMut()>(samples: usize, reps: usize, mut f: F) -> f6
 }
 
 struct Cell {
-    path: &'static str,
     index: &'static str,
     regions: usize,
     samples: usize,
@@ -141,9 +90,9 @@ struct Cell {
 
 fn fmt_cell(c: &Cell) -> String {
     format!(
-        "    {{\"path\": \"{}\", \"index\": \"{}\", \"regions\": {}, \"samples\": {}, \
+        "    {{\"index\": \"{}\", \"regions\": {}, \"samples\": {}, \
          \"locality\": \"{}\", \"ns_per_sample\": {:.2}}}",
-        c.path, c.index, c.regions, c.samples, c.locality, c.ns_per_sample
+        c.index, c.regions, c.samples, c.locality, c.ns_per_sample
     )
 }
 
@@ -172,43 +121,16 @@ fn main() {
             for (locality, gen) in localities {
                 let samples = gen(n, count);
 
-                // Baseline: the legacy per-sample path over the seed's
-                // default index (interval tree).
-                let legacy = LegacyDistributor::new(IndexKind::IntervalTree, &regions);
-                let ns = median_ns_per_sample(count, reps, || {
-                    black_box(legacy.distribute(black_box(&samples)));
-                });
-                cells.push(Cell {
-                    path: "legacy",
-                    index: "tree",
-                    regions: n,
-                    samples: count,
-                    locality,
-                    ns_per_sample: ns,
-                });
-
-                // Today's engine: batch stab + arena, per index kind.
                 for (label, kind) in kinds {
                     let mut monitor = RegionMonitor::new(kind);
                     for r in &regions {
                         monitor.add_region(*r, RegionKind::Loop { depth: 0 }, 0);
                     }
-                    // Cross-check before timing: the batch path must
-                    // reproduce the legacy histograms exactly.
-                    monitor.attribute(&samples);
-                    let (legacy_hists, legacy_unattr) = legacy.distribute(&samples);
-                    let report = monitor.report();
-                    assert_eq!(report.unattributed_samples().len(), legacy_unattr.len());
-                    for (id, hist) in report.histograms() {
-                        assert_eq!(Some(hist), legacy_hists.get(&id), "{id:?}");
-                    }
-
                     let ns = median_ns_per_sample(count, reps, || {
                         monitor.attribute(black_box(&samples));
                         black_box(monitor.report().total_samples());
                     });
                     cells.push(Cell {
-                        path: "batch",
                         index: label,
                         regions: n,
                         samples: count,
@@ -223,8 +145,8 @@ fn main() {
     // ------------------------------------------------------- SIMD rows
     // The headline cell again, but re-measured under every dispatch
     // level this host supports (`simd::force`), at both localities.
-    // The guard reads the within-run scalar/vector ratio, so the ≥2x
-    // claim is compared against a scalar row produced in the same
+    // bench_guard.sh reads the within-run scalar/vector ratio, so the
+    // ≥2x claim is compared against a scalar row produced in the same
     // process on the same machine — robust to slow CI hosts. The
     // representative row is the `local` stream (the paper's observed
     // sample locality, where the 8-wide window fast path answers whole
@@ -265,69 +187,35 @@ fn main() {
     let scalar_ns = simd_pick("local", SimdLevel::Scalar);
     let simd_ns = simd_pick("local", simd_level);
     let simd_speedup = scalar_ns / simd_ns;
-    let scalar_random_ns = simd_pick("random", SimdLevel::Scalar);
-    let simd_random_ns = simd_pick("random", simd_level);
-    let simd_speedup_random = scalar_random_ns / simd_random_ns;
+    let scalar_rand_ns = simd_pick("random", SimdLevel::Scalar);
+    let simd_rand_ns = simd_pick("random", simd_level);
+    let simd_speedup_random = scalar_rand_ns / simd_rand_ns;
 
-    let pick = |path: &str, index: &str| -> f64 {
-        cells
-            .iter()
-            .find(|c| {
-                c.path == path
-                    && c.index == index
-                    && c.regions == HEADLINE_REGIONS
-                    && c.samples == HEADLINE_SAMPLES
-                    && c.locality == "random"
-            })
-            .expect("headline cell measured")
-            .ns_per_sample
-    };
-    let legacy_ns = pick("legacy", "tree");
-    let flat_ns = pick("batch", "flat");
-    let speedup = legacy_ns / flat_ns;
+    let flat_ns = cells
+        .iter()
+        .find(|c| {
+            c.index == "flat"
+                && c.regions == HEADLINE_REGIONS
+                && c.samples == HEADLINE_SAMPLES
+                && c.locality == "random"
+        })
+        .expect("headline cell measured")
+        .ns_per_sample;
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"regmon-attribution-matrix-v1\",\n");
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(
-        "  \"note\": \"median ns/sample; legacy = per-sample stab + fresh per-interval \
-         BTreeMap histograms (the seed's distribute), batch = stab_batch + epoch-reset \
-         arena (today's attribute)\",\n",
-    );
-    json.push_str("  \"headline\": {\n");
-    json.push_str(&format!("    \"regions\": {HEADLINE_REGIONS},\n"));
-    json.push_str(&format!("    \"samples\": {HEADLINE_SAMPLES},\n"));
-    json.push_str("    \"locality\": \"random\",\n");
-    json.push_str(&format!(
-        "    \"legacy_tree_ns_per_sample\": {legacy_ns:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"flat_batch_ns_per_sample\": {flat_ns:.2},\n"
-    ));
-    json.push_str(&format!("    \"speedup\": {speedup:.2},\n"));
-    json.push_str(&format!(
-        "    \"flat_batch_scalar_ns_per_sample\": {scalar_ns:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"flat_batch_simd_ns_per_sample\": {simd_ns:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"simd_level\": \"{}\",\n",
-        simd_level.label()
-    ));
-    json.push_str(&format!("    \"simd_speedup\": {simd_speedup:.2},\n"));
-    json.push_str(&format!(
-        "    \"flat_batch_scalar_random_ns_per_sample\": {scalar_random_ns:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"flat_batch_simd_random_ns_per_sample\": {simd_random_ns:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"simd_speedup_random\": {simd_speedup_random:.2}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"simd\": [\n");
+    let f2 = |v: f64| format!("{v:.2}");
+    let headline = [
+        ("regions", HEADLINE_REGIONS.to_string()),
+        ("samples", HEADLINE_SAMPLES.to_string()),
+        ("locality", "\"random\"".to_string()),
+        ("flat_batch_ns_per_sample", f2(flat_ns)),
+        ("flat_batch_scalar_ns_per_sample", f2(scalar_ns)),
+        ("flat_batch_simd_ns_per_sample", f2(simd_ns)),
+        ("simd_level", format!("{:?}", simd_level.label())),
+        ("simd_speedup", f2(simd_speedup)),
+        ("flat_batch_scalar_random_ns_per_sample", f2(scalar_rand_ns)),
+        ("flat_batch_simd_random_ns_per_sample", f2(simd_rand_ns)),
+        ("simd_speedup_random", f2(simd_speedup_random)),
+    ];
     let simd_rendered: Vec<String> = simd_rows
         .iter()
         .map(|(locality, level, ns)| {
@@ -339,20 +227,23 @@ fn main() {
             )
         })
         .collect();
-    json.push_str(&simd_rendered.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str("  \"cells\": [\n");
     let rendered: Vec<String> = cells.iter().map(fmt_cell).collect();
-    json.push_str(&rendered.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-
+    let json = format!(
+        "{{\n  \"schema\": \"regmon-attribution-matrix-v1\",\n  \"reps\": {reps},\n  \
+         \"note\": \"median ns/sample of RegionMonitor::attribute (stab_batch + epoch-reset \
+         arena) per index kind; simd rows: the flat index at the headline cell under each \
+         dispatch level this host supports\",\n  \"headline\": {{\n{}\n  }},\n  \
+         \"simd\": [\n{}\n  ],\n  \"cells\": [\n{}\n  ]\n}}\n",
+        regmon_bench::json_members(&headline),
+        simd_rendered.join(",\n"),
+        rendered.join(",\n"),
+    );
     std::fs::write(&out_path, &json).expect("write matrix json");
     eprintln!(
-        "attribution matrix: {} cells -> {out_path} (headline speedup {speedup:.2}x: \
-         legacy/tree {legacy_ns:.1} ns/sample vs batch/flat {flat_ns:.1} ns/sample; \
-         simd {} vs forced scalar: local {simd_speedup:.2}x ({scalar_ns:.1} -> {simd_ns:.1} \
-         ns/sample), random {simd_speedup_random:.2}x ({scalar_random_ns:.1} -> \
-         {simd_random_ns:.1} ns/sample))",
+        "attribution matrix: {} cells -> {out_path} (headline flat {flat_ns:.1} \
+         ns/sample; simd {} vs forced scalar: local {simd_speedup:.2}x ({scalar_ns:.1} -> {simd_ns:.1} \
+         ns/sample), random {simd_speedup_random:.2}x ({scalar_rand_ns:.1} -> \
+         {simd_rand_ns:.1} ns/sample))",
         cells.len(),
         simd_level.label(),
     );

@@ -1,39 +1,35 @@
-//! Emits the fleet ingestion-transport benchmark matrix as JSON.
+//! Emits the fleet supporting-rows matrix as JSON.
 //!
-//! Measures the queue transport of the fleet ingest path in isolation —
-//! the cost of moving interval payloads from the producing driver to
-//! the shard workers — at several tenant/shard scales. Session compute
-//! (attribution, detection) is benchmarked separately
-//! (`BENCH_attribution.json`, `benches/detectors.rs`); here the
-//! consumers only account for the arriving intervals, so the numbers
-//! expose the synchronisation and message overhead that PR 3's fast
-//! path attacks. Two transports are timed:
+//! These rows time single layers of the ingest path in isolation; the
+//! end-to-end number (wire bytes in, per-tenant verdicts out) is
+//! `pipebench`'s, and `scripts/bench_guard.sh` gates on that one. Each
+//! row says what it times:
 //!
-//! * `legacy` — the seed's shard queue, reconstructed exactly: a
-//!   `Mutex<VecDeque>` bounded queue that issues an **unconditional**
-//!   condvar notification on every push *and* every pop, carrying one
-//!   interval per message. This is the baseline the ISSUE's ≥3×
-//!   acceptance criterion is measured against.
-//! * `ring` — today's `RingQueue`: fixed-capacity ring storage,
-//!   waiter-gated notifications (uncontended pushes are syscall-free)
-//!   and `--batch N` interval coalescing (one message per N intervals
-//!   of one tenant, exactly like the driver's shipping policy).
-//! * `wire` — the `regmon serve` ingest path: pre-encoded
-//!   `regmon-wire-v1` Batch frames are CRC-checked and decoded on the
-//!   producer side (as a connection thread would) and the decoded
-//!   intervals travel through the same `RingQueue`s. The delta against
-//!   `ring` is the out-of-process wire-codec tax.
+//! * `ring` cells — the shard queue transport alone: `RingQueue` with
+//!   waiter-gated notifications and `--batch N` interval coalescing
+//!   (one message per N intervals of one tenant, like the driver's
+//!   shipping policy). The consumers only checksum the arriving
+//!   intervals, so session compute is excluded.
+//! * `wire2` cells — the same transport fed by the `regmon serve` codec:
+//!   pre-encoded wire-v2 Batch frames are CRC-checked and decoded on the
+//!   producer side (as a connection would) before the decoded intervals
+//!   travel through the same `RingQueue`s.
+//! * `simd` rows — the codec alone: CRC check, frame parse and the bulk
+//!   sample decode of wire-v1 Batch frames (the read-only format of old
+//!   journals and WALs, whose sample copy is the SIMD kernel), under
+//!   every dispatch level this host supports.
+//! * `serve_scaling` — a live unix-socket server (decode, transport and
+//!   session compute) under idle connection fan-in.
+//! * `cpd_m_points_per_sec` — the `--cpd` change-point hub fed one UCR
+//!   point per tenant per round.
 //!
 //! Usage: `fleet_matrix [OUTPUT.json]` (default `BENCH_fleet.json` in
-//! the current directory). The `headline` object compares the legacy
-//! per-interval transport against ring/batch-32 at the reference cell
-//! (64 tenants over 8 shards) and is what CI's regression guard reads.
-//! `QUICK_BENCH=1` (or the criterion-shim's `--smoke`) shrinks reps for
-//! CI smoke runs.
+//! the current directory). The `headline` object reports the reference
+//! cell (64 tenants over 8 shards, batch 32). `QUICK_BENCH=1` (or the
+//! criterion-shim's `--smoke`) shrinks reps for CI smoke runs.
 
-use std::collections::VecDeque;
 use std::hint::black_box;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
@@ -55,13 +51,22 @@ const HEADLINE_TENANTS: usize = 64;
 const HEADLINE_SHARDS: usize = 8;
 const HEADLINE_BATCH: usize = 32;
 
+/// The document's `note`: what each kind of row times.
+const NOTE: &str = "supporting rows, median million intervals/sec; the end-to-end number is \
+                    pipebench's. ring = RingQueue transport with per-tenant interval batching, \
+                    consumers only checksum; wire2 = wire-v2 Batch frame CRC-check + decode on \
+                    the producer side feeding the same ring queues; simd = wire-v1 frame decode \
+                    alone per SIMD level; serve_scaling = a live unix-socket server (decode + \
+                    transport + session compute) under idle connection fan-in; cpd = the --cpd \
+                    change-point hub fed one UCR point per tenant per round (million points/sec)";
+
 /// The message shape of the fleet ingest path, minus session state.
 enum Msg {
     /// One tenant interval (tenant tag, PC payload).
     Interval(u32, Vec<u64>),
     /// A coalesced chunk of one tenant's intervals.
     Batch(u32, Vec<Vec<u64>>),
-    /// Intervals decoded from a `regmon-wire-v1` Batch frame.
+    /// Intervals decoded from a wire Batch frame.
     Wire(u32, Vec<Interval>),
 }
 
@@ -95,7 +100,7 @@ fn checksum(pcs: &[u64]) -> u64 {
     pcs.iter().fold(0u64, |acc, &pc| acc.wrapping_add(pc))
 }
 
-/// Consumer-side accounting shared by both transports: touch every
+/// Consumer-side accounting shared by every cell: touch every
 /// interval in the message and count it.
 fn account(msg: &Msg) -> usize {
     match msg {
@@ -122,73 +127,6 @@ fn account(msg: &Msg) -> usize {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The seed's transport: Mutex<VecDeque> + unconditional notifications
-// ---------------------------------------------------------------------------
-
-struct LegacyInner {
-    buf: VecDeque<Msg>,
-    closed: bool,
-}
-
-/// The pre-PR-3 shard queue, byte-for-byte in behaviour: every push and
-/// every pop hits a condvar `notify_one` whether or not anyone waits.
-struct LegacyQueue {
-    inner: Mutex<LegacyInner>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl LegacyQueue {
-    fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(LegacyInner {
-                buf: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-        }
-    }
-
-    fn push(&self, msg: Msg) {
-        let mut inner = self.inner.lock().expect("legacy queue poisoned");
-        while inner.buf.len() >= self.capacity {
-            inner = self.not_full.wait(inner).expect("legacy queue poisoned");
-        }
-        inner.buf.push_back(msg);
-        drop(inner);
-        self.not_empty.notify_one(); // unconditional: the herding cost
-    }
-
-    fn pop(&self) -> Option<Msg> {
-        let mut inner = self.inner.lock().expect("legacy queue poisoned");
-        loop {
-            if let Some(msg) = inner.buf.pop_front() {
-                drop(inner);
-                self.not_full.notify_one(); // unconditional
-                return Some(msg);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("legacy queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("legacy queue poisoned").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// One timed ingest run
-// ---------------------------------------------------------------------------
-
 /// One cell of the ingest matrix: fleet shape + batching factor.
 #[derive(Clone, Copy)]
 struct Shape {
@@ -198,30 +136,20 @@ struct Shape {
     per_tenant: usize,
 }
 
-/// Ships `per_tenant` intervals for each of `tenants` tenants through
-/// `shards` queues (tenant `t` homes on shard `t % shards`, coalesced
-/// in per-tenant chunks of `batch` like the driver) and waits for the
-/// sink consumers to account every interval. Returns elapsed seconds.
-fn run_ingest<Q, Push, Pop, Close>(
-    shape: Shape,
-    queues: Vec<Arc<Q>>,
-    push: Push,
-    pop: Pop,
-    close: Close,
-) -> f64
-where
-    Q: Send + Sync + 'static,
-    Push: Fn(&Q, Msg),
-    Pop: Fn(&Q) -> Option<Msg> + Send + Copy + 'static,
-    Close: Fn(&Q),
-{
+/// Spawns one sink consumer per shard queue, times `produce` filling
+/// the queues, closes them and waits until the consumers have accounted
+/// every interval of `shape`. Returns elapsed seconds.
+fn run_transport(shape: Shape, produce: impl FnOnce(&[Arc<RingQueue<Msg>>])) -> f64 {
+    let queues: Vec<Arc<RingQueue<Msg>>> = (0..shape.shards)
+        .map(|_| Arc::new(RingQueue::new(QUEUE_DEPTH)))
+        .collect();
     let consumers: Vec<thread::JoinHandle<usize>> = queues
         .iter()
         .map(|q| {
             let q = Arc::clone(q);
             thread::spawn(move || {
                 let mut seen = 0usize;
-                while let Some(msg) = pop(&q) {
+                while let Some(msg) = q.pop() {
                     seen += account(&msg);
                 }
                 seen
@@ -230,26 +158,9 @@ where
         .collect();
 
     let start = Instant::now();
-    let rounds = shape.per_tenant.div_ceil(shape.batch);
-    for round in 0..rounds {
-        for t in 0..shape.tenants {
-            let shard = t % shape.shards;
-            let produced = round * shape.batch;
-            let want = shape.batch.min(shape.per_tenant - produced);
-            if want == 0 {
-                continue;
-            }
-            let tag = u32::try_from(t).expect("tenant tag");
-            let msg = if want == 1 {
-                Msg::Interval(tag, payload(tag, produced))
-            } else {
-                Msg::Batch(tag, (0..want).map(|k| payload(tag, produced + k)).collect())
-            };
-            push(&queues[shard], msg);
-        }
-    }
+    produce(&queues);
     for q in &queues {
-        close(q);
+        q.close();
     }
     let seen: usize = consumers
         .into_iter()
@@ -264,34 +175,36 @@ where
     elapsed
 }
 
-fn run_legacy(shape: Shape) -> f64 {
-    let queues: Vec<Arc<LegacyQueue>> = (0..shape.shards)
-        .map(|_| Arc::new(LegacyQueue::new(QUEUE_DEPTH)))
-        .collect();
-    run_ingest(
-        Shape { batch: 1, ..shape },
-        queues,
-        LegacyQueue::push,
-        LegacyQueue::pop,
-        LegacyQueue::close,
-    )
-}
-
+/// Ships `per_tenant` intervals for each of `tenants` tenants through
+/// `shards` ring queues (tenant `t` homes on shard `t % shards`,
+/// coalesced in per-tenant chunks of `batch` like the driver). Returns
+/// elapsed seconds.
 fn run_ring(shape: Shape) -> f64 {
-    let queues: Vec<Arc<RingQueue<Msg>>> = (0..shape.shards)
-        .map(|_| Arc::new(RingQueue::new(QUEUE_DEPTH)))
-        .collect();
-    run_ingest(
-        shape,
-        queues,
-        |q, msg| q.push(msg, QueuePolicy::Block).expect("queue open"),
-        RingQueue::pop,
-        RingQueue::close,
-    )
+    run_transport(shape, |queues| {
+        let rounds = shape.per_tenant.div_ceil(shape.batch);
+        for round in 0..rounds {
+            for t in 0..shape.tenants {
+                let produced = round * shape.batch;
+                let want = shape.batch.min(shape.per_tenant - produced);
+                if want == 0 {
+                    continue;
+                }
+                let tag = u32::try_from(t).expect("tenant tag");
+                let msg = if want == 1 {
+                    Msg::Interval(tag, payload(tag, produced))
+                } else {
+                    Msg::Batch(tag, (0..want).map(|k| payload(tag, produced + k)).collect())
+                };
+                queues[t % shape.shards]
+                    .push(msg, QueuePolicy::Block)
+                    .expect("queue open");
+            }
+        }
+    })
 }
 
-/// One synthetic interval for the wire transport: the same PC payload
-/// as the in-memory transports, carried as real `PcSample`s.
+/// One synthetic interval for the wire cells: the same PC payload as
+/// the `ring` cells, carried as real `PcSample`s.
 fn wire_interval(tenant: u32, seq: usize) -> Interval {
     let base = seq as u64 * PAYLOAD_PCS as u64;
     Interval {
@@ -310,7 +223,7 @@ fn wire_interval(tenant: u32, seq: usize) -> Interval {
 }
 
 /// Pre-encodes the cell's whole production schedule as wire frames in
-/// the given dialect, in the exact (round, tenant) order `run_ingest`
+/// the given dialect, in the exact (round, tenant) order `run_ring`
 /// ships: one Batch frame per message, tagged with its destination
 /// shard. Encoding is producer work and stays outside the timed region;
 /// decoding is what the serve ingest path pays per message and is timed
@@ -339,57 +252,23 @@ fn encode_wire_frames(shape: Shape, dialect: WireDialect) -> Vec<(usize, Vec<u8>
 }
 
 /// The serve ingest path: CRC-check + decode each pre-encoded frame
-/// (connection-thread work) and ship the decoded intervals through the
-/// ring queues. Returns elapsed seconds.
+/// (connection work) and ship the decoded intervals through the ring
+/// queues. Returns elapsed seconds.
 fn run_wire(shape: Shape, frames: &[(usize, Vec<u8>)]) -> f64 {
-    let queues: Vec<Arc<RingQueue<Msg>>> = (0..shape.shards)
-        .map(|_| Arc::new(RingQueue::new(QUEUE_DEPTH)))
-        .collect();
-    let consumers: Vec<thread::JoinHandle<usize>> = queues
-        .iter()
-        .map(|q| {
-            let q = Arc::clone(q);
-            thread::spawn(move || {
-                let mut seen = 0usize;
-                while let Some(msg) = q.pop() {
-                    seen += account(&msg);
-                }
-                seen
-            })
-        })
-        .collect();
-
-    let start = Instant::now();
-    for (shard, bytes) in frames {
-        let frame = read_frame(&mut bytes.as_slice())
-            .expect("pre-encoded frame decodes")
-            .expect("one frame per message");
-        let Frame::Batch { tenant, intervals } = frame else {
-            unreachable!("only Batch frames are encoded")
-        };
-        queues[*shard]
-            .push(Msg::Wire(tenant, intervals), QueuePolicy::Block)
-            .expect("queue open");
-    }
-    for q in &queues {
-        q.close();
-    }
-    let seen: usize = consumers
-        .into_iter()
-        .map(|c| c.join().expect("consumer panicked"))
-        .sum();
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(
-        seen,
-        shape.tenants * shape.per_tenant,
-        "wire transport lost intervals"
-    );
-    elapsed
+    run_transport(shape, |queues| {
+        for (shard, bytes) in frames {
+            let frame = read_frame(&mut bytes.as_slice())
+                .expect("pre-encoded frame decodes")
+                .expect("one frame per message");
+            let Frame::Batch { tenant, intervals } = frame else {
+                unreachable!("only Batch frames are encoded")
+            };
+            queues[*shard]
+                .push(Msg::Wire(tenant, intervals), QueuePolicy::Block)
+                .expect("queue open");
+        }
+    })
 }
-
-// ---------------------------------------------------------------------------
-// Connection scaling: the live serve loop under idle fan-in
-// ---------------------------------------------------------------------------
 
 /// Pre-encoded single-session wire-v1 streams (Hello + Admit +
 /// batch-32 frames + Finish) for the connection-scaling rows. v1 is
@@ -498,106 +377,6 @@ fn run_connection_scaling(idle: usize, streams: &[Vec<u8>]) -> f64 {
     elapsed
 }
 
-// ---------------------------------------------------------------------------
-// The seed's wire codec, reconstructed as the decode baseline
-// ---------------------------------------------------------------------------
-
-/// The seed's byte-at-a-time CRC-32 (IEEE) — the loop-carried-dependency
-/// form the slice-by-8 kernel in `regmon-serve` replaced. Checksum
-/// values are identical; only the throughput differs.
-fn legacy_crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        const POLY: u32 = 0xEDB8_8320;
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-        }
-        table
-    };
-    let mut state = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        state = (state >> 8) ^ TABLE[((state ^ u32::from(b)) & 0xFF) as usize];
-    }
-    state ^ 0xFFFF_FFFF
-}
-
-/// The seed's Batch-frame decode, reconstructed exactly: bytewise CRC
-/// over the body plus a per-sample cursor loop (two bounds-checked
-/// reads per sample) instead of today's prevalidated bulk copy. This is
-/// the baseline the committed `wire_decode_speedup` measures against,
-/// the same way `LegacyQueue` anchors the transport rows.
-fn legacy_decode_batch(bytes: &[u8]) -> (u32, Vec<Interval>) {
-    struct Cur<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-    impl Cur<'_> {
-        fn u32(&mut self) -> u32 {
-            let v = u32::from_le_bytes(
-                self.bytes[self.pos..self.pos + 4]
-                    .try_into()
-                    .expect("four bytes"),
-            );
-            self.pos += 4;
-            v
-        }
-        fn u64(&mut self) -> u64 {
-            let v = u64::from_le_bytes(
-                self.bytes[self.pos..self.pos + 8]
-                    .try_into()
-                    .expect("eight bytes"),
-            );
-            self.pos += 8;
-            v
-        }
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("len")) as usize;
-    let want = u32::from_le_bytes(bytes[4..8].try_into().expect("crc"));
-    let body = &bytes[8..8 + len];
-    assert_eq!(legacy_crc32(body), want, "reconstructed CRC mismatch");
-    assert_eq!(body[0], 3, "expected a Batch frame");
-    let mut cur = Cur {
-        bytes: body,
-        pos: 1,
-    };
-    let tenant = cur.u32();
-    let count = cur.u32() as usize;
-    let mut intervals = Vec::with_capacity(count);
-    for _ in 0..count {
-        let index = cur.u64() as usize;
-        let start_cycle = cur.u64();
-        let end_cycle = cur.u64();
-        let nsamples = cur.u32() as usize;
-        let mut samples = Vec::with_capacity(nsamples);
-        for _ in 0..nsamples {
-            samples.push(PcSample {
-                addr: Addr::new(cur.u64()),
-                cycle: cur.u64(),
-            });
-        }
-        intervals.push(Interval {
-            index,
-            start_cycle,
-            end_cycle,
-            samples,
-        });
-    }
-    assert_eq!(cur.pos, body.len(), "trailing bytes in Batch frame");
-    (tenant, intervals)
-}
-
 /// One timed pass of the fleet's change-point hub: the exact shape the
 /// `--cpd` driver feeds it — one UCR point per tenant per round, with a
 /// step regression planted in every eighth tenant halfway through so
@@ -670,22 +449,13 @@ fn main() {
     for &tenants in &TENANT_COUNTS {
         for &shards in &SHARD_COUNTS {
             let total = tenants * per_tenant;
-            let shape = Shape {
-                tenants,
-                shards,
-                batch: 1,
-                per_tenant,
-            };
-            let mips = median_mips(total, reps, || run_legacy(shape));
-            cells.push(Cell {
-                transport: "legacy",
-                batch: 1,
-                tenants,
-                shards,
-                mips,
-            });
             for &batch in &BATCHES {
-                let shape = Shape { batch, ..shape };
+                let shape = Shape {
+                    tenants,
+                    shards,
+                    batch,
+                    per_tenant,
+                };
                 let mips = median_mips(total, reps, || run_ring(shape));
                 cells.push(Cell {
                     transport: "ring",
@@ -694,21 +464,6 @@ fn main() {
                     shards,
                     mips,
                 });
-            }
-            for &batch in &BATCHES {
-                let shape = Shape { batch, ..shape };
-                let frames = encode_wire_frames(shape, WireDialect::V1);
-                let mips = median_mips(total, reps, || run_wire(shape, &frames));
-                cells.push(Cell {
-                    transport: "wire",
-                    batch,
-                    tenants,
-                    shards,
-                    mips,
-                });
-            }
-            for &batch in &BATCHES {
-                let shape = Shape { batch, ..shape };
                 let frames = encode_wire_frames(shape, WireDialect::v2(false));
                 let mips = median_mips(total, reps, || run_wire(shape, &frames));
                 cells.push(Cell {
@@ -722,29 +477,24 @@ fn main() {
         }
     }
 
-    // Wire-decode microbench: the serve connection-thread codec in
-    // isolation — CRC check, frame parse, and the bulk sample decode of
-    // the pre-encoded headline frames — with no queues or consumer
-    // threads, so the rows isolate the codec the kernel port targets.
-    // The baseline is the seed's codec reconstructed below (bytewise
-    // CRC + per-sample cursor decode), and every supported SIMD level
-    // of today's codec is timed within the same run (forced via
-    // `simd::force`), which keeps the committed speedup meaningful
-    // across hosts of different absolute speed. The forced-scalar row
-    // shows the bulk-decode restructuring alone; the vector rows add
-    // the SIMD copies, which must match it byte-for-byte.
-    let decode_shape = Shape {
+    // Wire-decode rows: the codec in isolation — CRC check, frame parse
+    // and the bulk sample decode of the pre-encoded headline frames —
+    // with no queues or consumer threads, under every SIMD level this
+    // host supports (forced via `simd::force`). The frames are wire v1,
+    // whose fixed-width sample copy is the vectorised kernel; every
+    // level must decode them byte-for-byte alike.
+    let headline_shape = Shape {
         tenants: HEADLINE_TENANTS,
         shards: HEADLINE_SHARDS,
         batch: HEADLINE_BATCH,
         per_tenant,
     };
-    let decode_frames = encode_wire_frames(decode_shape, WireDialect::V1);
-    let decode_total = HEADLINE_TENANTS * per_tenant;
-    let decode_all = |frames: &[(usize, Vec<u8>)]| -> f64 {
+    let headline_total = HEADLINE_TENANTS * per_tenant;
+    let decode_frames = encode_wire_frames(headline_shape, WireDialect::V1);
+    let decode_all = || -> f64 {
         let start = Instant::now();
         let mut seen = 0usize;
-        for (_, bytes) in frames {
+        for (_, bytes) in &decode_frames {
             let frame = read_frame(&mut bytes.as_slice())
                 .expect("pre-encoded frame decodes")
                 .expect("one frame per message");
@@ -754,153 +504,43 @@ fn main() {
             seen += intervals.len();
             black_box(intervals);
         }
-        assert_eq!(seen, decode_total, "decode lost intervals");
+        assert_eq!(seen, headline_total, "decode lost intervals");
         start.elapsed().as_secs_f64()
     };
-    // The reconstructed seed codec must produce the exact intervals the
-    // current decoder does — checked once, outside the timed region.
-    {
-        let (_, bytes) = &decode_frames[0];
-        let (legacy_tenant, legacy_intervals) = legacy_decode_batch(bytes);
-        let Frame::Batch { tenant, intervals } = read_frame(&mut bytes.as_slice())
-            .expect("pre-encoded frame decodes")
-            .expect("one frame per message")
-        else {
-            unreachable!("only Batch frames are encoded")
-        };
-        assert_eq!(legacy_tenant, tenant, "legacy codec tenant mismatch");
-        assert_eq!(
-            legacy_intervals, intervals,
-            "legacy codec interval mismatch"
-        );
-    }
-    let decode_legacy_mips = median_mips(decode_total, reps, || {
-        let start = Instant::now();
-        let mut seen = 0usize;
-        for (_, bytes) in &decode_frames {
-            let (tenant, intervals) = legacy_decode_batch(bytes);
-            seen += intervals.len();
-            black_box((tenant, intervals));
-        }
-        assert_eq!(seen, decode_total, "legacy decode lost intervals");
-        start.elapsed().as_secs_f64()
-    });
     let level_before = simd::active();
     let mut decode_rows: Vec<(SimdLevel, f64)> = Vec::new();
     for level in SimdLevel::ALL {
         if simd::force(level) != level {
             continue; // level not supported on this host
         }
-        let mips = median_mips(decode_total, reps, || decode_all(&decode_frames));
-        decode_rows.push((level, mips));
+        decode_rows.push((level, median_mips(headline_total, reps, decode_all)));
     }
     simd::force(level_before);
-    let decode_scalar_mips = decode_rows
+    drop(decode_frames);
+    let scalar_mips = decode_rows
         .iter()
         .find(|(level, _)| *level == SimdLevel::Scalar)
         .expect("scalar decode row")
         .1;
-    let &(decode_level, decode_simd_mips) = decode_rows.last().expect("decode rows");
-    let decode_speedup = decode_simd_mips / decode_legacy_mips;
+    let &(decode_level, simd_mips) = decode_rows.last().expect("decode rows");
 
-    let pick = |transport: &str, batch: usize| -> f64 {
+    let pick = |transport: &str| -> f64 {
         cells
             .iter()
             .find(|c| {
                 c.transport == transport
-                    && c.batch == batch
+                    && c.batch == HEADLINE_BATCH
                     && c.tenants == HEADLINE_TENANTS
                     && c.shards == HEADLINE_SHARDS
             })
             .expect("headline cell measured")
             .mips
     };
-    let legacy_mips = pick("legacy", 1);
-    let ring_mips = pick("ring", HEADLINE_BATCH);
-    let wire_mips = pick("wire", HEADLINE_BATCH);
-    let wire2_mips = pick("wire2", HEADLINE_BATCH);
-    let speedup = ring_mips / legacy_mips;
-    // Wire-v2 vs wire-v1 at the headline cell, within-run: the ratio
-    // the regression guard gates. The delta-encoded columnar frames
-    // carry ~2 bytes/sample instead of 16, so both the slice-by-8 CRC
-    // and the bulk column decode sweep far fewer bytes per interval.
-    let wire_v2_speedup = wire2_mips / wire_mips;
-    // LZ-wrapped v2 at the same cell — informational only: compression
-    // trades decode throughput for wire bytes, so it carries no floor.
-    let wire2z_frames = encode_wire_frames(decode_shape, WireDialect::v2(true));
-    let wire2z_mips = median_mips(decode_total, reps, || {
-        run_wire(decode_shape, &wire2z_frames)
-    });
-    drop(wire2z_frames);
-
-    // Telemetry overhead on the headline cell: the ring transport with
-    // the metric registry disabled (one relaxed-atomic branch per hook)
-    // vs enabled (live counters + batch histogram + journal). Off/on
-    // reps run as interleaved pairs so both legs of a pair see the same
-    // host conditions, and each pair yields its own overhead estimate
-    // (off rate vs on rate, negative noise clamped to zero). The guard
-    // gates the **minimum** across pairs: scheduler interference on a
-    // shared host only ever slows one leg down, inflating that pair's
-    // estimate, so the minimum is the low-variance reading of what the
-    // hooks actually cost, while the median is recorded alongside as
-    // the honest typical-weather figure. A real hook regression (an
-    // accidental lock or syscall on the hot path) inflates *every*
-    // pair, minimum included.
-    // The estimator ignores QUICK_BENCH sizing: it measures one shape,
-    // so full-length runs and a fixed pair budget cost well under a
-    // second, while quick-mode runs are too short (~1 ms on a small
-    // host) to resolve a few-percent-budget gate above scheduler
-    // jitter.
-    let estimator_per_tenant = 600;
-    let headline_shape = Shape {
-        tenants: HEADLINE_TENANTS,
-        shards: HEADLINE_SHARDS,
-        batch: HEADLINE_BATCH,
-        per_tenant: estimator_per_tenant,
-    };
-    let headline_total = HEADLINE_TENANTS * estimator_per_tenant;
-    run_ring(headline_shape); // warmup (disabled path)
-    regmon_telemetry::set_enabled(true);
-    run_ring(headline_shape); // warmup (stripe + journal thread-locals)
-    regmon_telemetry::set_enabled(false);
-    let pairs = 25;
-    let mut best_off = 0.0f64;
-    let mut best_on = 0.0f64;
-    let mut overheads = Vec::with_capacity(pairs);
-    for pair in 0..pairs {
-        // Alternate which side goes first so within-pair ordering
-        // effects (warmed allocator, scheduler state left by the
-        // previous run's threads) cancel across the series.
-        let on_first = pair % 2 == 1;
-        let mut rate_off = 0.0f64;
-        let mut rate_on = 0.0f64;
-        for leg in 0..2 {
-            let enabled = (leg == 0) == on_first;
-            regmon_telemetry::set_enabled(enabled);
-            let rate = headline_total as f64 / run_ring(headline_shape) / 1.0e6;
-            if enabled {
-                rate_on = rate;
-                best_on = best_on.max(rate);
-            } else {
-                rate_off = rate;
-                best_off = best_off.max(rate);
-            }
-        }
-        regmon_telemetry::set_enabled(false);
-        overheads.push(((rate_off / rate_on - 1.0) * 100.0).max(0.0));
-    }
-    regmon_telemetry::reset();
-    overheads.sort_by(f64::total_cmp);
-    let telemetry_off = best_off;
-    let telemetry_on = best_on;
-    let telemetry_overhead_min_pct = overheads[0];
-    let telemetry_overhead_median_pct = overheads[overheads.len() / 2];
+    let ring_mips = pick("ring");
+    let wire2_mips = pick("wire2");
 
     // Change-point detection throughput: the `--cpd` hub at the
-    // headline tenant count, measured in points (observations) per
-    // second. The guarded figure is what bounds how many telemetry
-    // series a fleet can watch per round before detection becomes the
-    // bottleneck rather than ingest.
+    // headline tenant count, in points (observations) per second.
     let cpd_rounds = per_tenant;
     let cpd_total = HEADLINE_TENANTS * cpd_rounds;
     let cpd_mpps = median_mips(cpd_total, reps, || run_cpd(HEADLINE_TENANTS, cpd_rounds));
@@ -931,111 +571,49 @@ fn main() {
     #[cfg(not(unix))]
     let scaling_rows: Vec<String> = Vec::new();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"regmon-fleet-matrix-v1\",\n");
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(&format!("  \"intervals_per_tenant\": {per_tenant},\n"));
-    json.push_str(
-        "  \"note\": \"median million intervals/sec through the shard ingest transport; \
-         legacy = Mutex<VecDeque> + unconditional notify, one interval per message \
-         (the seed's shard queue); ring = RingQueue with waiter-gated notifies and \
-         per-tenant interval batching (PR 3 fast path); wire = regmon-wire-v1 frame \
-         CRC-check + decode on the producer side feeding the same ring queues \
-         (the serve-mode ingest path); wire2 = the same path over delta-encoded \
-         columnar wire-v2 Batch frames; serve_scaling = a live unix-socket server \
-         (decode + transport + session compute) under idle connection fan-in, \
-         served by the poll(2) event loop; cpd = the --cpd change-point hub fed one \
-         UCR point per tenant per round (million points/sec)\",\n",
-    );
-    json.push_str("  \"headline\": {\n");
-    json.push_str(&format!("    \"tenants\": {HEADLINE_TENANTS},\n"));
-    json.push_str(&format!("    \"shards\": {HEADLINE_SHARDS},\n"));
-    json.push_str(&format!("    \"batch\": {HEADLINE_BATCH},\n"));
-    json.push_str(&format!(
-        "    \"legacy_m_intervals_per_sec\": {legacy_mips:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"ring_batch_m_intervals_per_sec\": {ring_mips:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"wire_m_intervals_per_sec\": {wire_mips:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"wire_v2_m_intervals_per_sec\": {wire2_mips:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"wire_v2_compress_m_intervals_per_sec\": {wire2z_mips:.3},\n"
-    ));
-    json.push_str(&format!("    \"wire_v2_speedup\": {wire_v2_speedup:.2},\n"));
-    json.push_str(&format!("    \"speedup\": {speedup:.2},\n"));
-    json.push_str(&format!(
-        "    \"wire_decode_legacy_m_intervals_per_sec\": {decode_legacy_mips:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"wire_decode_scalar_m_intervals_per_sec\": {decode_scalar_mips:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"wire_decode_simd_m_intervals_per_sec\": {decode_simd_mips:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"wire_decode_simd_level\": \"{}\",\n",
-        decode_level.label()
-    ));
-    json.push_str(&format!(
-        "    \"wire_decode_speedup\": {decode_speedup:.2},\n"
-    ));
-    json.push_str(&format!("    \"cpd_m_points_per_sec\": {cpd_mpps:.3},\n"));
-    json.push_str(&format!(
-        "    \"telemetry_off_m_intervals_per_sec\": {telemetry_off:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"telemetry_on_m_intervals_per_sec\": {telemetry_on:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"telemetry_overhead_min_pct\": {telemetry_overhead_min_pct:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"telemetry_overhead_median_pct\": {telemetry_overhead_median_pct:.2}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"simd\": [\n");
-    let mut decode_rendered = vec![format!(
-        "    {{\"kernel\": \"wire_decode_legacy\", \"level\": \"seed\", \
-         \"tenants\": {HEADLINE_TENANTS}, \"batch\": {HEADLINE_BATCH}, \
-         \"m_intervals_per_sec\": {decode_legacy_mips:.3}}}"
-    )];
-    decode_rendered.extend(decode_rows.iter().map(|(level, mips)| {
-        format!(
-            "    {{\"kernel\": \"wire_decode\", \"level\": \"{}\", \
-             \"tenants\": {HEADLINE_TENANTS}, \"batch\": {HEADLINE_BATCH}, \
-             \"m_intervals_per_sec\": {mips:.3}}}",
-            level.label()
-        )
-    }));
-    json.push_str(&decode_rendered.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str("  \"serve_scaling\": [\n");
-    json.push_str(&scaling_rows.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str("  \"cells\": [\n");
+    let f3 = |v: f64| format!("{v:.3}");
+    let headline = [
+        ("tenants", HEADLINE_TENANTS.to_string()),
+        ("shards", HEADLINE_SHARDS.to_string()),
+        ("batch", HEADLINE_BATCH.to_string()),
+        ("ring_batch_m_intervals_per_sec", f3(ring_mips)),
+        ("wire_v2_m_intervals_per_sec", f3(wire2_mips)),
+        ("wire_decode_scalar_m_intervals_per_sec", f3(scalar_mips)),
+        ("wire_decode_simd_m_intervals_per_sec", f3(simd_mips)),
+        (
+            "wire_decode_simd_level",
+            format!("{:?}", decode_level.label()),
+        ),
+        ("cpd_m_points_per_sec", f3(cpd_mpps)),
+    ];
+    let decode_rendered: Vec<String> = decode_rows
+        .iter()
+        .map(|(level, mips)| {
+            format!(
+                "    {{\"kernel\": \"wire_decode_v1\", \"level\": \"{}\", \
+                 \"tenants\": {HEADLINE_TENANTS}, \"batch\": {HEADLINE_BATCH}, \
+                 \"m_intervals_per_sec\": {mips:.3}}}",
+                level.label()
+            )
+        })
+        .collect();
     let rendered: Vec<String> = cells.iter().map(fmt_cell).collect();
-    json.push_str(&rendered.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-
+    let json = format!(
+        "{{\n  \"schema\": \"regmon-fleet-matrix-v1\",\n  \"reps\": {reps},\n  \
+         \"intervals_per_tenant\": {per_tenant},\n  \"note\": \"{NOTE}\",\n  \
+         \"headline\": {{\n{}\n  }},\n  \"simd\": [\n{}\n  ],\n  \
+         \"serve_scaling\": [\n{}\n  ],\n  \"cells\": [\n{}\n  ]\n}}\n",
+        regmon_bench::json_members(&headline),
+        decode_rendered.join(",\n"),
+        scaling_rows.join(",\n"),
+        rendered.join(",\n"),
+    );
     std::fs::write(&out_path, &json).expect("write matrix json");
     eprintln!(
-        "fleet matrix: {} cells -> {out_path} (headline speedup {speedup:.2}x: \
-         legacy {legacy_mips:.2} M intervals/s vs ring/batch-{HEADLINE_BATCH} \
-         {ring_mips:.2} M intervals/s at {HEADLINE_TENANTS} tenants / {HEADLINE_SHARDS} shards; \
-         wire ingest v1 {wire_mips:.2} vs v2 {wire2_mips:.2} M intervals/s \
-         ({wire_v2_speedup:.2}x, compressed {wire2z_mips:.2}); \
-         wire decode {} vs seed codec {decode_speedup:.2}x \
-         ({decode_legacy_mips:.2} -> {decode_simd_mips:.2} M intervals/s, \
-         forced-scalar bulk {decode_scalar_mips:.2}); \
-         telemetry overhead min {telemetry_overhead_min_pct:.2}% / \
-         median {telemetry_overhead_median_pct:.2}% \
-         (best {telemetry_off:.2} off vs {telemetry_on:.2} on); \
+        "fleet matrix: {} cells -> {out_path} (at {HEADLINE_TENANTS} tenants / \
+         {HEADLINE_SHARDS} shards, batch {HEADLINE_BATCH}: ring {ring_mips:.2}, wire-v2 \
+         {wire2_mips:.2} M intervals/s; wire-v1 decode {} \
+         {simd_mips:.2} vs forced scalar {scalar_mips:.2} M intervals/s; \
          cpd hub {cpd_mpps:.3} M points/s)",
         cells.len(),
         decode_level.label()

@@ -4,10 +4,13 @@
 //! evaluation; this library holds the common plumbing: time-budgeted
 //! sweeps, per-region tracking, and CSV-ish row printing. See
 //! `EXPERIMENTS.md` at the workspace root for the figure-by-figure
-//! paper-vs-measured record.
+//! paper-vs-measured record. [`gate`] holds the performance gate's
+//! decisions (`bench_gate`, run by `scripts/bench_guard.sh`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod gate;
 
 use std::collections::BTreeMap;
 
@@ -248,6 +251,18 @@ pub fn row(label: &str, values: &[f64]) -> String {
         }
     }
     s
+}
+
+/// Renders `(key, value)` pairs as JSON object members, one per line
+/// at four spaces; each value is already JSON (numbers as written,
+/// strings quoted).
+#[must_use]
+pub fn json_members(fields: &[(&str, String)]) -> String {
+    let lines: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("    \"{key}\": {value}"))
+        .collect();
+    lines.join(",\n")
 }
 
 /// Prints a figure header with reproduction context.

@@ -54,8 +54,8 @@ smoke!(ext_perf_metrics_bin, "ext_perf_metrics");
 smoke!(ext_phase_prediction_bin, "ext_phase_prediction");
 smoke!(ext_rto_sensitivity_bin, "ext_rto_sensitivity");
 
-/// The fleet ingest matrix binary emits well-formed JSON with the
-/// headline fields the regression guard greps for.
+/// The fleet matrix binary emits well-formed JSON with its kept
+/// supporting rows and none of the retired legacy or telemetry fields.
 #[test]
 fn fleet_matrix_emits_headline_json() {
     let out_path =
@@ -75,13 +75,22 @@ fn fleet_matrix_emits_headline_json() {
     for key in [
         "\"schema\": \"regmon-fleet-matrix-v1\"",
         "\"headline\"",
-        "\"legacy_m_intervals_per_sec\"",
         "\"ring_batch_m_intervals_per_sec\"",
-        "\"speedup\"",
-        "\"transport\": \"legacy\"",
+        "\"wire_v2_m_intervals_per_sec\"",
+        "\"wire_decode_simd_level\"",
+        "\"cpd_m_points_per_sec\"",
+        "\"kernel\": \"wire_decode_v1\"",
+        "\"serve_scaling\"",
         "\"transport\": \"ring\"",
+        "\"transport\": \"wire2\"",
     ] {
         assert!(json.contains(key), "{key} missing from fleet matrix JSON");
+    }
+    for gone in ["legacy", "speedup", "telemetry_", "\"transport\": \"wire\""] {
+        assert!(
+            !json.contains(gone),
+            "{gone} is back in the fleet matrix JSON"
+        );
     }
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }

@@ -120,6 +120,15 @@ fn index_flag(p: &Parsed) -> Result<IndexKind, String> {
     IndexKind::parse(&p.value_or("index", IndexKind::default().label().to_string())?)
 }
 
+/// `--period` in cycles per interrupt, defaulting to `default`; a
+/// sampler cannot run at a zero period.
+fn period_flag(p: &Parsed, default: u64) -> Result<u64, String> {
+    match p.value_or("period", default)? {
+        0 => Err("--period must be positive".into()),
+        period => Ok(period),
+    }
+}
+
 /// Applies a `--simd LEVEL` override: the in-process equivalent of
 /// setting `REGMON_SIMD`, scoped to this invocation. Safe to dial
 /// anywhere because every dispatch level is bitwise-identical; errors
@@ -217,7 +226,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let p = parse("run", argv)?;
     apply_simd_flag(&p)?;
     let w = workload(p.positional(0))?;
-    let period: u64 = p.value_or("period", 45_000)?;
+    let period = period_flag(&p, 45_000)?;
     let intervals: usize = p.value_or("intervals", 200)?;
     let skid: u64 = p.value_or("skid", 0)?;
     if skid >= period {
@@ -414,7 +423,7 @@ pub fn sweep(argv: &[String]) -> Result<(), String> {
 pub fn rto(argv: &[String]) -> Result<(), String> {
     let p = parse("rto", argv)?;
     let w = workload(p.positional(0))?;
-    let period: u64 = p.value_or("period", 800_000)?;
+    let period = period_flag(&p, 800_000)?;
     let intervals: usize = p.value_or("intervals", usize::MAX)?;
     let mut config = RtoConfig::new(period);
     if intervals != usize::MAX {
@@ -1603,7 +1612,7 @@ fn cpd_over_bench_history(list: &str) -> Result<Vec<ChangePointRow>, String> {
 pub fn baselines(argv: &[String]) -> Result<(), String> {
     let p = parse("baselines", argv)?;
     let w = workload(p.positional(0))?;
-    let period: u64 = p.value_or("period", 45_000)?;
+    let period = period_flag(&p, 45_000)?;
     let intervals: usize = p.value_or("intervals", 400)?;
 
     let config = SessionConfig::new(period);

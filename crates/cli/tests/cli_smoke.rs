@@ -301,3 +301,20 @@ fn rto_reports_speedup() {
     assert!(ok);
     assert!(stdout.contains("RTO_LPD over RTO_ORIG"));
 }
+
+#[test]
+fn zero_period_is_rejected_without_a_panic() {
+    for command in ["run", "rto", "baselines"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_regmon"))
+            .args([command, "181.mcf", "--period", "0"])
+            .output()
+            .expect("spawn regmon");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains("--period must be positive"),
+            "{command}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
+}

@@ -5,6 +5,9 @@
 //!   `"cpd"` member — across the batching and stealing matrix.
 //! - Offline `regmon cpd --trace` must find the same planted change
 //!   point the online run reported.
+//! - Offline `regmon cpd --bench` must report a step planted in a
+//!   BENCH snapshot history at the file where it starts, and treat a
+//!   history too short to scan as a note, not an error.
 //! - `regmon cpd` output must be byte-identical across `--simd` levels
 //!   and across the shard (worker thread) count of the recording run.
 //! - Typos get spelling suggestions, and `metrics --check` understands
@@ -229,4 +232,55 @@ fn typos_get_spelling_suggestions() {
         err.contains("lockstep"),
         "--cpd under freerun must explain the pacing requirement: {err}"
     );
+}
+
+/// Runs `regmon cpd --bench` (plus `args`) over one BENCH-shaped
+/// snapshot per value of the planted headline series, each with a
+/// steady wobbling field beside it.
+fn cpd_over_history(tag: &str, cpd_rates: &[f64], args: &[&str]) -> (bool, String, String) {
+    let files: Vec<String> = cpd_rates
+        .iter()
+        .enumerate()
+        .map(|(i, rate)| {
+            let path = temp_path(&format!("{tag}_{i}.json"));
+            let doc = format!(
+                "{{\"schema\": \"regmon-fleet-matrix-v1\", \"reps\": 11, \"headline\": \
+                 {{\"tenants\": 64, \"ring_batch_m_intervals_per_sec\": 2.{}, \
+                 \"cpd_m_points_per_sec\": {rate}}}}}",
+                i % 3
+            );
+            std::fs::write(&path, doc).expect("write bench snapshot");
+            path
+        })
+        .collect();
+    let list = files.join(",");
+    let result = regmon(&[&["cpd", "--bench", &list], args].concat());
+    for f in &files {
+        let _ = std::fs::remove_file(f);
+    }
+    result
+}
+
+#[test]
+fn bench_history_reports_a_planted_step_at_its_file() {
+    // Files 0..=4 at the old rate, files 5..=8 at half of it.
+    let rates = [
+        0.044, 0.045, 0.043, 0.044, 0.044, 0.022, 0.021, 0.022, 0.023,
+    ];
+    let (ok, out, err) = cpd_over_history("step", &rates, &["--json"]);
+    assert!(ok, "cpd --bench failed: {err}");
+    assert!(
+        out.contains("{\"series\":\"headline.cpd_m_points_per_sec\",\"round\":5,"),
+        "the step must be reported at file 5: {out}"
+    );
+    assert!(!out.contains("ring_batch"), "steady field reported: {out}");
+}
+
+#[test]
+fn short_bench_history_notes_the_minimum_and_succeeds() {
+    let (ok, out, err) = cpd_over_history("short", &[0.044, 0.022, 0.022], &[]);
+    assert!(ok, "a short history is not an error: {err}");
+    let note = "3 file(s) give series of at most 3 point(s)";
+    assert!(err.contains(note), "{err}");
+    assert!(out.contains("no change points detected"), "{out}");
 }

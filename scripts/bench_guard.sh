@@ -1,270 +1,44 @@
 #!/usr/bin/env bash
-# Performance regression guards for the two committed benchmark
-# snapshots.
+# Performance gate: the working tree against a base revision, both built
+# and measured on this host in the same run. Extracts BASE with
+# `git archive`, builds its pipebench next to the working tree's, runs
+# attribution_matrix for the within-run SIMD ratios, then bench_gate
+# (crates/bench/src/bin/bench_gate.rs): it interleaves the two
+# pipebench builds on every workload BENCHMARK.json gates, prints one
+# table, and fails on BENCHMARK.json's end-to-end bounds, an incorrect
+# run, a higher failed share, the telemetry budget or the change-point
+# cost.
 #
-# Attribution engine (BENCH_attribution.json): re-measures the matrix
-# and compares the headline cell (64 regions, 2032-sample intervals,
-# random locality):
-#
-#   1. FAIL if the flat batch path's ns/sample regressed to more than
-#      2x the committed baseline.
-#   2. FAIL if the within-run speedup of batch/flat over the legacy
-#      per-sample path dropped below 3x (the repo's committed claim).
-#   7. FAIL if the SIMD attribution path's within-run speedup over the
-#      forced-scalar path dropped below 2x on the local-locality shape
-#      or below 1.25x on the random shape (skipped when the host has no
-#      vector level above scalar).
-#
-# Fleet ingest transport (BENCH_fleet.json): re-measures the fleet
-# matrix and compares the headline cell (64 tenants over 8 shards):
-#
-#   3. FAIL if ring/batch-32 throughput dropped below half the
-#      committed baseline (a >2x regression).
-#   4. FAIL if the within-run speedup of ring/batch-32 over the legacy
-#      per-interval transport dropped below 3x (the ISSUE's committed
-#      acceptance floor).
-#   5. FAIL if enabling telemetry costs more than 8% throughput on the
-#      headline cell (within-run: telemetry-off vs telemetry-on). The
-#      budget was originally 2%, but the byte-identical seed binary
-#      measures anywhere from 0% to ~5.3% across days on a virtualized
-#      1-CPU host (scheduler weather moves the off/on gap), so 8% is
-#      the tightest gate that only fails on real hook regressions — an
-#      accidental lock or syscall on the hot path costs far more than
-#      that. The gate reads the *minimum* overhead across the bench's
-#      25 interleaved off/on pairs: interference only ever inflates a
-#      pair's estimate, while a real regression inflates every pair,
-#      minimum included (the median is reported alongside for context).
-#   6. FAIL if wire-frame ingest (CRC-check + decode feeding the ring
-#      queues — the `regmon serve` path) dropped below half the
-#      committed baseline.
-#   8. FAIL if the wire codec's within-run speedup over the seed codec
-#      (bytewise CRC + per-sample cursor decode, reconstructed in the
-#      bench) dropped below 2x. This holds even on scalar-only hosts:
-#      the slice-by-8 CRC and the prevalidated bulk decode carry most
-#      of the gain.
-#   9. FAIL if wire-v2 ingest (delta-encoded columnar Batch frames over
-#      the same path) fell below 2x the *committed* wire-v1 rate — the
-#      PR 7 acceptance floor — or below 1.5x the within-run wire-v1
-#      rate (the host-independent backstop: v2 frames carry ~8x fewer
-#      payload bytes per interval, so CRC + decode sweep far less).
-#  10. FAIL if change-point hub throughput (the `--cpd` detection path,
-#      one UCR point per tenant per round) dropped below half the
-#      committed baseline. Afterwards the guard dogfoods the offline
-#      analyzer itself — `regmon cpd --bench` over the committed and
-#      fresh fleet snapshots — informationally: with only two points
-#      per series nothing can be detected yet, but the command must
-#      parse both files and exit cleanly.
-#
-# Within-run ratios compare two measurements from the *same* run on the
-# *same* machine, so they are robust to slow CI hosts.
-#
-# Usage: scripts/bench_guard.sh [attribution.json] [fleet.json]
+# Usage: scripts/bench_guard.sh [BASE]
+#   BASE  a git revision. Default: HEAD when tracked files differ from
+#         HEAD, otherwise HEAD~1 (the last commit against its parent).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ATTR_COMMITTED="${1:-BENCH_attribution.json}"
-FLEET_COMMITTED="${2:-BENCH_fleet.json}"
-ATTR_FRESH="$(mktemp /tmp/attribution_matrix.XXXXXX.json)"
-FLEET_FRESH="$(mktemp /tmp/fleet_matrix.XXXXXX.json)"
-trap 'rm -f "$ATTR_FRESH" "$FLEET_FRESH"' EXIT
-
-[[ -f "$ATTR_COMMITTED" ]] || { echo "FAIL: $ATTR_COMMITTED missing" >&2; exit 1; }
-[[ -f "$FLEET_COMMITTED" ]] || { echo "FAIL: $FLEET_COMMITTED missing" >&2; exit 1; }
-
-# Pull one numeric field out of the headline object (no jq dependency).
-field() { # field <file> <name>
-  sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p" "$1" | head -1
-}
-
-# Pull one string field out of the headline object.
-str_field() { # str_field <file> <name>
-  sed -n "s/.*\"$2\": \"\([a-z0-9_-]*\)\".*/\1/p" "$1" | head -1
-}
-
-# ---------------------------------------------------------------- attribution
-
-cargo run -q --release -p regmon-bench --bin attribution_matrix -- "$ATTR_FRESH"
-
-committed_flat="$(field "$ATTR_COMMITTED" flat_batch_ns_per_sample)"
-fresh_flat="$(field "$ATTR_FRESH" flat_batch_ns_per_sample)"
-fresh_speedup="$(field "$ATTR_FRESH" speedup)"
-
-[[ -n "$committed_flat" && -n "$fresh_flat" && -n "$fresh_speedup" ]] || {
-  echo "FAIL: could not parse attribution headline fields" >&2
-  exit 1
-}
-
-echo "bench guard: flat batch ${fresh_flat} ns/sample (committed ${committed_flat})," \
-     "within-run speedup ${fresh_speedup}x over legacy per-sample path"
-
-awk -v fresh="$fresh_flat" -v committed="$committed_flat" 'BEGIN {
-  if (fresh > 2.0 * committed) {
-    printf "FAIL: flat batch regressed: %.2f ns/sample > 2x committed %.2f\n", fresh, committed
-    exit 1
-  }
-}'
-
-awk -v s="$fresh_speedup" 'BEGIN {
-  if (s < 3.0) {
-    printf "FAIL: batch/flat speedup %.2fx over legacy dropped below the committed 3x floor\n", s
-    exit 1
-  }
-}'
-
-fresh_simd_level="$(str_field "$ATTR_FRESH" simd_level)"
-if [[ -n "$fresh_simd_level" && "$fresh_simd_level" != "scalar" ]]; then
-  simd_speedup="$(field "$ATTR_FRESH" simd_speedup)"
-  simd_speedup_random="$(field "$ATTR_FRESH" simd_speedup_random)"
-  [[ -n "$simd_speedup" && -n "$simd_speedup_random" ]] || {
-    echo "FAIL: could not parse attribution SIMD headline fields" >&2
-    exit 1
-  }
-
-  echo "bench guard: attribution SIMD (${fresh_simd_level}) within-run speedup" \
-       "${simd_speedup}x local / ${simd_speedup_random}x random over forced scalar"
-
-  awk -v s="$simd_speedup" 'BEGIN {
-    if (s < 2.0) {
-      printf "FAIL: SIMD attribution speedup %.2fx (local shape) dropped below the committed 2x floor\n", s
-      exit 1
-    }
-  }'
-
-  awk -v s="$simd_speedup_random" 'BEGIN {
-    if (s < 1.25) {
-      printf "FAIL: SIMD attribution speedup %.2fx (random shape) dropped below the 1.25x floor\n", s
-      exit 1
-    }
-  }'
+if [[ $# -gt 1 ]]; then
+  echo "usage: scripts/bench_guard.sh [BASE]" >&2
+  exit 2
+elif [[ $# -eq 1 ]]; then
+  base="$1"
+elif git diff --quiet HEAD --; then
+  base="HEAD~1"
 else
-  echo "bench guard: no vector level above scalar on this host; skipping attribution SIMD gates"
+  base="HEAD"
 fi
 
-# ---------------------------------------------------------------------- fleet
-
-cargo run -q --release -p regmon-bench --bin fleet_matrix -- "$FLEET_FRESH"
-
-committed_ring="$(field "$FLEET_COMMITTED" ring_batch_m_intervals_per_sec)"
-fresh_ring="$(field "$FLEET_FRESH" ring_batch_m_intervals_per_sec)"
-fleet_speedup="$(field "$FLEET_FRESH" speedup)"
-
-[[ -n "$committed_ring" && -n "$fresh_ring" && -n "$fleet_speedup" ]] || {
-  echo "FAIL: could not parse fleet headline fields" >&2
+tmp="$(mktemp -d /tmp/bench_guard.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
+git archive "$base" | tar -x -C "$tmp"
+[[ -f "$tmp/pipebench/Cargo.toml" ]] || {
+  echo "FAIL: base $base has no pipebench/; there is nothing to compare against" >&2
   exit 1
 }
 
-echo "bench guard: fleet ingest ${fresh_ring} M intervals/s (committed ${committed_ring})," \
-     "within-run speedup ${fleet_speedup}x over legacy per-interval transport"
-
-awk -v fresh="$fresh_ring" -v committed="$committed_ring" 'BEGIN {
-  if (fresh * 2.0 < committed) {
-    printf "FAIL: fleet ingest regressed: %.3f M intervals/s < half of committed %.3f\n", fresh, committed
-    exit 1
-  }
-}'
-
-awk -v s="$fleet_speedup" 'BEGIN {
-  if (s < 3.0) {
-    printf "FAIL: fleet ingest speedup %.2fx over the legacy transport dropped below the committed 3x floor\n", s
-    exit 1
-  }
-}'
-
-committed_wire="$(field "$FLEET_COMMITTED" wire_m_intervals_per_sec)"
-fresh_wire="$(field "$FLEET_FRESH" wire_m_intervals_per_sec)"
-[[ -n "$committed_wire" && -n "$fresh_wire" ]] || {
-  echo "FAIL: could not parse wire_m_intervals_per_sec from fleet headline" >&2
-  exit 1
-}
-
-echo "bench guard: wire ingest ${fresh_wire} M intervals/s (committed ${committed_wire})"
-
-awk -v fresh="$fresh_wire" -v committed="$committed_wire" 'BEGIN {
-  if (fresh * 2.0 < committed) {
-    printf "FAIL: wire ingest regressed: %.3f M intervals/s < half of committed %.3f\n", fresh, committed
-    exit 1
-  }
-}'
-
-fresh_wire2="$(field "$FLEET_FRESH" wire_v2_m_intervals_per_sec)"
-wire_v2_speedup="$(field "$FLEET_FRESH" wire_v2_speedup)"
-[[ -n "$fresh_wire2" && -n "$wire_v2_speedup" ]] || {
-  echo "FAIL: could not parse wire-v2 headline fields" >&2
-  exit 1
-}
-
-echo "bench guard: wire-v2 ingest ${fresh_wire2} M intervals/s" \
-     "(${wire_v2_speedup}x over within-run wire-v1; committed wire-v1 ${committed_wire})"
-
-awk -v v2="$fresh_wire2" -v committed="$committed_wire" 'BEGIN {
-  if (v2 < 2.0 * committed) {
-    printf "FAIL: wire-v2 ingest %.3f M intervals/s below 2x the committed wire-v1 %.3f\n", v2, committed
-    exit 1
-  }
-}'
-
-awk -v s="$wire_v2_speedup" 'BEGIN {
-  if (s < 1.5) {
-    printf "FAIL: wire-v2 within-run speedup %.2fx over wire-v1 dropped below the 1.5x backstop\n", s
-    exit 1
-  }
-}'
-
-wire_decode_speedup="$(field "$FLEET_FRESH" wire_decode_speedup)"
-wire_decode_level="$(str_field "$FLEET_FRESH" wire_decode_simd_level)"
-[[ -n "$wire_decode_speedup" && -n "$wire_decode_level" ]] || {
-  echo "FAIL: could not parse wire decode headline fields" >&2
-  exit 1
-}
-
-echo "bench guard: wire decode (${wire_decode_level}) within-run speedup" \
-     "${wire_decode_speedup}x over the reconstructed seed codec"
-
-awk -v s="$wire_decode_speedup" 'BEGIN {
-  if (s < 2.0) {
-    printf "FAIL: wire decode speedup %.2fx over the seed codec dropped below the committed 2x floor\n", s
-    exit 1
-  }
-}'
-
-telemetry_overhead_min="$(field "$FLEET_FRESH" telemetry_overhead_min_pct)"
-telemetry_overhead_median="$(field "$FLEET_FRESH" telemetry_overhead_median_pct)"
-[[ -n "$telemetry_overhead_min" && -n "$telemetry_overhead_median" ]] || {
-  echo "FAIL: could not parse telemetry overhead fields from fleet headline" >&2
-  exit 1
-}
-
-echo "bench guard: telemetry overhead min ${telemetry_overhead_min}%" \
-     "(median ${telemetry_overhead_median}%) on the headline fleet cell"
-
-awk -v o="$telemetry_overhead_min" 'BEGIN {
-  if (o > 8.0) {
-    printf "FAIL: telemetry overhead %.2f%% exceeds the 8%% budget on the headline fleet cell\n", o
-    exit 1
-  }
-}'
-
-committed_cpd="$(field "$FLEET_COMMITTED" cpd_m_points_per_sec)"
-fresh_cpd="$(field "$FLEET_FRESH" cpd_m_points_per_sec)"
-[[ -n "$committed_cpd" && -n "$fresh_cpd" ]] || {
-  echo "FAIL: could not parse cpd_m_points_per_sec from fleet headline" >&2
-  exit 1
-}
-
-echo "bench guard: cpd hub ${fresh_cpd} M points/s (committed ${committed_cpd})"
-
-awk -v fresh="$fresh_cpd" -v committed="$committed_cpd" 'BEGIN {
-  if (fresh * 2.0 < committed) {
-    printf "FAIL: cpd hub regressed: %.3f M points/s < half of committed %.3f\n", fresh, committed
-    exit 1
-  }
-}'
-
-# Dogfood the offline analyzer over the bench history. Informational:
-# the detections (normally none — two points per series is below the
-# minimum segment) are printed for the log, but the run must succeed.
-echo "bench guard: regmon cpd --bench over committed + fresh fleet snapshots:"
-cargo run -q --release -p regmon-cli -- cpd --bench "$FLEET_COMMITTED,$FLEET_FRESH"
-
-echo "bench guard: OK"
+echo "bench guard: base $base ($(git rev-parse --short "$base")) vs the working tree"
+for tree in "$tmp" "$PWD"; do
+  cargo build -q --release --offline --manifest-path "$tree/pipebench/Cargo.toml" \
+    --target-dir "$tree/pipebench/target"
+done
+cargo run -q --release --offline -p regmon-bench --bin attribution_matrix -- "$tmp/attribution.json"
+cargo run -q --release --offline -p regmon-bench --bin bench_gate -- "$tmp" "$PWD" "$tmp/attribution.json"

@@ -180,7 +180,7 @@ QUICK_BENCH=1 cargo bench -q -p regmon-bench --bench fleet >/dev/null
 cargo bench -q -p regmon-bench --bench attribution -- --smoke >/dev/null
 
 if [[ "$QUICK" -eq 0 ]]; then
-  step "attribution-engine regression guard (vs committed BENCH_attribution.json)"
+  step "performance gate (pipebench end to end vs the parent commit on this host, BENCHMARK.json bounds)"
   scripts/bench_guard.sh
 fi
 
