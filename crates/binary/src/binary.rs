@@ -1,8 +1,9 @@
 //! The whole program image: procedures plus the inter-procedural call map.
 
-use crate::addr::Addr;
+use crate::addr::{Addr, AddrRange};
+use crate::codemap::CodeMap;
 use crate::inst::Instruction;
-use crate::loops::LoopInfo;
+use crate::loops::{LoopId, LoopInfo};
 use crate::proc::{ProcId, Procedure};
 use core::fmt;
 
@@ -54,13 +55,18 @@ impl CallSite {
 
 /// A synthetic program image.
 ///
-/// Procedures are laid out in ascending, non-overlapping address ranges;
-/// address queries resolve by binary search.
+/// Procedures are laid out in ascending, non-overlapping address ranges.
+/// Address queries resolve through a code map built at construction:
+/// one table lookup, whatever the image size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Binary {
     name: String,
     procedures: Vec<Procedure>,
     call_sites: Vec<CallSite>,
+    /// `loop_base[p]` is the loop slot of procedure `p`'s first loop;
+    /// the last entry is the image's loop count.
+    loop_base: Vec<u32>,
+    code_map: CodeMap,
 }
 
 impl Binary {
@@ -85,10 +91,20 @@ impl Binary {
                 );
             }
         }
+        let mut loop_base = Vec::with_capacity(procedures.len() + 1);
+        let mut slots = 0u32;
+        loop_base.push(0);
+        for p in &procedures {
+            slots += u32::try_from(p.loops().len()).expect("loop count fits u32");
+            loop_base.push(slots);
+        }
+        let code_map = CodeMap::build(&procedures);
         Self {
             name: name.into(),
             procedures,
             call_sites,
+            loop_base,
+            code_map,
         }
     }
 
@@ -116,21 +132,78 @@ impl Binary {
         self.procedures.iter().find(|p| p.name() == name)
     }
 
+    /// Where `addr` falls, from one code-map lookup: the procedure whose
+    /// range contains it and the innermost loop of that procedure
+    /// containing it (as [`Procedure::innermost_loop_at`] picks it), or
+    /// `None` outside every procedure. Ids only, so a caller that keeps
+    /// per-procedure or per-loop state in flat arrays touches no
+    /// procedure data at all.
+    #[inline]
+    #[must_use]
+    pub fn locate(&self, addr: Addr) -> Option<(ProcId, Option<LoopId>)> {
+        self.code_map.lookup(addr)
+    }
+
     /// The procedure whose range contains `addr`, if any.
     #[must_use]
     pub fn procedure_at(&self, addr: Addr) -> Option<&Procedure> {
-        let idx = self.procedures.partition_point(|p| p.range().end() <= addr);
-        self.procedures
-            .get(idx)
-            .filter(|p| p.range().contains(addr))
+        let (p, _) = self.locate(addr)?;
+        Some(self.procedure(p))
     }
 
     /// The innermost loop containing `addr`, with its procedure.
     #[must_use]
     pub fn innermost_loop_at(&self, addr: Addr) -> Option<(&Procedure, &LoopInfo)> {
-        let proc = self.procedure_at(addr)?;
-        let lp = proc.innermost_loop_at(addr)?;
-        Some((proc, lp))
+        let (p, lp) = self.locate(addr)?;
+        let proc = self.procedure(p);
+        Some((proc, proc.loop_info(lp?)))
+    }
+
+    /// Number of loops across all procedures: the exclusive bound of
+    /// [`Binary::loop_slot`].
+    #[must_use]
+    pub fn loop_count(&self) -> usize {
+        *self
+            .loop_base
+            .last()
+            .expect("loop_base has procs + 1 entries") as usize
+    }
+
+    /// The dense index of loop `lp` of procedure `proc` among all the
+    /// image's loops, in procedure order and then [`Procedure::loops`]
+    /// order. Lets callers keep per-loop state in a flat array.
+    #[must_use]
+    pub fn loop_slot(&self, proc: ProcId, lp: LoopId) -> usize {
+        self.loop_base[proc.0] as usize + lp.0
+    }
+
+    /// The loop at dense index `slot` (see [`Binary::loop_slot`]), with
+    /// its procedure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= self.loop_count()`.
+    #[must_use]
+    pub fn loop_at_slot(&self, slot: usize) -> (&Procedure, &LoopInfo) {
+        // The last procedure whose first slot is at or below `slot`;
+        // loop-less procedures share their successor's first slot.
+        let p = self
+            .loop_base
+            .partition_point(|&base| base as usize <= slot)
+            - 1;
+        let proc = &self.procedures[p];
+        (proc, &proc.loops()[slot - self.loop_base[p] as usize])
+    }
+
+    /// The span from the first procedure's start to the last one's end
+    /// (empty when the image has no procedures). Every procedure range
+    /// lies inside it.
+    #[must_use]
+    pub fn code_span(&self) -> AddrRange {
+        match (self.procedures.first(), self.procedures.last()) {
+            (Some(first), Some(last)) => AddrRange::new(first.range().start(), last.range().end()),
+            _ => AddrRange::default(),
+        }
     }
 
     /// The instruction at `addr`, if any.

@@ -42,6 +42,7 @@ pub mod addr;
 pub mod binary;
 pub mod builder;
 pub mod cfg;
+mod codemap;
 pub mod inst;
 pub mod loops;
 pub mod proc;

@@ -105,6 +105,61 @@ fn snapshot_and_resume_replays_match_the_straight_run() {
 }
 
 #[test]
+fn resume_rejects_a_region_outside_the_image_without_aborting() {
+    use regmon::binary::{Addr, AddrRange};
+    use regmon::regions::{RegionId, RegionKind, RegionRecord};
+    use regmon_serve::snapshot::{load_snapshot, save_snapshot};
+
+    let dir = temp_dir("bad-resume");
+    let journal = dir.join("session.rgj");
+    let journal = journal.to_str().unwrap();
+    let checkpoint = dir.join("ck.rgsn");
+    let (ok, _, stderr) = regmon(&["run", "181.mcf", "--intervals", "20", "--record", journal]);
+    assert!(ok, "{stderr}");
+    let (ok, _, stderr) = regmon(&[
+        "replay",
+        journal,
+        "--snapshot-at",
+        "8",
+        "--snapshot-out",
+        checkpoint.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+
+    // A CRC-valid snapshot whose monitor holds [0, 2^36).
+    let mut snapshot = load_snapshot(&checkpoint).unwrap();
+    snapshot.monitor.regions.push(RegionRecord {
+        id: RegionId(snapshot.monitor.next_id),
+        range: AddrRange::new(Addr::new(0), Addr::new(1 << 36)),
+        kind: RegionKind::Custom,
+        created_interval: 8,
+    });
+    snapshot.monitor.next_id += 1;
+    let bad = dir.join("bad.rgsn");
+    save_snapshot(&bad, &snapshot).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_regmon"))
+        .args([
+            "replay",
+            journal,
+            "--json",
+            "--resume",
+            bad.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn regmon");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // A clean error exit, not an abort (which has no exit code on unix).
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr.contains("181.mcf") && stderr.contains("[0-1000000000]"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn fleet_record_writes_replayable_per_tenant_journals() {
     let dir = temp_dir("fleet");
     let journals = dir.join("journals");

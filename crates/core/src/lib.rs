@@ -70,6 +70,6 @@ mod session;
 pub mod threaded;
 
 pub use session::{
-    IntervalOutcome, MonitoringSession, PruningConfig, SessionConfig, SessionSnapshot,
-    SessionSummary,
+    IntervalOutcome, MonitoringSession, PruningConfig, RegionOutsideImage, SessionConfig,
+    SessionSnapshot, SessionSummary,
 };

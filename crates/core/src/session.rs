@@ -1,7 +1,10 @@
 //! The end-to-end monitoring pipeline.
 
+use core::fmt;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+use regmon_binary::{AddrRange, Binary};
 
 use regmon_gpd::{CentroidDetector, GpdConfig, GpdObservation, GpdSnapshot, PhaseStats};
 use regmon_lpd::{LpdConfig, LpdManager, LpdManagerSnapshot, LpdObservation, RegionPhaseStats};
@@ -151,6 +154,63 @@ pub struct SessionSnapshot {
     pub pruner_streaks: Vec<(RegionId, usize)>,
 }
 
+impl SessionSnapshot {
+    /// Checks that every monitored region lies within `binary`'s code
+    /// span, which is where formation creates them. Run it before
+    /// restoring a snapshot that came from outside the process: a
+    /// well-formed snapshot can still carry a region far wider than the
+    /// image, and the first interval would then size that region's
+    /// histogram by its range, an allocation large enough to abort the
+    /// process.
+    ///
+    /// # Errors
+    ///
+    /// The first region (in id order) outside the code span.
+    pub fn check_regions(&self, binary: &Binary) -> Result<(), RegionOutsideImage> {
+        let span = binary.code_span();
+        match self
+            .monitor
+            .regions
+            .iter()
+            .find(|r| !span.contains_range(r.range))
+        {
+            Some(r) => Err(RegionOutsideImage {
+                region: r.id,
+                range: r.range,
+                binary: binary.name().to_string(),
+                code_span: span,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A snapshot region outside the program image its session is restored
+/// against (see [`SessionSnapshot::check_regions`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionOutsideImage {
+    /// The offending region.
+    pub region: RegionId,
+    /// Its address range.
+    pub range: AddrRange,
+    /// The image's name.
+    pub binary: String,
+    /// The image's code span.
+    pub code_span: AddrRange,
+}
+
+impl fmt::Display for RegionOutsideImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "region {} [{}] lies outside {}'s code span [{}]",
+            self.region, self.range, self.binary, self.code_span
+        )
+    }
+}
+
+impl std::error::Error for RegionOutsideImage {}
+
 /// The assembled pipeline: region monitor + formation + UCR + GPD + LPD
 /// (+ optional pruning), fed one sampling interval at a time.
 #[derive(Debug)]
@@ -162,7 +222,7 @@ pub struct MonitoringSession {
     lpd: LpdManager,
     ucr: UcrTracker,
     pruner: Option<Pruner>,
-    binary: Option<Arc<regmon_binary::Binary>>,
+    binary: Option<Arc<Binary>>,
     intervals: usize,
     regions_formed: usize,
     regions_pruned: usize,
@@ -259,9 +319,7 @@ impl MonitoringSession {
                     let report = self.monitor.report();
                     p.plan(&report, &self.monitor)
                 };
-                for &id in &evicted {
-                    self.monitor.remove_region(id);
-                }
+                self.monitor.remove_regions(&evicted);
                 self.regions_pruned += evicted.len();
                 if telemetry_on {
                     regmon_telemetry::metrics::REGIONS_PRUNED.add(evicted.len() as u64);
@@ -454,7 +512,7 @@ impl MonitoringSession {
     /// binary over the admission message rather than borrowing the
     /// driver's workload. Passing an `Arc` shares the image without
     /// copying it.
-    pub fn attach_binary_image(&mut self, binary: impl Into<Arc<regmon_binary::Binary>>) {
+    pub fn attach_binary_image(&mut self, binary: impl Into<Arc<Binary>>) {
         self.binary = Some(binary.into());
     }
 }
@@ -551,6 +609,36 @@ mod tests {
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "index {index:?}");
             assert_eq!(baseline.snapshot(), resumed.snapshot(), "index {index:?}");
         }
+    }
+
+    #[test]
+    fn check_regions_accepts_formed_regions_and_rejects_wider_ones() {
+        use regmon_regions::{RegionKind, RegionRecord};
+
+        let w = suite::by_name("181.mcf").unwrap();
+        let config = SessionConfig::new(45_000);
+        let mut session = MonitoringSession::new(config.clone());
+        session.attach_binary(&w);
+        for interval in Sampler::new(&w, config.sampling).take(10) {
+            session.process_interval(&interval);
+        }
+        let mut snap = session.snapshot();
+        assert!(!snap.monitor.regions.is_empty());
+        assert_eq!(snap.check_regions(w.binary()), Ok(()));
+
+        let span = w.binary().code_span();
+        let past_end = AddrRange::new(span.start(), span.end() + 4);
+        snap.monitor.regions.push(RegionRecord {
+            id: RegionId(snap.monitor.next_id),
+            range: past_end,
+            kind: RegionKind::Custom,
+            created_interval: 10,
+        });
+        let err = snap.check_regions(w.binary()).unwrap_err();
+        assert_eq!(err.region, RegionId(snap.monitor.next_id));
+        assert_eq!(err.range, past_end);
+        assert_eq!(err.code_span, span);
+        assert!(err.to_string().contains("181.mcf"), "{err}");
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! forever. The paper's proposed fix, inter-procedural regions, is
 //! implemented behind [`FormationConfig::interprocedural`].
 
-use std::collections::HashMap;
-
 use regmon_binary::{AddrRange, Binary};
 use regmon_sampling::PcSample;
 
@@ -78,7 +76,13 @@ impl RegionFormation {
 
     /// Builds regions for the unattributed samples of one interval.
     ///
-    /// `interval` is recorded as each new region's creation time.
+    /// Each sample is classified with one code-map lookup
+    /// ([`Binary::locate`]) into a dense counter: one per loop slot,
+    /// one per procedure. Candidates are created loops first, then
+    /// procedures, each group in range order, and go to the monitor in
+    /// one [`RegionMonitor::add_regions`] call, so the attribution index
+    /// is rebuilt once per pass. `interval` is recorded as each new
+    /// region's creation time.
     pub fn form(
         &self,
         binary: &Binary,
@@ -86,30 +90,39 @@ impl RegionFormation {
         monitor: &mut RegionMonitor,
         interval: usize,
     ) -> FormationOutcome {
-        // Count samples per candidate range.
-        let mut loop_hits: HashMap<AddrRange, (usize, usize)> = HashMap::new(); // range -> (count, depth)
-        let mut proc_hits: HashMap<AddrRange, usize> = HashMap::new();
-        let mut uncoverable = 0usize;
+        // One counter per loop slot, then one per procedure (samples
+        // outside its loops), then one for samples outside every
+        // procedure. Each sample bumps exactly one counter; candidates
+        // are read off the counters afterwards.
+        let loops = binary.loop_count();
+        let procs = binary.procedures().len();
+        let mut hits = vec![0u32; loops + procs + 1];
         for s in unattributed {
-            match binary.innermost_loop_at(s.addr) {
-                Some((_, lp)) => {
-                    let e = loop_hits.entry(lp.range()).or_insert((0, lp.depth()));
-                    e.0 += 1;
-                }
-                None => match binary.procedure_at(s.addr) {
-                    Some(p) if self.config.interprocedural => {
-                        *proc_hits.entry(p.range()).or_insert(0) += 1;
-                    }
-                    _ => uncoverable += 1,
-                },
-            }
+            let counter = match binary.locate(s.addr) {
+                Some((p, Some(lp))) => binary.loop_slot(p, lp),
+                Some((p, None)) => loops + p.0,
+                None => loops + procs,
+            };
+            hits[counter] += 1;
         }
+        let (loop_hits, rest) = hits.split_at(loops);
+        let (proc_hits, outside) = rest.split_at(procs);
+        let mut uncoverable = outside[0] as usize;
+        let mut loop_candidates: Vec<(AddrRange, usize, usize)> = loop_hits // (range, depth, count)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(slot, &count)| {
+                let (_, lp) = binary.loop_at_slot(slot);
+                (lp.range(), lp.depth(), count as usize)
+            })
+            .collect();
 
         let mut outcome = FormationOutcome::default();
+        let mut new: Vec<(AddrRange, RegionKind)> = Vec::new();
         // Deterministic creation order: by range.
-        let mut loop_candidates: Vec<(AddrRange, (usize, usize))> = loop_hits.into_iter().collect();
-        loop_candidates.sort_by_key(|(r, _)| *r);
-        for (range, (count, depth)) in loop_candidates {
+        loop_candidates.sort_unstable_by_key(|&(range, _, _)| range);
+        for (range, depth, count) in loop_candidates {
             if count < self.config.min_region_samples {
                 outcome.uncoverable_samples += count;
                 continue;
@@ -117,12 +130,21 @@ impl RegionFormation {
             if monitor.has_range(range) {
                 continue; // already monitored (e.g. re-formed after pruning race)
             }
-            let id = monitor.add_region(range, RegionKind::Loop { depth }, interval);
-            outcome.new_regions.push(id);
+            new.push((range, RegionKind::Loop { depth }));
         }
-        let mut proc_candidates: Vec<(AddrRange, usize)> = proc_hits.into_iter().collect();
-        proc_candidates.sort_by_key(|(r, _)| *r);
-        for (range, count) in proc_candidates {
+        // Procedures are in address order already. A procedure candidate
+        // never equals a loop candidate of this pass: a loop lies inside
+        // its procedure, and one spanning all of it leaves no samples
+        // outside its loops.
+        for (proc, &count) in binary.procedures().iter().zip(proc_hits) {
+            if count == 0 {
+                continue;
+            }
+            let (range, count) = (proc.range(), count as usize);
+            if !self.config.interprocedural {
+                uncoverable += count;
+                continue;
+            }
             if count < self.config.min_region_samples {
                 outcome.uncoverable_samples += count;
                 continue;
@@ -130,9 +152,9 @@ impl RegionFormation {
             if monitor.has_range(range) {
                 continue;
             }
-            let id = monitor.add_region(range, RegionKind::Procedure, interval);
-            outcome.new_regions.push(id);
+            new.push((range, RegionKind::Procedure));
         }
+        outcome.new_regions = monitor.add_regions(&new, interval);
         outcome.uncoverable_samples += uncoverable;
         outcome
     }

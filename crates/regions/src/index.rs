@@ -98,6 +98,16 @@ pub trait RegionIndex: fmt::Debug {
     }
     /// Removes an interval; returns `true` when it was present.
     fn remove(&mut self, id: RegionId, range: AddrRange) -> bool;
+    /// Removes every interval of `items` that is present and returns how
+    /// many were: the same index as removing them one at a time.
+    /// Indexes that recompile on mutation override this to recompile
+    /// once.
+    fn remove_many(&mut self, items: &[(RegionId, AddrRange)]) -> usize {
+        items
+            .iter()
+            .filter(|&&(id, range)| self.remove(id, range))
+            .count()
+    }
     /// Appends all ids whose interval contains `addr` to `out`.
     fn stab(&self, addr: Addr, out: &mut Vec<RegionId>);
     /// Number of stored intervals.
@@ -340,9 +350,12 @@ const TABLE_MAX_ENTRIES: usize = 1 << 15;
 /// binaries.
 ///
 /// Mutations recompile segments and table (O(n log n + coverage +
-/// buckets)). Regions change a few times per *run* (formation /
-/// pruning events) while stabs happen thousands of times per
-/// *interval*, so this is the right side of the trade.
+/// buckets)). On region-churning programs regions do change often — a
+/// pruned churn workload makes about one index mutation per interval —
+/// but stabs still outnumber them by thousands to one, so this is the
+/// right side of the trade. The monitor batches mutations
+/// ([`RegionIndex::insert_many`], [`RegionIndex::remove_many`]) so one
+/// formation pass or one prune step recompiles once.
 #[derive(Debug, Clone, Default)]
 pub struct FlatSortedIndex {
     /// The authoritative interval set, sorted by `(start, end, id)`.
@@ -625,30 +638,43 @@ impl FlatSortedIndex {
 
 impl RegionIndex for FlatSortedIndex {
     fn insert(&mut self, id: RegionId, range: AddrRange) {
-        let pos = self.entries.partition_point(|&(r, i)| {
-            (r.start(), r.end(), i.0) < (range.start(), range.end(), id.0)
-        });
-        self.entries.insert(pos, (range, id));
-        self.rebuild();
+        self.insert_many(&[(id, range)]);
     }
 
     fn insert_many(&mut self, items: &[(RegionId, AddrRange)]) {
+        if items.is_empty() {
+            return;
+        }
         self.entries
             .extend(items.iter().map(|&(id, range)| (range, id)));
+        // Keys are unique (ids are), so the stable sort gives the same
+        // order as an unstable one; it merges the sorted prefix with the
+        // new tail in linear time.
         self.entries
-            .sort_unstable_by_key(|&(r, i)| (r.start(), r.end(), i.0));
+            .sort_by_key(|&(r, i)| (r.start(), r.end(), i.0));
         self.rebuild();
     }
 
     fn remove(&mut self, id: RegionId, range: AddrRange) -> bool {
-        match self.entries.iter().position(|e| *e == (range, id)) {
-            Some(pos) => {
-                self.entries.remove(pos);
-                self.rebuild();
-                true
-            }
-            None => false,
+        self.remove_many(&[(id, range)]) == 1
+    }
+
+    fn remove_many(&mut self, items: &[(RegionId, AddrRange)]) -> usize {
+        if items.is_empty() {
+            return 0;
         }
+        let mut gone = items.to_vec();
+        gone.sort_unstable_by_key(|&(id, _)| id.0);
+        let before = self.entries.len();
+        self.entries.retain(|&(range, id)| {
+            gone.binary_search_by_key(&id.0, |&(i, _)| i.0)
+                .map_or(true, |at| gone[at].1 != range)
+        });
+        let removed = before - self.entries.len();
+        if removed > 0 {
+            self.rebuild();
+        }
+        removed
     }
 
     fn stab(&self, addr: Addr, out: &mut Vec<RegionId>) {

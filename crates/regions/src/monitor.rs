@@ -323,8 +323,8 @@ pub struct MonitorSnapshot {
 pub struct RegionMonitor {
     regions: BTreeMap<RegionId, Region>,
     /// Exact-range lookup: every monitored range maps to its region ids
-    /// in ascending (creation) order. Kept in sync by `add_region` /
-    /// `remove_region` so `region_by_range` is O(log n).
+    /// in ascending (creation) order. Kept in sync by `add_regions` /
+    /// `remove_regions` so `region_by_range` is O(log n).
     by_range: BTreeMap<AddrRange, Vec<RegionId>>,
     index: Box<dyn RegionIndex + Send + Sync>,
     next_id: u64,
@@ -349,7 +349,8 @@ impl RegionMonitor {
         }
     }
 
-    /// Adds a region and returns its id.
+    /// Adds a region and returns its id: a one-element
+    /// [`RegionMonitor::add_regions`].
     ///
     /// # Panics
     ///
@@ -360,33 +361,72 @@ impl RegionMonitor {
         kind: RegionKind,
         created_interval: usize,
     ) -> RegionId {
-        let id = RegionId(self.next_id);
-        self.next_id += 1;
-        let region = Region::new(id, range, kind, created_interval);
-        self.index.insert(id, range);
-        self.regions.insert(id, region);
-        // Ids are handed out in ascending order, so pushing keeps the
-        // per-range id list sorted.
-        self.by_range.entry(range).or_default().push(id);
-        id
+        self.add_regions(&[(range, kind)], created_interval)[0]
     }
 
-    /// Removes a region. Returns `true` when it existed.
-    pub fn remove_region(&mut self, id: RegionId) -> bool {
-        match self.regions.remove(&id) {
-            Some(region) => {
-                let removed = self.index.remove(id, region.range());
-                debug_assert!(removed, "index out of sync with region table");
-                if let Some(ids) = self.by_range.get_mut(&region.range()) {
-                    ids.retain(|&i| i != id);
-                    if ids.is_empty() {
-                        self.by_range.remove(&region.range());
-                    }
-                }
-                true
-            }
-            None => false,
+    /// Adds regions in order, handing out ascending ids, and returns the
+    /// ids. The attribution index is updated once for the whole batch
+    /// ([`RegionIndex::insert_many`]); the result is the same monitor as
+    /// adding them one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any range is empty (before anything is added).
+    pub fn add_regions(
+        &mut self,
+        regions: &[(AddrRange, RegionKind)],
+        created_interval: usize,
+    ) -> Vec<RegionId> {
+        let first = self.next_id;
+        let added: Vec<Region> = regions
+            .iter()
+            .zip(first..)
+            .map(|(&(range, kind), id)| Region::new(RegionId(id), range, kind, created_interval))
+            .collect();
+        self.next_id += added.len() as u64;
+        let entries: Vec<(RegionId, AddrRange)> =
+            added.iter().map(|r| (r.id(), r.range())).collect();
+        self.index.insert_many(&entries);
+        for region in added {
+            // Ids are handed out in ascending order, so pushing keeps
+            // the per-range id list sorted.
+            self.by_range
+                .entry(region.range())
+                .or_default()
+                .push(region.id());
+            self.regions.insert(region.id(), region);
         }
+        (first..self.next_id).map(RegionId).collect()
+    }
+
+    /// Removes a region. Returns `true` when it existed: a one-element
+    /// [`RegionMonitor::remove_regions`].
+    pub fn remove_region(&mut self, id: RegionId) -> bool {
+        self.remove_regions(&[id]) == 1
+    }
+
+    /// Removes every listed region that exists, updating the attribution
+    /// index once for the whole batch ([`RegionIndex::remove_many`]).
+    /// Returns how many were removed. The result is the same monitor as
+    /// removing them one at a time.
+    pub fn remove_regions(&mut self, ids: &[RegionId]) -> usize {
+        let mut gone: Vec<(RegionId, AddrRange)> = Vec::with_capacity(ids.len());
+        for id in ids {
+            let Some(region) = self.regions.remove(id) else {
+                continue;
+            };
+            let range = region.range();
+            if let Some(same) = self.by_range.get_mut(&range) {
+                same.retain(|i| i != id);
+                if same.is_empty() {
+                    self.by_range.remove(&range);
+                }
+            }
+            gone.push((*id, range));
+        }
+        let removed = self.index.remove_many(&gone);
+        debug_assert_eq!(removed, gone.len(), "index out of sync with region table");
+        gone.len()
     }
 
     /// The region with the given id.
@@ -1046,25 +1086,44 @@ mod tests {
             IndexKind::FlatSorted,
         ] {
             // Overlapping, nested and duplicate ranges, with removals so
-            // the snapshot's ids have gaps.
+            // the snapshot's ids have gaps. `mon` adds and removes one
+            // region at a time; `batched` takes each chunk of ten in one
+            // `add_regions` and its removals in one `remove_regions`.
             let mut mon = RegionMonitor::new(kind);
-            for i in 0..120u64 {
-                let start = 0x100 + (i * 0x34) % 0x900;
-                let id = mon.add_region(
-                    range(start, start + 0x40 + (i % 7) * 0x20),
-                    RegionKind::Custom,
-                    i as usize,
-                );
-                if i % 5 == 3 {
-                    mon.remove_region(id);
-                }
+            let mut batched = RegionMonitor::new(kind);
+            for chunk in 0..12u64 {
+                let items: Vec<(AddrRange, RegionKind)> = (chunk * 10..chunk * 10 + 10)
+                    .map(|i| {
+                        let start = 0x100 + (i * 0x34) % 0x900;
+                        (
+                            range(start, start + 0x40 + (i % 7) * 0x20),
+                            RegionKind::Custom,
+                        )
+                    })
+                    .collect();
+                let one_by_one: Vec<RegionId> = items
+                    .iter()
+                    .map(|&(r, k)| mon.add_region(r, k, chunk as usize))
+                    .collect();
+                let ids = batched.add_regions(&items, chunk as usize);
+                assert_eq!(ids, one_by_one, "{kind:?}");
+                // Every fifth region goes, plus an id removed before and
+                // one never handed out: neither counts.
+                let mut doomed: Vec<RegionId> = ids.iter().copied().skip(3).step_by(5).collect();
+                let removed = doomed.iter().filter(|&&id| mon.remove_region(id)).count();
+                doomed.extend([doomed[0], RegionId(9_999)]);
+                assert_eq!(batched.remove_regions(&doomed), removed, "{kind:?}");
             }
+            assert_eq!(batched.export(), mon.export(), "{kind:?}");
             let mut restored = RegionMonitor::restore(kind, mon.export());
-            let (mut want, mut got) = (Vec::new(), Vec::new());
+            let (mut want, mut got, mut got_batched) = (Vec::new(), Vec::new(), Vec::new());
             for a in (0x80..0xc00u64).step_by(4) {
                 want.clear();
                 got.clear();
+                got_batched.clear();
                 mon.index.stab(Addr::new(a), &mut want);
+                batched.index.stab(Addr::new(a), &mut got_batched);
+                assert_eq!(got_batched, want, "{kind:?} batched stab {a:#x}");
                 restored.index.stab(Addr::new(a), &mut got);
                 want.sort();
                 got.sort();
@@ -1075,8 +1134,14 @@ mod tests {
                 .collect();
             mon.attribute(&samples);
             restored.attribute(&samples);
+            batched.attribute(&samples);
             assert_eq!(
                 restored.report().to_owned_report(),
+                mon.report().to_owned_report(),
+                "{kind:?}"
+            );
+            assert_eq!(
+                batched.report().to_owned_report(),
                 mon.report().to_owned_report(),
                 "{kind:?}"
             );

@@ -56,7 +56,7 @@ impl Pruner {
     /// regions whose streak reached the limit, **without** removing them
     /// from the monitor. The borrow-based arena report keeps the monitor
     /// immutably borrowed, so eviction is split: `plan` observes, the
-    /// caller applies [`RegionMonitor::remove_region`] afterwards.
+    /// caller applies [`RegionMonitor::remove_regions`] afterwards.
     pub fn plan<V: AttributionView>(
         &mut self,
         report: &V,
@@ -90,9 +90,7 @@ impl Pruner {
         monitor: &mut RegionMonitor,
     ) -> Vec<RegionId> {
         let evicted = self.plan(report, monitor);
-        for &id in &evicted {
-            monitor.remove_region(id);
-        }
+        monitor.remove_regions(&evicted);
         evicted
     }
 }

@@ -4,6 +4,8 @@
 use std::fmt;
 use std::io;
 
+use regmon::RegionOutsideImage;
+
 use crate::wire::WireError;
 
 /// Why ingesting a wire stream (live or journaled) failed.
@@ -17,6 +19,15 @@ pub enum ServeError {
     Protocol(String),
     /// An `Admit` frame named a workload the suite does not contain.
     UnknownWorkload(String),
+    /// A snapshot to restore (a migration `Snapshot` frame, a WAL
+    /// opener, `replay --resume`) holds a region outside the tenant's
+    /// program image. Rejected before admission.
+    BadSnapshot {
+        /// The tenant's name.
+        tenant: String,
+        /// The offending region.
+        error: RegionOutsideImage,
+    },
     /// A connection blew a read/idle deadline, or a drain barrier
     /// missed its shutdown deadline.
     Timeout(String),
@@ -30,6 +41,9 @@ impl fmt::Display for ServeError {
             Self::Wire(e) => write!(f, "{e}"),
             Self::Protocol(what) => write!(f, "protocol violation: {what}"),
             Self::UnknownWorkload(name) => write!(f, "unknown workload {name:?}"),
+            Self::BadSnapshot { tenant, error } => {
+                write!(f, "snapshot for tenant {tenant:?} rejected: {error}")
+            }
             Self::Timeout(what) => write!(f, "timeout: {what}"),
             Self::Io(e) => write!(f, "i/o error: {e}"),
         }
@@ -41,6 +55,7 @@ impl std::error::Error for ServeError {
         match self {
             Self::Wire(e) => Some(e),
             Self::Io(e) => Some(e),
+            Self::BadSnapshot { error, .. } => Some(error),
             _ => None,
         }
     }

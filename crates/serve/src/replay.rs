@@ -129,6 +129,7 @@ pub fn replay_stream(
                                 "resume snapshot config differs from the journal's Admit".into(),
                             ));
                         }
+                        crate::snapshot::check_regions(&admit.name, snapshot, workload.binary())?;
                         let skip = snapshot.intervals;
                         (MonitoringSession::from_snapshot(snapshot.clone()), skip)
                     }

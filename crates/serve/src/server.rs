@@ -286,6 +286,7 @@ impl Conn {
                 let workload = suite::by_name(&snap.workload)
                     .ok_or_else(|| ServeError::UnknownWorkload(snap.workload.clone()))?;
                 let snapshot = crate::snapshot::decode_snapshot(&snap.snapshot)?;
+                crate::snapshot::check_regions(&snap.name, &snapshot, workload.binary())?;
                 let spec = TenantSpec::new(
                     snap.name.clone(),
                     workload,
@@ -709,9 +710,13 @@ impl Server {
                 .ok_or_else(|| ServeError::Protocol("server already shut down".into()))?;
             // Base state: the checkpoint when it covers at least the
             // opener, else the opener itself. A corrupt checkpoint
-            // already degraded to None (full WAL replay).
-            let checkpoint = durable::load_checkpoint(&opts.dir, slot)
-                .filter(|ck| ck.config == config && ck.intervals >= opener_covered);
+            // already degraded to None (full WAL replay), and so does
+            // one holding a region outside the program image.
+            let checkpoint = durable::load_checkpoint(&opts.dir, slot).filter(|ck| {
+                ck.config == config
+                    && ck.intervals >= opener_covered
+                    && ck.check_regions(spec.workload.binary()).is_ok()
+            });
             let (engine_id, covered) = match checkpoint {
                 Some(ck) => {
                     let covered = ck.intervals;
@@ -721,6 +726,7 @@ impl Server {
                     Frame::Admit(_) => (engine.admit(&spec), 0),
                     Frame::Snapshot(snap) => {
                         let decoded = crate::snapshot::decode_snapshot(&snap.snapshot)?;
+                        crate::snapshot::check_regions(&name, &decoded, spec.workload.binary())?;
                         (engine.admit_from_snapshot(&spec, decoded), opener_covered)
                     }
                     _ => unreachable!("opener checked above"),
@@ -1038,6 +1044,8 @@ mod tests {
     use crate::journal::JournalWriter;
     use crate::wire::{read_frame, AdmitFrame, FrameReader, WireDialect};
     use regmon::MonitoringSession;
+    use regmon_binary::{Addr, AddrRange};
+    use regmon_regions::{RegionId, RegionKind, RegionRecord};
     use regmon_sampling::Sampler;
     use std::sync::Arc;
 
@@ -1299,6 +1307,79 @@ mod tests {
             .sessions
             .iter()
             .any(|s| s.summary.as_ref().is_some_and(|sum| sum.intervals == 6)));
+    }
+
+    #[test]
+    fn snapshot_region_outside_the_image_is_rejected_but_server_survives() {
+        // A CRC-valid snapshot whose monitor holds a region far wider
+        // than the program image: restoring it would size a histogram
+        // by the region (2^34 slots) and abort the process.
+        let config = SessionConfig::new(45_000);
+        let w = suite::by_name("181.mcf").unwrap();
+        let mut session = MonitoringSession::new(config.clone());
+        session.attach_binary(&w);
+        let intervals: Vec<_> = Sampler::new(&w, config.sampling).take(16).collect();
+        for interval in &intervals[..8] {
+            session.process_interval(interval);
+        }
+        let mut snapshot = session.snapshot();
+        let huge = AddrRange::new(Addr::new(0), Addr::new(1 << 36));
+        snapshot.monitor.regions.push(RegionRecord {
+            id: RegionId(snapshot.monitor.next_id),
+            range: huge,
+            kind: RegionKind::Custom,
+            created_interval: 8,
+        });
+        snapshot.monitor.next_id += 1;
+        let bytes = crate::snapshot::encode_snapshot(&snapshot);
+        assert!(crate::snapshot::decode_snapshot(&bytes).is_ok());
+
+        let mut request = Vec::new();
+        request.extend_from_slice(&Frame::hello().encode());
+        request.extend_from_slice(
+            &Frame::Snapshot(Box::new(crate::wire::SnapshotFrame {
+                tenant: 7,
+                name: "mcf#bad".into(),
+                workload: "181.mcf".into(),
+                max_intervals: 16,
+                snapshot: bytes,
+            }))
+            .encode(),
+        );
+        request.extend_from_slice(
+            &Frame::Batch {
+                tenant: 7,
+                intervals: intervals[8..].to_vec(),
+            }
+            .encode(),
+        );
+        let server = Server::new(ServeOptions {
+            expect_sessions: 1,
+            ..ServeOptions::default()
+        });
+        let err = server.handle(request.as_slice()).unwrap_err();
+        let ServeError::BadSnapshot { tenant, error } = &err else {
+            panic!("expected BadSnapshot, got {err}");
+        };
+        assert_eq!(tenant, "mcf#bad");
+        assert_eq!(error.range, huge);
+        assert_eq!(error.region, RegionId(snapshot.monitor.next_id - 1));
+        let message = err.to_string();
+        assert!(
+            message.contains("mcf#bad") && message.contains("0-1000000000"),
+            "{message}"
+        );
+
+        // The server keeps serving: a clean session comes out exactly as
+        // an in-process run.
+        let good = stream_for("181.mcf", &config, 16, 0);
+        server.handle(good.as_slice()).unwrap();
+        let report = server.finish();
+        assert_eq!(report.errors.len(), 1);
+        assert_eq!(report.sessions.len(), 1);
+        let served = report.sessions[0].summary.as_ref().unwrap();
+        let direct = MonitoringSession::run_limited(&w, &config, 16);
+        assert_eq!(format!("{served:?}"), format!("{direct:?}"));
     }
 
     #[test]

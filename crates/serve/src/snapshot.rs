@@ -21,12 +21,13 @@ use std::fs;
 use std::path::Path;
 
 use regmon::{SessionConfig, SessionSnapshot};
-use regmon_binary::{Addr, AddrRange};
+use regmon_binary::{Addr, AddrRange, Binary};
 use regmon_gpd::{GpdSnapshot, GpdState, PhaseStats};
 use regmon_lpd::{LpdDetectorSnapshot, LpdManagerSnapshot, LpdState, RegionPhaseStats};
 use regmon_regions::{MonitorSnapshot, RegionId, RegionKind, RegionRecord};
 
 use crate::crc::crc32;
+use crate::error::ServeError;
 use crate::wire::{
     decode_config, encode_config, push_f64, push_u16, push_u32, push_u64, Cursor, WireError,
 };
@@ -370,6 +371,28 @@ pub fn load_snapshot(path: &Path) -> Result<SessionSnapshot, WireError> {
         regmon_telemetry::metrics::SNAPSHOT_RESTORES.inc();
     }
     Ok(snapshot)
+}
+
+/// Checks a snapshot about to be restored for `tenant` against the
+/// program image it will run on ([`SessionSnapshot::check_regions`]).
+/// The migration `Snapshot` frame, a WAL opener and `replay --resume`
+/// run this before admission; WAL recovery skips a checkpoint that
+/// fails the same check.
+///
+/// # Errors
+///
+/// [`ServeError::BadSnapshot`] naming the tenant and the region.
+pub(crate) fn check_regions(
+    tenant: &str,
+    snapshot: &SessionSnapshot,
+    binary: &Binary,
+) -> Result<(), ServeError> {
+    snapshot
+        .check_regions(binary)
+        .map_err(|error| ServeError::BadSnapshot {
+            tenant: tenant.to_string(),
+            error,
+        })
 }
 
 #[cfg(test)]

@@ -28,6 +28,9 @@ fi
 if [[ "$QUICK" -eq 0 ]]; then
   step "cargo build --release"
   cargo build --release
+
+  step "calibration guards (full-length paper-figure checks, release build)"
+  cargo test --release -p regmon --test calibration_guard -- --ignored
 fi
 
 step "cargo test"
