@@ -10,7 +10,7 @@
 //! which the validity-window cache turns into O(1) lookups.
 //!
 //! `cargo run --release -p regmon-bench --bin attribution_matrix` emits
-//! the same matrix as machine-readable JSON (plus per-SIMD-level rows)
+//! the same matrix as machine-readable JSON (plus scalar and avx2 rows)
 //! for the committed `BENCH_attribution.json` snapshot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

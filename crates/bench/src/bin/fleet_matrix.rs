@@ -14,10 +14,6 @@
 //!   pre-encoded wire-v2 Batch frames are CRC-checked and decoded on the
 //!   producer side (as a connection would) before the decoded intervals
 //!   travel through the same `RingQueue`s.
-//! * `simd` rows — the codec alone: CRC check, frame parse and the bulk
-//!   sample decode of wire-v1 Batch frames (the read-only format of old
-//!   journals and WALs, whose sample copy is the SIMD kernel), under
-//!   every dispatch level this host supports.
 //! * `serve_scaling` — a live unix-socket server (decode, transport and
 //!   session compute) under idle connection fan-in.
 //! * `cpd_m_points_per_sec` — the `--cpd` change-point hub fed one UCR
@@ -38,7 +34,6 @@ use regmon_cpd::{CpdHub, Metric, SeriesKey, StreamConfig, NO_REGION};
 use regmon_fleet::{Droppable, QueuePolicy, RingQueue};
 use regmon_sampling::{Interval, PcSample};
 use regmon_serve::wire::{read_frame, Frame, WireDialect};
-use regmon_stats::{simd, SimdLevel};
 
 /// Samples per synthetic interval payload (the payload travels by move,
 /// so this sets consumer accounting work, not copy volume).
@@ -55,10 +50,10 @@ const HEADLINE_BATCH: usize = 32;
 const NOTE: &str = "supporting rows, median million intervals/sec; the end-to-end number is \
                     pipebench's. ring = RingQueue transport with per-tenant interval batching, \
                     consumers only checksum; wire2 = wire-v2 Batch frame CRC-check + decode on \
-                    the producer side feeding the same ring queues; simd = wire-v1 frame decode \
-                    alone per SIMD level; serve_scaling = a live unix-socket server (decode + \
-                    transport + session compute) under idle connection fan-in; cpd = the --cpd \
-                    change-point hub fed one UCR point per tenant per round (million points/sec)";
+                    the producer side feeding the same ring queues; serve_scaling = a live \
+                    unix-socket server (decode + transport + session compute) under idle \
+                    connection fan-in; cpd = the --cpd change-point hub fed one UCR point per \
+                    tenant per round (million points/sec)";
 
 /// The message shape of the fleet ingest path, minus session state.
 enum Msg {
@@ -222,13 +217,13 @@ fn wire_interval(tenant: u32, seq: usize) -> Interval {
     }
 }
 
-/// Pre-encodes the cell's whole production schedule as wire frames in
-/// the given dialect, in the exact (round, tenant) order `run_ring`
+/// Pre-encodes the cell's whole production schedule as wire-v2 frames,
+/// in the exact (round, tenant) order `run_ring`
 /// ships: one Batch frame per message, tagged with its destination
 /// shard. Encoding is producer work and stays outside the timed region;
 /// decoding is what the serve ingest path pays per message and is timed
 /// in [`run_wire`].
-fn encode_wire_frames(shape: Shape, dialect: WireDialect) -> Vec<(usize, Vec<u8>)> {
+fn encode_wire_frames(shape: Shape) -> Vec<(usize, Vec<u8>)> {
     let mut frames = Vec::new();
     let rounds = shape.per_tenant.div_ceil(shape.batch);
     for round in 0..rounds {
@@ -245,7 +240,7 @@ fn encode_wire_frames(shape: Shape, dialect: WireDialect) -> Vec<(usize, Vec<u8>
                     .map(|k| wire_interval(tag, produced + k))
                     .collect(),
             };
-            frames.push((t % shape.shards, dialect.encode_frame(&frame)));
+            frames.push((t % shape.shards, frame.encode()));
         }
     }
     frames
@@ -464,7 +459,7 @@ fn main() {
                     shards,
                     mips,
                 });
-                let frames = encode_wire_frames(shape, WireDialect::v2(false));
+                let frames = encode_wire_frames(shape);
                 let mips = median_mips(total, reps, || run_wire(shape, &frames));
                 cells.push(Cell {
                     transport: "wire2",
@@ -476,53 +471,6 @@ fn main() {
             }
         }
     }
-
-    // Wire-decode rows: the codec in isolation — CRC check, frame parse
-    // and the bulk sample decode of the pre-encoded headline frames —
-    // with no queues or consumer threads, under every SIMD level this
-    // host supports (forced via `simd::force`). The frames are wire v1,
-    // whose fixed-width sample copy is the vectorised kernel; every
-    // level must decode them byte-for-byte alike.
-    let headline_shape = Shape {
-        tenants: HEADLINE_TENANTS,
-        shards: HEADLINE_SHARDS,
-        batch: HEADLINE_BATCH,
-        per_tenant,
-    };
-    let headline_total = HEADLINE_TENANTS * per_tenant;
-    let decode_frames = encode_wire_frames(headline_shape, WireDialect::V1);
-    let decode_all = || -> f64 {
-        let start = Instant::now();
-        let mut seen = 0usize;
-        for (_, bytes) in &decode_frames {
-            let frame = read_frame(&mut bytes.as_slice())
-                .expect("pre-encoded frame decodes")
-                .expect("one frame per message");
-            let Frame::Batch { intervals, .. } = frame else {
-                unreachable!("only Batch frames are encoded")
-            };
-            seen += intervals.len();
-            black_box(intervals);
-        }
-        assert_eq!(seen, headline_total, "decode lost intervals");
-        start.elapsed().as_secs_f64()
-    };
-    let level_before = simd::active();
-    let mut decode_rows: Vec<(SimdLevel, f64)> = Vec::new();
-    for level in SimdLevel::ALL {
-        if simd::force(level) != level {
-            continue; // level not supported on this host
-        }
-        decode_rows.push((level, median_mips(headline_total, reps, decode_all)));
-    }
-    simd::force(level_before);
-    drop(decode_frames);
-    let scalar_mips = decode_rows
-        .iter()
-        .find(|(level, _)| *level == SimdLevel::Scalar)
-        .expect("scalar decode row")
-        .1;
-    let &(decode_level, simd_mips) = decode_rows.last().expect("decode rows");
 
     let pick = |transport: &str| -> f64 {
         cells
@@ -578,33 +526,15 @@ fn main() {
         ("batch", HEADLINE_BATCH.to_string()),
         ("ring_batch_m_intervals_per_sec", f3(ring_mips)),
         ("wire_v2_m_intervals_per_sec", f3(wire2_mips)),
-        ("wire_decode_scalar_m_intervals_per_sec", f3(scalar_mips)),
-        ("wire_decode_simd_m_intervals_per_sec", f3(simd_mips)),
-        (
-            "wire_decode_simd_level",
-            format!("{:?}", decode_level.label()),
-        ),
         ("cpd_m_points_per_sec", f3(cpd_mpps)),
     ];
-    let decode_rendered: Vec<String> = decode_rows
-        .iter()
-        .map(|(level, mips)| {
-            format!(
-                "    {{\"kernel\": \"wire_decode_v1\", \"level\": \"{}\", \
-                 \"tenants\": {HEADLINE_TENANTS}, \"batch\": {HEADLINE_BATCH}, \
-                 \"m_intervals_per_sec\": {mips:.3}}}",
-                level.label()
-            )
-        })
-        .collect();
     let rendered: Vec<String> = cells.iter().map(fmt_cell).collect();
     let json = format!(
         "{{\n  \"schema\": \"regmon-fleet-matrix-v1\",\n  \"reps\": {reps},\n  \
          \"intervals_per_tenant\": {per_tenant},\n  \"note\": \"{NOTE}\",\n  \
-         \"headline\": {{\n{}\n  }},\n  \"simd\": [\n{}\n  ],\n  \
+         \"headline\": {{\n{}\n  }},\n  \
          \"serve_scaling\": [\n{}\n  ],\n  \"cells\": [\n{}\n  ]\n}}\n",
         regmon_bench::json_members(&headline),
-        decode_rendered.join(",\n"),
         scaling_rows.join(",\n"),
         rendered.join(",\n"),
     );
@@ -612,10 +542,7 @@ fn main() {
     eprintln!(
         "fleet matrix: {} cells -> {out_path} (at {HEADLINE_TENANTS} tenants / \
          {HEADLINE_SHARDS} shards, batch {HEADLINE_BATCH}: ring {ring_mips:.2}, wire-v2 \
-         {wire2_mips:.2} M intervals/s; wire-v1 decode {} \
-         {simd_mips:.2} vs forced scalar {scalar_mips:.2} M intervals/s; \
-         cpd hub {cpd_mpps:.3} M points/s)",
+         {wire2_mips:.2} M intervals/s; cpd hub {cpd_mpps:.3} M points/s)",
         cells.len(),
-        decode_level.label()
     );
 }

@@ -77,22 +77,46 @@ fn fleet_matrix_emits_headline_json() {
         "\"headline\"",
         "\"ring_batch_m_intervals_per_sec\"",
         "\"wire_v2_m_intervals_per_sec\"",
-        "\"wire_decode_simd_level\"",
         "\"cpd_m_points_per_sec\"",
-        "\"kernel\": \"wire_decode_v1\"",
         "\"serve_scaling\"",
         "\"transport\": \"ring\"",
         "\"transport\": \"wire2\"",
     ] {
         assert!(json.contains(key), "{key} missing from fleet matrix JSON");
     }
-    for gone in ["legacy", "speedup", "telemetry_", "\"transport\": \"wire\""] {
+    for gone in [
+        "legacy",
+        "speedup",
+        "telemetry_",
+        "\"transport\": \"wire\"",
+        "wire_decode_",
+    ] {
         assert!(
             !json.contains(gone),
             "{gone} is back in the fleet matrix JSON"
         );
     }
     assert_eq!(json.matches('{').count(), json.matches('}').count());
+}
+
+/// The committed benchmark documents carry no row of a retired SIMD
+/// path: every dispatch level is `scalar` or `avx2`, and no wire-v1
+/// decode rows remain.
+#[test]
+fn committed_bench_files_hold_no_retired_simd_rows() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for name in ["BENCH_fleet.json", "BENCH_attribution.json"] {
+        let json =
+            std::fs::read_to_string(root.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"));
+        for row in json.split("\"level\": \"").skip(1) {
+            let level = row.split('"').next().unwrap_or_default();
+            assert!(
+                ["scalar", "avx2"].contains(&level),
+                "{name} holds a {level} row"
+            );
+        }
+        assert!(!json.contains("wire_decode_"), "{name} holds wire_decode_");
+    }
 }
 
 #[test]

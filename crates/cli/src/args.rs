@@ -192,7 +192,6 @@ mod tests {
                 ("snapshot-at", true),
                 ("snapshot-out", true),
                 ("resume", true),
-                ("simd", true),
             ]
         );
         // Both `regmon metrics` synopsis lines count.

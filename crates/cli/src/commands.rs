@@ -16,7 +16,7 @@ use regmon_fleet::{
 use regmon_serve::replay::ReplayOptions;
 use regmon_serve::server::{ServeOptions, ServeReport};
 use regmon_serve::wire::Frame;
-use regmon_stats::{simd, SimdLevel};
+use regmon_stats::simd;
 
 use crate::args::{parse, Parsed};
 use crate::json::Json;
@@ -28,27 +28,25 @@ regmon — region monitoring for local phase detection (CGO'06 reproduction)
 USAGE:
   regmon list
   regmon run <benchmark> [--period N] [--intervals N] [--skid N] [--interprocedural]
-             [--index linear|tree|flat] [--json]
-             [--simd scalar|sse2|avx2] [--trace-out FILE] [--record FILE]
-  regmon features [--simd scalar|sse2|avx2] [--json]
+             [--index linear|tree|flat] [--json] [--trace-out FILE] [--record FILE]
+  regmon features [--json]
   regmon sweep <benchmark> [--intervals N]
   regmon rto <benchmark> [--period N] [--intervals N]
   regmon baselines <benchmark> [--period N] [--intervals N]
   regmon fleet <benchmark|all> [--tenants N] [--shards N] [--intervals N]
                [--period N] [--queue-depth N] [--policy block|drop-oldest]
                [--batch N] [--steal] [--pin] [--pacing lockstep|freerun]
-               [--index linear|tree|flat] [--json]
-               [--simd scalar|sse2|avx2] [--metrics-every N]
+               [--index linear|tree|flat] [--json] [--metrics-every N]
                [--trace-out FILE] [--record DIR]
                [--cpd] [--degrade TENANT:INTERVAL]
   regmon replay <journal> [--json] [--snapshot-at N] [--snapshot-out FILE]
-               [--resume FILE] [--simd scalar|sse2|avx2]
+               [--resume FILE]
   regmon serve (--unix PATH | --tcp ADDR) [--shards N] [--queue-depth N]
                [--expect-sessions N] [--event-workers N]
                [--durable DIR | --recover DIR] [--checkpoint-every N]
                [--fsync always|checkpoint|never] [--idle-timeout-ms N]
                [--max-conns N] [--drain-deadline-ms N]
-               [--json] [--trace-out FILE] [--simd scalar|sse2|avx2]
+               [--json] [--trace-out FILE]
   regmon send <journal> (--unix PATH | --tcp ADDR) [--compress]
                [--retries N] [--timeout-ms N] [--backoff-ms N] [--resume]
                [--no-finish]
@@ -58,7 +56,6 @@ USAGE:
   regmon metrics [<benchmark>] [--intervals N] [--json]
   regmon metrics --check FILE
   regmon cpd (--trace FILE | --bench FILE[,FILE...]) [--top N] [--json]
-               [--simd scalar|sse2|avx2]
   regmon help
 
 Benchmarks are the synthetic SPEC CPU2000-like models (see `regmon list`).
@@ -93,9 +90,10 @@ position. `--max-conns` sheds excess connections with a Busy reply,
 --idle-timeout-ms reaps silent peers, and --drain-deadline-ms bounds
 shutdown when a peer wedges mid-frame.
 
-SIMD kernel dispatch resolves at startup (`regmon features` shows the
-detected level); `--simd` or the REGMON_SIMD env var dial it down —
-results are bitwise identical at every level. `regmon fleet --pin`
+The flat index's attribution kernel uses AVX2 when the CPU has it
+(`regmon features` shows the detected level); REGMON_SIMD=scalar dials
+it down, and any value other than scalar|avx2 is an error. Results are
+bitwise identical at both levels. `regmon fleet --pin`
 pins shard workers to CPUs (best-effort, Linux only; never affects
 results).
 
@@ -127,27 +125,6 @@ fn period_flag(p: &Parsed, default: u64) -> Result<u64, String> {
         0 => Err("--period must be positive".into()),
         period => Ok(period),
     }
-}
-
-/// Applies a `--simd LEVEL` override: the in-process equivalent of
-/// setting `REGMON_SIMD`, scoped to this invocation. Safe to dial
-/// anywhere because every dispatch level is bitwise-identical; errors
-/// when the host cannot honor the request.
-fn apply_simd_flag(p: &Parsed) -> Result<(), String> {
-    let want: String = p.value_or("simd", String::new())?;
-    if want.is_empty() {
-        return Ok(());
-    }
-    let level = SimdLevel::parse(&want)
-        .ok_or_else(|| format!("--simd {want:?}: expected scalar|sse2|avx2"))?;
-    if simd::force(level) != level {
-        return Err(format!(
-            "--simd {}: unsupported on this host (detected {})",
-            level.label(),
-            simd::detected().label()
-        ));
-    }
-    Ok(())
 }
 
 fn workload(name: Option<&str>) -> Result<Workload, String> {
@@ -224,7 +201,6 @@ pub fn list(_argv: &[String]) -> Result<(), String> {
 /// `regmon run <benchmark>`
 pub fn run(argv: &[String]) -> Result<(), String> {
     let p = parse("run", argv)?;
-    apply_simd_flag(&p)?;
     let w = workload(p.positional(0))?;
     let period = period_flag(&p, 45_000)?;
     let intervals: usize = p.value_or("intervals", 200)?;
@@ -284,10 +260,10 @@ fn summary_json(interprocedural: bool, summary: &SessionSummary) -> Json {
         ("period", Json::Num(summary.period as f64)),
         ("intervals", Json::Num(summary.intervals as f64)),
         ("interprocedural", Json::Bool(interprocedural)),
-        // The *hardware* level, not the dispatched one: every dispatch
-        // level is bitwise-identical, so this document must not vary
-        // with REGMON_SIMD/--simd (see `regmon features` for the
-        // active level).
+        // The *hardware* level, not the dispatched one: both dispatch
+        // levels are bitwise-identical, so this document must not vary
+        // with REGMON_SIMD (see `regmon features` for the active
+        // level).
         ("host_simd", Json::Str(simd::detected().label().to_string())),
         (
             "gpd_phase_changes",
@@ -336,17 +312,15 @@ fn print_summary_text(summary: &SessionSummary) {
 /// `regmon features` — detected SIMD level, dispatch state and CPU
 /// placement capabilities. The one place where *active* (as opposed to
 /// hardware-detected) settings are reported, so every other `--json`
-/// document can stay byte-identical across `REGMON_SIMD`/`--simd`/
-/// `--pin`.
+/// document can stay byte-identical across `REGMON_SIMD`/`--pin`.
 pub fn features(argv: &[String]) -> Result<(), String> {
     let p = parse("features", argv)?;
-    apply_simd_flag(&p)?;
     let detected = simd::detected();
     let active = simd::active();
     let env = simd::env_override();
     let cpus = regmon_fleet::available_cpus();
     let pinning = regmon_fleet::pinning_supported();
-    let supported: Vec<&str> = SimdLevel::ALL
+    let supported: Vec<&str> = simd::SimdLevel::ALL
         .iter()
         .filter(|l| l.is_supported())
         .map(|l| l.label())
@@ -462,7 +436,6 @@ pub fn rto(argv: &[String]) -> Result<(), String> {
 /// invocations yield byte-identical output).
 pub fn fleet(argv: &[String]) -> Result<(), String> {
     let p = parse("fleet", argv)?;
-    apply_simd_flag(&p)?;
     let target = p.positional(0).ok_or("missing <benchmark|all> argument")?;
     let tenants: usize = p.value_or("tenants", 32)?;
     let shards: usize = p.value_or("shards", 4)?;
@@ -651,8 +624,8 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
             ("batch", Json::Num(batch as f64)),
             ("steal", Json::Bool(steal)),
             // Host capabilities, not per-run placement: this document
-            // stays byte-identical with --pin/--simd on or off (the
-            // active settings live in `regmon features`).
+            // stays byte-identical with --pin or REGMON_SIMD set or not
+            // (the active settings live in `regmon features`).
             ("host_simd", Json::Str(simd::detected().label().to_string())),
             (
                 "pinning_supported",
@@ -851,7 +824,6 @@ fn cpd_json(c: &CpdReport) -> Json {
 /// a checkpoint and skips the intervals it already covers.
 pub fn replay(argv: &[String]) -> Result<(), String> {
     let p = parse("replay", argv)?;
-    apply_simd_flag(&p)?;
     let journal = p.positional(0).ok_or("missing <journal> argument")?;
     let snapshot_at: usize = p.value_or("snapshot-at", 0)?;
     let snapshot_out: String = p.value_or("snapshot-out", String::new())?;
@@ -905,7 +877,6 @@ fn serve_listener(_unix: &str, _tcp: &str, _options: ServeOptions) -> Result<Ser
 /// with `--json`, one `regmon run --json`-shaped document per session.
 pub fn serve(argv: &[String]) -> Result<(), String> {
     let p = parse("serve", argv)?;
-    apply_simd_flag(&p)?;
     let unix: String = p.value_or("unix", String::new())?;
     let tcp: String = p.value_or("tcp", String::new())?;
     if unix.is_empty() == tcp.is_empty() {
@@ -1370,7 +1341,6 @@ pub fn metrics(argv: &[String]) -> Result<(), String> {
 /// history. Output is ranked by confidence, then magnitude.
 pub fn cpd(argv: &[String]) -> Result<(), String> {
     let p = parse("cpd", argv)?;
-    apply_simd_flag(&p)?;
     let trace: String = p.value_or("trace", String::new())?;
     let bench: String = p.value_or("bench", String::new())?;
     if trace.is_empty() == bench.is_empty() {

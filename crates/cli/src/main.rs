@@ -46,10 +46,18 @@ fn run(argv: &[String]) -> Result<(), String> {
         println!("{}", commands::USAGE);
         return Ok(());
     }
-    match SUBCOMMANDS.iter().find(|(name, _)| name == cmd) {
-        Some((_, handler)) => handler(&argv[1..]),
-        None => Err(unknown_subcommand(cmd)),
+    let Some((_, handler)) = SUBCOMMANDS.iter().find(|(name, _)| name == cmd) else {
+        return Err(unknown_subcommand(cmd));
+    };
+    // An unrecognized dispatch override is a typo, not a request for
+    // the default: refuse it rather than run at a level nobody asked for.
+    if let Err(raw) = regmon_stats::simd::env_request() {
+        return Err(format!(
+            "{} {raw:?}: expected scalar|avx2",
+            regmon_stats::simd::SIMD_ENV
+        ));
     }
+    handler(&argv[1..])
 }
 
 /// A subcommand: it receives the arguments after its name.

@@ -318,3 +318,25 @@ fn zero_period_is_rejected_without_a_panic() {
         assert!(!stderr.contains("panicked"), "{command}: {stderr}");
     }
 }
+
+#[test]
+fn unrecognized_simd_override_is_rejected() {
+    // `sse2` was a level once; `avx3` never was. Either must stop every
+    // subcommand instead of silently running at full dispatch.
+    for value in ["avx3", "sse2"] {
+        for args in [&["run", "181.mcf", "--json"][..], &["features"], &["list"]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_regmon"))
+                .args(args)
+                .env("REGMON_SIMD", value)
+                .output()
+                .expect("spawn regmon");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{value} {args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("REGMON_SIMD \"{value}\": expected scalar|avx2")),
+                "{value} {args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{value} {args:?} printed a result");
+        }
+    }
+}

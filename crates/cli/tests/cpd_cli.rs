@@ -8,7 +8,7 @@
 //! - Offline `regmon cpd --bench` must report a step planted in a
 //!   BENCH snapshot history at the file where it starts, and treat a
 //!   history too short to scan as a note, not an error.
-//! - `regmon cpd` output must be byte-identical across `--simd` levels
+//! - `regmon cpd` output must be byte-identical across `REGMON_SIMD` levels
 //!   and across the shard (worker thread) count of the recording run.
 //! - Typos get spelling suggestions, and `metrics --check` understands
 //!   traces that carry change-point events.
@@ -190,12 +190,17 @@ fn cpd_output_is_byte_identical_across_simd_and_worker_counts() {
         ]);
         assert!(ok);
         for simd in [None, Some("scalar")] {
-            let mut args = vec!["cpd", "--trace", trace.as_str(), "--json"];
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_regmon"));
+            cmd.args(["cpd", "--trace", trace.as_str(), "--json"]);
             if let Some(level) = simd {
-                args.extend(["--simd", level]);
+                cmd.env("REGMON_SIMD", level);
             }
-            let (ok, out, _) = regmon(&args);
-            assert!(ok, "cpd --trace failed (shards {shards} simd {simd:?})");
+            let out = cmd.output().expect("spawn regmon");
+            assert!(
+                out.status.success(),
+                "cpd --trace failed (shards {shards} simd {simd:?})"
+            );
+            let out = String::from_utf8_lossy(&out.stdout).into_owned();
             // Outputs carry the trace path; normalize it away so the
             // two recordings compare.
             outputs.push(out.replace(trace.as_str(), "TRACE"));

@@ -8,7 +8,8 @@
 //! bench (`similarity.rs` in `regmon-bench`) compares their cost and
 //! their agreement with Pearson.
 
-use regmon_stats::{simd, CountHistogram, PearsonAccumulator, PearsonParts};
+use regmon_stats::pearson::{current_sums, shifted_deltas};
+use regmon_stats::{CountHistogram, PearsonAccumulator, PearsonParts};
 
 /// A similarity score between two same-region histograms.
 ///
@@ -102,10 +103,7 @@ impl PearsonCache {
     pub fn rebuild(&mut self, stable: &CountHistogram) {
         let counts = stable.counts();
         self.x0 = counts.first().map_or(0.0, |&c| c as f64);
-        // The element-wise stages vectorize; the order-sensitive sums
-        // always run scalar in index order, so the cached sums are
-        // bitwise identical at every dispatch level.
-        (self.sx, self.sxx) = simd::shifted_deltas(counts, self.x0, &mut self.dx, simd::active());
+        (self.sx, self.sxx) = shifted_deltas(counts, self.x0, &mut self.dx);
     }
 
     /// Scores `current` against the cached stable histogram. Bit-identical
@@ -127,11 +125,8 @@ impl PearsonCache {
             return 0.0; // Pearson undefined, same as the full path.
         }
         let y0 = counts[0] as f64;
-        // Scalar keeps the sparse y0 == 0 skip (zero-count slots
-        // contribute signed zeros to every sum, so skipping them is
-        // exact — see type docs); the vector levels process every slot
-        // with ordered scalar reductions. Both are bitwise identical.
-        let (sy, syy, sxy) = simd::current_sums(counts, y0, &self.dx, simd::active());
+        // Skips zero-count slots when y0 == 0, exactly (see type docs).
+        let (sy, syy, sxy) = current_sums(counts, y0, &self.dx);
         PearsonAccumulator::from_parts(PearsonParts {
             n: counts.len() as u64,
             x0: self.x0,

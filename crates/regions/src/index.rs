@@ -513,26 +513,6 @@ impl FlatSortedIndex {
         }
     }
 
-    /// The scalar batch stab: per-sample bucket-table lookup behind an
-    /// inline validity-window cache. Kept as the oracle for the SIMD
-    /// block path (emissions are a pure function of each sample's
-    /// address, so both paths emit identical id slices in identical
-    /// order).
-    fn stab_batch_scalar(&self, samples: &[PcSample], emit: &mut dyn FnMut(usize, &[RegionId])) {
-        let mut lo = 1u64;
-        let mut hi = 0u64; // empty window: the first sample always misses
-        let mut ids: &[RegionId] = &[];
-        for (i, sample) in samples.iter().enumerate() {
-            let a = sample.addr.get();
-            if a < lo || a >= hi {
-                let seg = self.segment_of(a);
-                ids = self.seg_ids(seg);
-                (lo, hi) = self.window_of_seg(a, seg);
-            }
-            emit(i, ids);
-        }
-    }
-
     /// Number of elementary segments currently compiled.
     pub(crate) fn nsegs(&self) -> usize {
         self.cuts.len().saturating_sub(1)
@@ -550,9 +530,9 @@ impl FlatSortedIndex {
     }
 
     /// Resolves every sample's elementary segment into `segs` (one
-    /// entry per sample), eight samples per AVX2 block with the same
-    /// validity-window fast path as
-    /// [`FlatSortedIndex::stab_batch_avx2`]. Out-of-span samples get
+    /// entry per sample), eight samples per AVX2 block behind a
+    /// whole-block validity-window test (the same window cache the
+    /// scalar [`RegionIndex::stab_batch`] keeps). Out-of-span samples get
     /// [`FlatSortedIndex::nsegs`] — one past the last segment — so the
     /// caller can index a `nsegs + 1`-entry side table without
     /// clamping. This is the vector front half of the monitor's fused
@@ -574,65 +554,6 @@ impl FlatSortedIndex {
             samples,
             segs,
         );
-    }
-
-    /// The AVX2 batch stab: samples resolve in 8-wide blocks. A packed
-    /// unsigned compare tests the whole block against the current
-    /// validity window (the loop-dominated steady state answers eight
-    /// samples with two compares); on a miss, the block's buckets are
-    /// computed with packed subtract/shift and the bucket table is
-    /// loaded with a masked 8-lane gather, leaving only the short
-    /// cut-scan per lane scalar. Emissions are bitwise identical to
-    /// [`FlatSortedIndex::stab_batch_scalar`] — integer compares and
-    /// loads only, no reassociation anywhere.
-    #[cfg(target_arch = "x86_64")]
-    fn stab_batch_avx2(&self, samples: &[PcSample], emit: &mut dyn FnMut(usize, &[RegionId])) {
-        use stab_x86::BLOCK;
-        let mut lo = 1u64;
-        let mut hi = 0u64; // empty window: the first block always misses
-        let mut ids: &[RegionId] = &[];
-        let mut addrs = [0u64; BLOCK];
-        let mut segs = [NO_SEG; BLOCK];
-        let mut base_i = 0usize;
-        let mut chunks = samples.chunks_exact(BLOCK);
-        for chunk in chunks.by_ref() {
-            for (a, s) in addrs.iter_mut().zip(chunk) {
-                *a = s.addr.get();
-            }
-            if stab_x86::all_in_window(&addrs, lo, hi) {
-                for i in 0..BLOCK {
-                    emit(base_i + i, ids);
-                }
-            } else {
-                stab_x86::segments(
-                    &self.cuts,
-                    &self.table,
-                    self.table_base,
-                    self.table_shift,
-                    &addrs,
-                    &mut segs,
-                );
-                for (i, &seg) in segs.iter().enumerate() {
-                    emit(base_i + i, self.seg_ids(seg));
-                }
-                // Carry the last sample's window into the next block —
-                // the same invariant the scalar loop maintains (its
-                // window always contains the last processed sample).
-                let last = BLOCK - 1;
-                (lo, hi) = self.window_of_seg(addrs[last], segs[last]);
-                ids = self.seg_ids(segs[last]);
-            }
-            base_i += BLOCK;
-        }
-        for (i, sample) in chunks.remainder().iter().enumerate() {
-            let a = sample.addr.get();
-            if a < lo || a >= hi {
-                let seg = self.segment_of(a);
-                ids = self.seg_ids(seg);
-                (lo, hi) = self.window_of_seg(a, seg);
-            }
-            emit(base_i + i, ids);
-        }
     }
 }
 
@@ -699,16 +620,21 @@ impl RegionIndex for FlatSortedIndex {
     }
 
     fn stab_batch(&self, samples: &[PcSample], emit: &mut dyn FnMut(usize, &[RegionId])) {
-        // Bucket-table lookups behind an inline validity-window cache;
-        // on AVX2 hardware (unless `REGMON_SIMD` dials dispatch down)
-        // samples resolve in 8-wide blocks. Both paths emit identical
-        // id slices in identical order. SSE2 has no packed 64-bit
-        // unsigned compare or gather, so it shares the scalar path.
-        #[cfg(target_arch = "x86_64")]
-        if regmon_stats::simd::active() == regmon_stats::SimdLevel::Avx2 && !self.table.is_empty() {
-            return self.stab_batch_avx2(samples, emit);
+        // Per-sample bucket-table lookup behind an inline validity-window
+        // cache. (On AVX2 dispatch the monitor bypasses this for the
+        // fused kernel, `segments_bulk_avx2` + its histogram fill.)
+        let mut lo = 1u64;
+        let mut hi = 0u64; // empty window: the first sample always misses
+        let mut ids: &[RegionId] = &[];
+        for (i, sample) in samples.iter().enumerate() {
+            let a = sample.addr.get();
+            if a < lo || a >= hi {
+                let seg = self.segment_of(a);
+                ids = self.seg_ids(seg);
+                (lo, hi) = self.window_of_seg(a, seg);
+            }
+            emit(i, ids);
         }
-        self.stab_batch_scalar(samples, emit)
     }
 
     fn len(&self) -> usize {
@@ -720,9 +646,11 @@ impl RegionIndex for FlatSortedIndex {
     }
 }
 
-/// AVX2 bodies for the 8-wide [`FlatSortedIndex`] batch stab — the only
-/// unsafe code in this crate. All comparisons are unsigned 64-bit,
-/// realized as signed compares after flipping the sign bit.
+/// The AVX2 segment resolver behind
+/// [`FlatSortedIndex::segments_bulk_avx2`], the front half of the
+/// monitor's fused attribution kernel, and the only `target_feature`
+/// code in the workspace. All comparisons are unsigned 64-bit, realized
+/// as signed compares after flipping the sign bit.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod stab_x86 {
@@ -743,17 +671,19 @@ mod stab_x86 {
     /// Resolves every sample's elementary segment into `segs`
     /// (out-of-span lanes get the caller-chosen `empty` value, which
     /// must not collide with a real segment index). One
-    /// `target_feature` function owns the whole loop so
-    /// the window fast path, the packed range checks and the packed
-    /// bucket arithmetic all inline together and the broadcast constants
-    /// are hoisted out of the per-block path — calling the 8-wide
-    /// kernels per block through the dispatch boundary costs more than
-    /// the kernels themselves.
+    /// `target_feature` function owns the whole loop so the window fast
+    /// path, the packed range checks and the packed bucket arithmetic
+    /// all inline together and the broadcast constants are hoisted out
+    /// of the per-block path — calling 8-wide helpers per block through
+    /// the dispatch boundary costs more than the helpers themselves.
+    /// The bucket-table loads stay scalar (two loads per cycle beat a
+    /// microcoded gather on every deployment target measured).
     ///
-    /// Same dispatch invariant as [`all_in_window`]; `cuts`, `table`,
-    /// `base` and `shift` must be a [`super::FlatSortedIndex`]'s
-    /// compiled state with a non-empty table, and `segs.len() ==
-    /// samples.len()`.
+    /// Callers dispatch on [`regmon_stats::SimdLevel::Avx2`], which is
+    /// only ever active after runtime detection (debug-asserted here).
+    /// `cuts`, `table`, `base` and `shift` must be a
+    /// [`super::FlatSortedIndex`]'s compiled state with a non-empty
+    /// table, and `segs.len() == samples.len()`.
     pub fn resolve_all(
         cuts: &[u64],
         table: &[u32],
@@ -907,121 +837,6 @@ mod stab_x86 {
                 }
                 segs[i] = wseg;
                 i += 1;
-            }
-        }
-    }
-
-    /// `true` when every lane of `addrs` lies in `[lo, hi)` (unsigned).
-    ///
-    /// Callers dispatch on [`regmon_stats::SimdLevel::Avx2`], which is
-    /// only ever active after runtime detection (debug-asserted here).
-    pub fn all_in_window(addrs: &[u64; BLOCK], lo: u64, hi: u64) -> bool {
-        debug_assert!(regmon_stats::SimdLevel::Avx2.is_supported());
-        // SAFETY: AVX2 is active (dispatch invariant above).
-        unsafe { all_in_window_avx2(addrs, lo, hi) }
-    }
-
-    /// Resolves the elementary segment of every lane (or
-    /// [`super::NO_SEG`]) via packed range checks and packed bucket
-    /// arithmetic; the bucket-table loads themselves stay scalar (two
-    /// loads per cycle beat a microcoded masked gather on every
-    /// deployment target measured).
-    ///
-    /// Same dispatch invariant as [`all_in_window`]; `cuts`, `table`,
-    /// `base` and `shift` must be a [`super::FlatSortedIndex`]'s
-    /// compiled state with a non-empty table.
-    pub fn segments(
-        cuts: &[u64],
-        table: &[u32],
-        base: u64,
-        shift: u32,
-        addrs: &[u64; BLOCK],
-        segs: &mut [u32; BLOCK],
-    ) {
-        debug_assert!(regmon_stats::SimdLevel::Avx2.is_supported());
-        // SAFETY: AVX2 is active (dispatch invariant above).
-        unsafe { segments_avx2(cuts, table, base, shift, addrs, segs) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn all_in_window_avx2(addrs: &[u64; BLOCK], lo: u64, hi: u64) -> bool {
-        // SAFETY: `addrs` is 8 lanes = two unaligned 256-bit loads.
-        unsafe {
-            let bias = _mm256_set1_epi64x(SIGN as i64);
-            let lov = _mm256_set1_epi64x((lo ^ SIGN) as i64);
-            let hiv = _mm256_set1_epi64x((hi ^ SIGN) as i64);
-            let mut ok = -1i32;
-            for half in 0..2 {
-                let x = _mm256_xor_si256(
-                    _mm256_loadu_si256(addrs.as_ptr().add(half * 4).cast::<__m256i>()),
-                    bias,
-                );
-                let lt_lo = _mm256_cmpgt_epi64(lov, x); // a < lo
-                let lt_hi = _mm256_cmpgt_epi64(hiv, x); // a < hi
-                ok &= _mm256_movemask_epi8(_mm256_andnot_si256(lt_lo, lt_hi));
-            }
-            ok == -1
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2. `table.len() == ((cuts.last() - base) >> shift) + 1`
-    /// (the `FlatSortedIndex` rebuild invariant), so every in-range
-    /// lane's bucket indexes `table` in bounds; out-of-range lanes get
-    /// bucket 0 and resolve to [`super::NO_SEG`].
-    #[target_feature(enable = "avx2")]
-    unsafe fn segments_avx2(
-        cuts: &[u64],
-        table: &[u32],
-        base: u64,
-        shift: u32,
-        addrs: &[u64; BLOCK],
-        segs: &mut [u32; BLOCK],
-    ) {
-        let cuts_last = *cuts.last().expect("table implies cuts");
-        // SAFETY: lane arithmetic is bounded by BLOCK; `bucket` is
-        // zeroed on out-of-range lanes and bounded by the rebuild
-        // invariant on in-range ones, and the cut scan stops before
-        // `cuts.len()` because every in-range lane has
-        // `addr < cuts[last]`.
-        unsafe {
-            let bias = _mm256_set1_epi64x(SIGN as i64);
-            let basev = _mm256_set1_epi64x((base ^ SIGN) as i64);
-            let lastv = _mm256_set1_epi64x((cuts_last ^ SIGN) as i64);
-            let base_raw = _mm256_set1_epi64x(base as i64);
-            let cnt = _mm_cvtsi32_si128(shift as i32);
-            for half in 0..2 {
-                let raw = _mm256_loadu_si256(addrs.as_ptr().add(half * 4).cast::<__m256i>());
-                let x = _mm256_xor_si256(raw, bias);
-                let lt_base = _mm256_cmpgt_epi64(basev, x); // a < base
-                let lt_last = _mm256_cmpgt_epi64(lastv, x); // a < cuts[last]
-                let in_range = _mm256_andnot_si256(lt_base, lt_last);
-                // Out-of-range lanes are squashed to bucket 0 so every
-                // lane's table load below is unconditionally in bounds.
-                let bucket = _mm256_and_si256(
-                    _mm256_srl_epi64(_mm256_sub_epi64(raw, base_raw), cnt),
-                    in_range,
-                );
-                let ok = _mm256_movemask_pd(_mm256_castsi256_pd(in_range));
-                let mut buckets = [0u64; 4];
-                _mm256_storeu_si256(buckets.as_mut_ptr().cast::<__m256i>(), bucket);
-                for lane in 0..4 {
-                    let i = half * 4 + lane;
-                    segs[i] = if ok & (1 << lane) != 0 {
-                        let a = addrs[i];
-                        let mut seg = table[buckets[lane] as usize] as usize;
-                        while cuts[seg + 1] <= a {
-                            seg += 1;
-                        }
-                        seg as u32
-                    } else {
-                        super::NO_SEG
-                    };
-                }
             }
         }
     }
@@ -1180,16 +995,18 @@ mod tests {
         }
     }
 
-    /// Collects `(sample index, sorted ids)` emissions of one batch.
+    /// The per-sample reference for [`FlatSortedIndex::segments_bulk_avx2`]:
+    /// each sample's [`FlatSortedIndex::segment_of`], with out-of-span
+    /// samples mapped to `nsegs()`.
     #[cfg(target_arch = "x86_64")]
-    fn emissions(
-        idx: &FlatSortedIndex,
-        samples: &[PcSample],
-        path: impl Fn(&FlatSortedIndex, &[PcSample], &mut dyn FnMut(usize, &[RegionId])),
-    ) -> Vec<(usize, Vec<RegionId>)> {
-        let mut seen = Vec::new();
-        path(idx, samples, &mut |i, ids| seen.push((i, ids.to_vec())));
-        seen
+    fn reference_segments(idx: &FlatSortedIndex, samples: &[PcSample]) -> Vec<u32> {
+        samples
+            .iter()
+            .map(|s| match idx.segment_of(s.addr.get()) {
+                NO_SEG => idx.nsegs() as u32,
+                seg => seg,
+            })
+            .collect()
     }
 
     #[test]
@@ -1197,8 +1014,8 @@ mod tests {
     fn simd_stab_batch_matches_scalar_for_every_remainder_shape() {
         // Every batch length 0..4*BLOCK (straddling the 8-wide block
         // boundary) over a mix of covered, gap, below-span and
-        // above-span addresses — the SIMD block path must emit exactly
-        // what the scalar oracle emits, in the same order.
+        // above-span addresses — the AVX2 resolver must give every
+        // sample the segment the per-sample lookup gives it.
         if regmon_stats::SimdLevel::Avx2 != regmon_stats::simd::detected() {
             return; // no AVX2 path to compare on this host
         }
@@ -1211,6 +1028,7 @@ mod tests {
         ] {
             idx.insert(RegionId(id), range);
         }
+        let mut segs = Vec::new();
         for len in 0..=32usize {
             let samples: Vec<PcSample> = (0..len as u64)
                 .map(|i| {
@@ -1229,9 +1047,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let scalar = emissions(&idx, &samples, |x, s, e| x.stab_batch_scalar(s, e));
-            let simd = emissions(&idx, &samples, |x, s, e| x.stab_batch_avx2(s, e));
-            assert_eq!(simd, scalar, "len {len}");
+            idx.segments_bulk_avx2(&samples, &mut segs);
+            assert_eq!(segs, reference_segments(&idx, &samples), "len {len}");
         }
     }
 
@@ -1253,9 +1070,9 @@ mod tests {
                 .iter()
                 .map(|&a| PcSample { addr: Addr::new(a), cycle: a })
                 .collect();
-            let scalar = emissions(&idx, &samples, |x, s, e| x.stab_batch_scalar(s, e));
-            let simd = emissions(&idx, &samples, |x, s, e| x.stab_batch_avx2(s, e));
-            prop_assert_eq!(simd, scalar);
+            let mut segs = Vec::new();
+            idx.segments_bulk_avx2(&samples, &mut segs);
+            prop_assert_eq!(segs, reference_segments(&idx, &samples));
         }
     }
 

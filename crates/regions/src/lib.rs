@@ -46,9 +46,10 @@
 //! assert!((report.ucr_fraction() - 0.5).abs() < 1e-12);
 //! ```
 
-// `deny` rather than `forbid`: `index::stab_x86` carries the one
-// scoped `allow(unsafe_code)` in this crate, for the AVX2 batch-stab
-// intrinsic bodies behind runtime feature detection.
+// `deny` rather than `forbid`: the fused AVX2 attribution kernel
+// carries the crate's two scoped `allow(unsafe_code)` blocks —
+// `index::stab_x86` (intrinsics behind runtime feature detection) and
+// `monitor::flat_attrib` (the histogram fill through raw cursors).
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 

@@ -10,9 +10,10 @@
 //! monotonic and never reused), epoch-stamped so an interval boundary is
 //! an O(touched) logical clear rather than an allocation. The whole
 //! interval is attributed in one [`RegionIndex::stab_batch`] call, which
-//! exploits sample locality (see [`crate::index::HitCache`]) or, for the
-//! flat index, a sort-and-merge sweep. Steady-state attribution performs
-//! **zero heap allocations**.
+//! exploits sample locality (see [`crate::index::HitCache`]) — or, for
+//! the flat index on AVX2 dispatch, in the fused vector kernel
+//! (`flat_attrib`), the workspace's one SIMD path. Steady-state
+//! attribution performs **zero heap allocations**.
 //!
 //! Consumers read the interval's result through [`ArenaReport`], a
 //! borrow-based view equivalent to the owned [`DistributionReport`]; both

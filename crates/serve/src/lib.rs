@@ -49,9 +49,8 @@
 //! );
 //! ```
 
-// `deny` rather than `forbid`: the scoped `allow(unsafe_code)` blocks
-// in this crate are `wire::bulk` (SIMD bulk sample decode behind
-// runtime feature detection) and `event_loop::sys` (direct `poll(2)`
+// `deny` rather than `forbid`: the one scoped `allow(unsafe_code)`
+// block in this crate is `event_loop::sys` (direct `poll(2)`
 // declarations against libc, matching the fleet `affinity.rs`
 // precedent).
 #![deny(unsafe_code)]

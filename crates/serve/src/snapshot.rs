@@ -21,7 +21,7 @@ use std::fs;
 use std::path::Path;
 
 use regmon::{SessionConfig, SessionSnapshot};
-use regmon_binary::{Addr, AddrRange, Binary};
+use regmon_binary::{Addr, AddrRange, Binary, INST_BYTES};
 use regmon_gpd::{GpdSnapshot, GpdState, PhaseStats};
 use regmon_lpd::{LpdDetectorSnapshot, LpdManagerSnapshot, LpdState, RegionPhaseStats};
 use regmon_regions::{MonitorSnapshot, RegionId, RegionKind, RegionRecord};
@@ -169,6 +169,11 @@ fn decode_monitor(cur: &mut Cursor<'_>) -> Result<MonitorSnapshot, WireError> {
         if start >= end {
             return Err(WireError::Malformed("empty region range"));
         }
+        // Histogram slots are whole instructions; a ragged edge would
+        // put a sample past the region's last slot.
+        if start % INST_BYTES != 0 || end % INST_BYTES != 0 {
+            return Err(WireError::Malformed("region range not instruction-aligned"));
+        }
         let range = AddrRange::new(Addr::new(start), Addr::new(end));
         let kind = decode_region_kind(cur)?;
         let created_interval = cur.usize_field()?;
@@ -240,8 +245,13 @@ fn decode_lpd(cur: &mut Cursor<'_>) -> Result<LpdManagerSnapshot, WireError> {
             return Err(WireError::Malformed("detector histogram needs >= 2 slots"));
         }
         let mut prev_hist = Vec::with_capacity(slots.min(1_048_576));
+        let mut total = 0u64;
         for _ in 0..slots {
-            prev_hist.push(cur.u64()?);
+            let count = cur.u64()?;
+            total = total
+                .checked_add(count)
+                .ok_or(WireError::Malformed("detector histogram total overflows"))?;
+            prev_hist.push(count);
         }
         let prev_empty = cur.flag("bad prev_empty flag")?;
         let state = match cur.u8()? {
@@ -313,7 +323,20 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, WireError> {
     let regions_pruned = cur.usize_field()?;
     let monitor = decode_monitor(&mut cur)?;
     let gpd = decode_gpd(&mut cur)?;
+    if gpd.history.len() > config.gpd.history_len {
+        return Err(WireError::Malformed("gpd history longer than history_len"));
+    }
     let lpd = decode_lpd(&mut cur)?;
+    for (id, detector) in &lpd.detectors {
+        let region = monitor.regions.binary_search_by_key(id, |r| r.id);
+        if region.is_ok_and(|at| {
+            detector.prev_hist.len() as u64 != monitor.regions[at].range.len() / INST_BYTES
+        }) {
+            return Err(WireError::Malformed(
+                "detector slots differ from its region",
+            ));
+        }
+    }
     let ucr_len = cur.usize_field()?;
     let mut ucr_timeline = Vec::with_capacity(ucr_len.min(1_048_576));
     for _ in 0..ucr_len {
@@ -460,6 +483,152 @@ mod tests {
             decode_snapshot(&bytes),
             Err(WireError::BadVersion { got: 0x63 })
         ));
+    }
+
+    // ------------------------------------------ decoder property tests
+
+    use crate::wire::Cursor;
+    use proptest::TestRng;
+
+    /// Uniform in `0..n` (0 when `n` is 0).
+    fn below(rng: &mut TestRng, n: usize) -> usize {
+        rng.gen_u64(0, n.max(1) as u64) as usize
+    }
+
+    /// Arbitrary bytes (one case in four), else `seed` with one to four
+    /// byte edits: overwrites, bit flips, cuts, insertions and extreme
+    /// `u64` fields (counts, lengths, ids and ranges at 0, 1 and the
+    /// edges of the address space). Half the edits land in the first
+    /// 256 bytes, where the configuration and the region table live.
+    fn mutate(rng: &mut TestRng, seed: &[u8]) -> Vec<u8> {
+        if below(rng, 4) == 0 {
+            let n = below(rng, 160);
+            return (0..n).map(|_| rng.next_u64() as u8).collect();
+        }
+        let mut bytes = seed.to_vec();
+        for _ in 0..1 + below(rng, 4) {
+            let span = if below(rng, 2) == 0 {
+                bytes.len().min(256)
+            } else {
+                bytes.len()
+            };
+            let at = below(rng, span);
+            match below(rng, 5) {
+                0 if at < bytes.len() => bytes[at] = rng.next_u64() as u8,
+                1 if at < bytes.len() => bytes[at] ^= 1 << below(rng, 8),
+                2 => bytes.truncate(at),
+                3 => bytes.insert(at, rng.next_u64() as u8),
+                _ => {
+                    let extremes = [0, 1, 2, 1 << 32, 1 << 62, u64::MAX, rng.next_u64()];
+                    let v = extremes[below(rng, extremes.len())].to_le_bytes();
+                    let end = (at + 8).min(bytes.len());
+                    bytes[at..end].copy_from_slice(&v[..end - at]);
+                }
+            }
+        }
+        bytes
+    }
+
+    /// A snapshot that decoded must also check and restore without a
+    /// panic — the check a server runs before admission, then the
+    /// restore — and, once the check passes, keep processing intervals.
+    fn restore(case: u32, snapshot: SessionSnapshot) {
+        let w = suite::by_name("172.mgrid").unwrap();
+        let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let admitted = check_regions("fuzz", &snapshot, &w.shared_binary()).is_ok();
+            let mut session = MonitoringSession::from_snapshot(snapshot);
+            if admitted {
+                session.attach_binary(&w);
+                for interval in Sampler::new(&w, SessionConfig::new(45_000).sampling).take(3) {
+                    session.process_interval(&interval);
+                }
+            }
+        }));
+        assert!(restored.is_ok(), "case {case}: restore panicked");
+    }
+
+    #[test]
+    fn snapshot_decoder_survives_arbitrary_and_mutated_blobs() {
+        let clean = encode_snapshot(&live_snapshot());
+        let body = &clean[..clean.len() - 4];
+        let mut decoded = 0;
+        for case in 0..2000 {
+            // Case `case` replays from `TestRng::for_case` alone.
+            let mut rng = TestRng::for_case("snapshot::decoder_fuzz", case);
+            let mut blob = mutate(&mut rng, body);
+            // Reseal all but one in eight, so the body decoders (not
+            // just the checksum) see the damage.
+            if below(&mut rng, 8) != 0 {
+                let crc = crc32(&blob);
+                push_u32(&mut blob, crc);
+            }
+            let result = std::panic::catch_unwind(|| decode_snapshot(&blob))
+                .unwrap_or_else(|_| panic!("case {case}: decode panicked on {blob:02x?}"));
+            if let Ok(snapshot) = result {
+                decoded += 1;
+                restore(case, snapshot);
+            }
+        }
+        // The mutations must leave some blobs decodable, or the restore
+        // half of the property never runs.
+        assert!(decoded > 100, "only {decoded} blobs decoded");
+    }
+
+    #[test]
+    fn config_decoder_survives_arbitrary_and_mutated_blobs() {
+        let mut tuned = SessionConfig::new(45_000);
+        tuned.pruning = Some(regmon::PruningConfig {
+            cold_intervals: 9,
+            min_samples: 3,
+        });
+        let seeds: Vec<Vec<u8>> = [SessionConfig::new(45_000), tuned]
+            .iter()
+            .map(|config| {
+                let mut out = Vec::new();
+                encode_config(config, &mut out);
+                out
+            })
+            .collect();
+        let mut decoded = 0;
+        for case in 0..2000 {
+            let mut rng = TestRng::for_case("wire::config_decoder_fuzz", case);
+            let seed = &seeds[below(&mut rng, seeds.len())];
+            let blob = mutate(&mut rng, seed);
+            let result = std::panic::catch_unwind(|| decode_config(&mut Cursor::new(&blob)))
+                .unwrap_or_else(|_| panic!("case {case}: decode panicked on {blob:02x?}"));
+            if let Ok(config) = result {
+                decoded += 1;
+                let snapshot =
+                    std::panic::catch_unwind(|| MonitoringSession::new(config.clone()).snapshot())
+                        .unwrap_or_else(|_| {
+                            panic!("case {case}: new session panicked on {config:?}")
+                        });
+                restore(case, snapshot);
+            }
+        }
+        assert!(decoded > 100, "only {decoded} blobs decoded");
+    }
+
+    #[test]
+    fn regions_must_be_aligned_and_match_their_detectors() {
+        // Either edit made the next interval panic in attribution or in
+        // the region's detector before the decoder refused it.
+        for (cut, want) in [
+            (2, "region range not instruction-aligned"),
+            (INST_BYTES, "detector slots differ from its region"),
+        ] {
+            let mut snapshot = live_snapshot();
+            let region = &mut snapshot.monitor.regions[0];
+            let end = Addr::new(region.range.end().get() - cut);
+            region.range = AddrRange::new(region.range.start(), end);
+            assert!(
+                matches!(
+                    decode_snapshot(&encode_snapshot(&snapshot)),
+                    Err(WireError::Malformed(got)) if got == want
+                ),
+                "{want}"
+            );
+        }
     }
 
     #[test]

@@ -8,39 +8,23 @@
 
 use crate::pearson::{pearson_counts, PearsonError};
 
-/// Number of parallel accumulator lanes in [`add_slots`].
-///
-/// Eight `u64` lanes are two AVX2 registers (or four SSE2 / one AVX-512
-/// register); both the scalar oracle and the AVX2 intrinsic kernel walk
-/// slots in this stride, so the generated code and the remainder shapes
-/// stay aligned across dispatch levels.
-pub const ACCUMULATE_LANES: usize = 8;
-
 /// Adds `src` into `dst` slot-wise: `dst[i] += src[i]`.
 ///
-/// This is the histogram-accumulate kernel used by batch attribution
-/// (merging per-chunk scratch histograms into the attribution arena) and
-/// by [`CountHistogram::accumulate`]'s overflow-free fast path. The body
-/// dispatches on [`crate::simd::active`]: explicit SSE2/AVX2 packed
-/// 64-bit adds on x86-64, with the former lane-structured loop kept as
-/// the scalar fallback and property-test oracle
-/// ([`crate::simd::accumulate_u64_scalar`]). Wrapping integer addition
-/// is exactly reassociable, so every level is bitwise identical.
+/// The telemetry registry's snapshot merge folds each per-thread stripe
+/// of a histogram into the exported buckets with this.
 ///
 /// Overflow is the *caller's* obligation (debug builds assert): callers
-/// must guarantee `dst[i] + src[i]` fits in a `u64`, which
-/// [`CountHistogram::accumulate`] derives from its total-count check.
+/// must guarantee `dst[i] + src[i]` fits in a `u64`.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn add_slots(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "slot-count mismatch");
-    #[cfg(debug_assertions)]
-    for (d, s) in dst.iter().zip(src) {
+    for (d, s) in dst.iter_mut().zip(src) {
         debug_assert!(d.checked_add(*s).is_some(), "slot add overflow");
+        *d = d.wrapping_add(*s);
     }
-    crate::simd::accumulate_u64(dst, src, crate::simd::active());
 }
 
 /// Log2 bucket index of `value` in a `buckets`-wide histogram: bucket
@@ -206,46 +190,6 @@ impl CountHistogram {
         self.total = other.total;
     }
 
-    /// Adds the counts of `other` into `self` slot-wise.
-    ///
-    /// Like [`CountHistogram::record_n`], counts saturate at `u64::MAX`
-    /// rather than wrapping (debug builds assert).
-    ///
-    /// **Fast path:** every well-formed histogram maintains
-    /// `counts[i] <= total` (records and accumulates bump the total by at
-    /// least as much as any slot). So when the two *totals* sum without
-    /// overflow, no individual slot pair can overflow either, and the
-    /// merge takes the branch-free vectorized [`add_slots`] kernel — this
-    /// is the hot merge in batch attribution, where per-chunk scratch
-    /// histograms fold into the arena once per region per interval. The
-    /// saturating scalar loop only runs in the (pathological) near-`u64`
-    /// regime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot counts differ.
-    pub fn accumulate(&mut self, other: &Self) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "histograms describe different regions"
-        );
-        if let Some(total) = self.total.checked_add(other.total) {
-            add_slots(&mut self.counts, &other.counts);
-            self.total = total;
-        } else {
-            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                debug_assert!(a.checked_add(*b).is_some(), "histogram count overflow");
-                *a = a.saturating_add(*b);
-            }
-            debug_assert!(
-                self.total.checked_add(other.total).is_some(),
-                "histogram total overflow"
-            );
-            self.total = self.total.saturating_add(other.total);
-        }
-    }
-
     /// Per-slot fractions of the total (an all-zero vector when empty).
     #[must_use]
     pub fn normalized(&self) -> Vec<f64> {
@@ -356,62 +300,22 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_adds_slotwise() {
-        let mut a = CountHistogram::from_counts(vec![1, 2]);
-        let b = CountHistogram::from_counts(vec![10, 20]);
-        a.accumulate(&b);
-        assert_eq!(a.counts(), &[11, 22]);
-        assert_eq!(a.total(), 33);
-    }
-
-    #[test]
     fn add_slots_matches_scalar_for_every_remainder_shape() {
-        // Lengths 0..=4*LANES cover empty, tail-only, exact blocks and
-        // block+tail for every dispatch stride (2-lane SSE2, 8-lane
-        // AVX2 and the 8-lane scalar oracle) — and the kernel must be
-        // bitwise identical at every supported level.
-        for level in crate::simd::SimdLevel::ALL {
-            if !level.is_supported() {
-                continue;
-            }
-            for len in 0..=(4 * ACCUMULATE_LANES) {
-                let mut dst: Vec<u64> = (0..len as u64).map(|i| i * 31 + 7).collect();
-                let src: Vec<u64> = (0..len as u64).map(|i| i * 17 + 3).collect();
-                let expect: Vec<u64> = dst.iter().zip(&src).map(|(a, b)| a + b).collect();
-                crate::simd::accumulate_u64(&mut dst, &src, level);
-                assert_eq!(dst, expect, "level {} len {len}", level.label());
-            }
+        // Lengths 0..=32 cover empty, tail-only, exact blocks and
+        // block+tail for any stride the compiled loop runs in.
+        for len in 0..=32usize {
+            let mut dst: Vec<u64> = (0..len as u64).map(|i| i * 31 + 7).collect();
+            let src: Vec<u64> = (0..len as u64).map(|i| i * 17 + 3).collect();
+            let expect: Vec<u64> = dst.iter().zip(&src).map(|(a, b)| a + b).collect();
+            add_slots(&mut dst, &src);
+            assert_eq!(dst, expect, "len {len}");
         }
-        // And the public entry point dispatches on the active level.
-        let mut dst = vec![1u64, 2, 3];
-        add_slots(&mut dst, &[10, 20, 30]);
-        assert_eq!(dst, vec![11, 22, 33]);
     }
 
     #[test]
     #[should_panic(expected = "slot-count mismatch")]
     fn add_slots_length_mismatch_panics() {
         add_slots(&mut [0; 3], &[0; 4]);
-    }
-
-    #[test]
-    fn accumulate_fast_path_equals_record_sequence() {
-        // Folding B into A via the vectorized kernel must equal recording
-        // both sample streams into one histogram.
-        let mut via_accumulate = CountHistogram::new(19);
-        let mut via_records = CountHistogram::new(19);
-        let mut b = CountHistogram::new(19);
-        for k in 0u64..500 {
-            let slot = (k.wrapping_mul(0x9E37_79B9)) as usize % 19;
-            if k % 3 == 0 {
-                via_accumulate.record(slot);
-            } else {
-                b.record(slot);
-            }
-            via_records.record(slot);
-        }
-        via_accumulate.accumulate(&b);
-        assert_eq!(via_accumulate, via_records);
     }
 
     #[test]
@@ -463,20 +367,6 @@ mod tests {
                 prop_assert!((s - 1.0).abs() < 1e-9);
             }
         }
-
-        #[test]
-        fn accumulate_is_commutative_in_counts(
-            a in prop::collection::vec(0u64..1000, 1..32),
-            b in prop::collection::vec(0u64..1000, 1..32),
-        ) {
-            let n = a.len().min(b.len());
-            let (a, b) = (&a[..n], &b[..n]);
-            let mut ab = CountHistogram::from_counts(a.to_vec());
-            ab.accumulate(&CountHistogram::from_counts(b.to_vec()));
-            let mut ba = CountHistogram::from_counts(b.to_vec());
-            ba.accumulate(&CountHistogram::from_counts(a.to_vec()));
-            prop_assert_eq!(ab, ba);
-        }
     }
 
     // Saturation behavior: release builds pin at u64::MAX instead of
@@ -495,16 +385,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(debug_assertions))]
-    fn accumulate_saturates_instead_of_wrapping() {
-        let mut a = CountHistogram::from_counts(vec![u64::MAX - 2, 1]);
-        let b = CountHistogram::from_counts(vec![10, 1]);
-        a.accumulate(&b);
-        assert_eq!(a.counts(), &[u64::MAX, 2]);
-        assert_eq!(a.total(), u64::MAX);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "histogram count overflow")]
     fn record_n_overflow_is_a_debug_assertion() {
@@ -514,9 +394,8 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "histogram count overflow")]
-    fn accumulate_overflow_is_a_debug_assertion() {
-        let mut a = CountHistogram::from_counts(vec![u64::MAX - 2]);
-        a.accumulate(&CountHistogram::from_counts(vec![10]));
+    #[should_panic(expected = "slot add overflow")]
+    fn add_slots_overflow_is_a_debug_assertion() {
+        add_slots(&mut [u64::MAX - 2], &[10]);
     }
 }

@@ -15,6 +15,8 @@
 //!   the `prev_hist` / `curr_hist` state of the per-region detectors.
 //! * [`series`] — small labelled time-series helpers used by the figure
 //!   regeneration binaries.
+//! * [`simd`] — the process-global dispatch level of the one vector
+//!   kernel (flat-index attribution in `regmon-regions`).
 //!
 //! # Example
 //!
@@ -33,10 +35,7 @@
 //! assert!(pearson_r(&stable, &shifted).unwrap() < 0.5);
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module carries the one
-// scoped `allow(unsafe_code)` in this crate, for `core::arch`
-// intrinsic bodies behind runtime feature detection.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod descriptive;
@@ -47,7 +46,7 @@ pub mod series;
 pub mod simd;
 
 pub use descriptive::{mean, median, percentile, population_variance, sample_variance, Summary};
-pub use histogram::{add_slots, CountHistogram, ACCUMULATE_LANES};
+pub use histogram::{add_slots, CountHistogram};
 pub use online::OnlineStats;
 pub use pearson::{pearson_r, PearsonAccumulator, PearsonError, PearsonParts};
 pub use series::Series;

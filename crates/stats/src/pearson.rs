@@ -290,6 +290,59 @@ pub fn pearson_counts(xs: &[u64], ys: &[u64]) -> Result<f64, PearsonError> {
     acc.r().ok_or(PearsonError::TooFewObservations)
 }
 
+/// Rebuilds the stable-side shifted deltas of an incremental Pearson
+/// cache: fills `dx[i] = counts[i] as f64 − x0` and returns
+/// `(Σ dx, Σ dx²)`, summed in index order exactly as
+/// [`PearsonAccumulator::push`] sums them.
+pub fn shifted_deltas(counts: &[u64], x0: f64, dx: &mut Vec<f64>) -> (f64, f64) {
+    dx.clear();
+    dx.reserve(counts.len());
+    let (mut sx, mut sxx) = (0.0f64, 0.0f64);
+    for &c in counts {
+        let d = c as f64 - x0;
+        dx.push(d);
+        sx += d;
+        sxx += d * d;
+    }
+    (sx, sxx)
+}
+
+/// Current-side shifted sums against cached stable deltas: returns
+/// `(Σ dy, Σ dy², Σ dx·dy)` with `dy = counts[i] as f64 − y0`, summed in
+/// index order exactly as [`PearsonAccumulator::push`] sums them.
+///
+/// When `y0 == 0` (the common case for peaked loop regions) slots with
+/// zero samples are skipped. That is exact: each contributes `+0.0` to
+/// `Σ dy` and `Σ dy²` and a signed zero to `Σ dx·dy`, and adding a
+/// signed zero to a running sum that started at `+0.0` never changes
+/// its bits.
+///
+/// # Panics
+///
+/// Panics if `counts` and `dx` have different lengths.
+pub fn current_sums(counts: &[u64], y0: f64, dx: &[f64]) -> (f64, f64, f64) {
+    assert_eq!(counts.len(), dx.len(), "slot-count mismatch");
+    let (mut sy, mut syy, mut sxy) = (0.0f64, 0.0f64, 0.0f64);
+    if y0 == 0.0 {
+        for (i, &c) in counts.iter().enumerate() {
+            if c != 0 {
+                let dy = c as f64;
+                sy += dy;
+                syy += dy * dy;
+                sxy += dx[i] * dy;
+            }
+        }
+    } else {
+        for (&c, &d) in counts.iter().zip(dx) {
+            let dy = c as f64 - y0;
+            sy += dy;
+            syy += dy * dy;
+            sxy += d * dy;
+        }
+    }
+    (sy, syy, sxy)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,6 +459,41 @@ mod tests {
         let ys: Vec<f64> = (0..50).map(|i| base + 2.0 * i as f64).collect();
         let r = pearson_r(&xs, &ys).unwrap();
         assert!((r - 1.0).abs() < 1e-9, "r={r}");
+    }
+
+    #[test]
+    fn shifted_sums_match_the_accumulator_bitwise() {
+        // The incremental cache's sums must be the accumulator's sums,
+        // bit for bit — including `current_sums`' sparse skip, taken
+        // when the current side's first slot (its shift `y0`) is zero.
+        for len in 2..=32usize {
+            for dense in [false, true] {
+                let counts: Vec<u64> = (0..len as u64)
+                    .map(|i| match (dense, i % 3) {
+                        (true, _) => i * 13 + 1,
+                        (false, 0) => 0,
+                        (false, _) => i * 13,
+                    })
+                    .collect();
+                let stable: Vec<u64> = (0..len as u64).map(|i| (i * 29) % 17).collect();
+                let acc: PearsonAccumulator = stable
+                    .iter()
+                    .zip(&counts)
+                    .map(|(&x, &y)| (x as f64, y as f64))
+                    .collect();
+                let want = acc.parts();
+                assert_eq!(want.y0 == 0.0, !dense, "len {len}");
+                let mut dx = Vec::new();
+                let (sx, sxx) = shifted_deltas(&stable, want.x0, &mut dx);
+                let (sy, syy, sxy) = current_sums(&counts, want.y0, &dx);
+                let bits = |v: [f64; 5]| v.map(f64::to_bits);
+                assert_eq!(
+                    bits([sx, sxx, sy, syy, sxy]),
+                    bits([want.sx, want.sxx, want.sy, want.syy, want.sxy]),
+                    "len {len} dense {dense}"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -9,8 +9,8 @@
 //!
 //! - [`registry`] — a sharded lock-free **metric registry**: striped
 //!   relaxed-atomic counters, gauges, and log2-bucketed histograms
-//!   whose snapshot merge reuses the `regmon-stats` 8-lane
-//!   [`regmon_stats::histogram::add_slots`] accumulate kernel. Metric
+//!   whose snapshot merge reuses
+//!   [`regmon_stats::histogram::add_slots`] from `regmon-stats`. Metric
 //!   handles are `static`s (see [`metrics`]), so the disabled path is
 //!   a single relaxed-atomic load and branch.
 //! - [`journal`] — a per-thread fixed-capacity **event journal** (ring

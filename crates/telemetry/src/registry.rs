@@ -8,8 +8,7 @@
 //! `fetch_add`s on a per-thread **stripe**, so concurrent shard workers
 //! never contend on the same cache line. Reads ([`Counter::value`],
 //! [`Histogram::snapshot`]) fold the stripes together; histogram bucket
-//! arrays are merged with the 8-lane
-//! [`regmon_stats::histogram::add_slots`] accumulate kernel.
+//! arrays are merged with [`regmon_stats::histogram::add_slots`].
 //!
 //! Counter arithmetic is wrapping by construction (`AtomicU64` adds
 //! never panic in debug builds), which is exactly the hot-path overflow
@@ -19,14 +18,13 @@ use regmon_stats::histogram::{add_slots, log2_bucket};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of independent stripes per metric. Threads hash onto stripes
-/// round-robin at first use; 8 matches [`regmon_stats::histogram::ACCUMULATE_LANES`]
-/// and comfortably covers the fleet's default shard counts.
+/// round-robin at first use; 8 comfortably covers the fleet's default
+/// shard counts.
 pub const STRIPES: usize = 8;
 
 /// Buckets of every registry histogram: bucket `i` counts values in
 /// `2^i ..= 2^(i+1) - 1` (bucket 0 also absorbs zero; the last bucket
-/// is open-ended). Two full 8-lane chunks, so snapshot merges exercise
-/// the vector path of `add_slots`.
+/// is open-ended).
 pub const HISTOGRAM_BUCKETS: usize = 16;
 
 /// One cache-line-padded atomic cell, so different stripes of the same
@@ -277,7 +275,7 @@ impl Histogram {
     }
 
     /// Fold all stripes into one snapshot. Bucket arrays are merged
-    /// with the shared 8-lane accumulate kernel.
+    /// with [`add_slots`].
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut snap = HistogramSnapshot {

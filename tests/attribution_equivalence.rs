@@ -81,11 +81,11 @@ fn pruning_decisions_are_path_invariant() {
 
 #[test]
 fn outcomes_are_simd_level_invariant() {
-    // The SIMD kernels (histogram accumulate, Pearson sums, batch stab)
-    // promise bitwise-identical results at every dispatch level; here
-    // that contract is proven end-to-end: full interval outcomes under
-    // forced scalar, sse2 and avx2 dispatch are equal, for the flat
-    // index (the one with a vectorized batch-stab path) and the tree.
+    // The fused AVX2 attribution kernel promises bitwise-identical
+    // results to the scalar path; here that contract is proven
+    // end-to-end: full interval outcomes under forced scalar and avx2
+    // dispatch are equal, for the flat index (the one with the vector
+    // kernel) and the tree.
     use regmon_stats::{simd, SimdLevel};
     let before = simd::active();
     for kind in [IndexKind::FlatSorted, IndexKind::IntervalTree] {

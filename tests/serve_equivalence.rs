@@ -343,8 +343,8 @@ fn frame_starts(bytes: &[u8]) -> Vec<usize> {
 
 /// The whole out-of-process path — wire decode included — is invariant
 /// under the SIMD dispatch level: a journal replayed under forced
-/// scalar, sse2 and avx2 dispatch yields byte-identical summaries,
-/// whether it was written as v2 or as v1 (the bulk sample decode).
+/// scalar and avx2 dispatch yields byte-identical summaries, whether it
+/// was written as v2 or as v1.
 #[test]
 fn replay_is_simd_level_invariant() {
     use regmon_stats::{simd, SimdLevel};
