@@ -55,9 +55,8 @@ fn bench_fleet(c: &mut Criterion) {
     }
     group.finish();
 
-    // Ingestion fast path: batching factor sweep and the stealing
-    // ablation on the freerun path (PR 3). Same fleet, same work; only
-    // the transport changes.
+    // Ingestion fast path: batching factor sweep on the freerun path.
+    // Same fleet, same work; only the transport changes.
     let mut group = c.benchmark_group("fleet_ingest");
     let fixed = specs(32);
     for batch in [1usize, 8, 32] {
@@ -69,21 +68,6 @@ fn bench_fleet(c: &mut Criterion) {
                 .with_batch(batch);
             b.iter(|| black_box(run_fleet(&config, black_box(&fixed), &Schedule::new())));
         });
-    }
-    for steal in [false, true] {
-        group.throughput(Throughput::Elements((32 * INTERVALS) as u64));
-        group.bench_with_input(
-            BenchmarkId::new("steal", usize::from(steal)),
-            &steal,
-            |b, &steal| {
-                let config = FleetConfig::new(4, 16)
-                    .with_policy(QueuePolicy::Block)
-                    .with_pacing(Pacing::Freerun)
-                    .with_batch(8)
-                    .with_steal(steal);
-                b.iter(|| black_box(run_fleet(&config, black_box(&fixed), &Schedule::new())));
-            },
-        );
     }
     group.finish();
 

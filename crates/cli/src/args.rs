@@ -140,19 +140,20 @@ mod tests {
     }
 
     #[test]
-    fn steal_is_a_bool_flag() {
-        // `--steal` must not swallow the following argument as a value.
-        let p = parse("fleet", &argv(&["--steal", "--batch", "8"])).unwrap();
-        assert!(p.flag("steal"));
+    fn cpd_is_a_bool_flag() {
+        // `--cpd` must not swallow the following argument as a value.
+        let p = parse("fleet", &argv(&["--cpd", "--batch", "8"])).unwrap();
+        assert!(p.flag("cpd"));
         assert_eq!(p.value_or("batch", 1usize).unwrap(), 8);
     }
 
     #[test]
-    fn pin_is_a_bool_flag() {
-        // `--pin --json` must leave `--json` intact, not eat it as a value.
-        let p = parse("fleet", &argv(&["--pin", "--json"])).unwrap();
-        assert!(p.flag("pin"));
-        assert!(p.flag("json"));
+    fn bool_flag_does_not_eat_the_next_flag() {
+        // `--cpd --json` must leave `--json` intact, not eat it as a value.
+        let p = parse("fleet", &argv(&["--cpd", "--json"])).unwrap();
+        assert!(p.flag("cpd") && p.flag("json"));
+        let p = parse("fleet", &argv(&["--json", "--cpd"])).unwrap();
+        assert!(p.flag("cpd") && p.flag("json"));
     }
 
     #[test]
@@ -173,14 +174,19 @@ mod tests {
 
     #[test]
     fn unknown_option_is_an_error_with_a_suggestion() {
-        let err = parse("fleet", &argv(&["--stael"])).unwrap_err();
+        let err = parse("fleet", &argv(&["--bacth", "8"])).unwrap_err();
         assert!(
-            err.contains("--stael") && err.contains("did you mean --steal?"),
+            err.contains("--bacth") && err.contains("did you mean --batch?"),
             "{err}"
         );
-        // Options belong to their subcommand: `--steal` is a fleet flag.
-        let err = parse("run", &argv(&["--steal"])).unwrap_err();
-        assert!(err.contains("unknown option --steal"), "{err}");
+        // Options belong to their subcommand: `--cpd` is a fleet flag.
+        let err = parse("run", &argv(&["--cpd"])).unwrap_err();
+        assert!(err.contains("unknown option --cpd"), "{err}");
+        // Tenants have one placement rule: no stealing, no pinning.
+        for gone in ["--steal", "--pin"] {
+            let err = parse("fleet", &argv(&[gone])).unwrap_err();
+            assert!(err.contains(&format!("unknown option {gone}")), "{err}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ USAGE:
   regmon baselines <benchmark> [--period N] [--intervals N]
   regmon fleet <benchmark|all> [--tenants N] [--shards N] [--intervals N]
                [--period N] [--queue-depth N] [--policy block|drop-oldest]
-               [--batch N] [--steal] [--pin] [--pacing lockstep|freerun]
+               [--batch N] [--pacing lockstep|freerun]
                [--index linear|tree|flat] [--json] [--metrics-every N]
                [--trace-out FILE] [--record DIR]
                [--cpd] [--degrade TENANT:INTERVAL]
@@ -93,9 +93,7 @@ shutdown when a peer wedges mid-frame.
 The flat index's attribution kernel uses AVX2 when the CPU has it
 (`regmon features` shows the detected level); REGMON_SIMD=scalar dials
 it down, and any value other than scalar|avx2 is an error. Results are
-bitwise identical at both levels. `regmon fleet --pin`
-pins shard workers to CPUs (best-effort, Linux only; never affects
-results).
+bitwise identical at both levels.
 
 Telemetry is off unless requested: `--trace-out` writes a
 chrome://tracing event journal, `--metrics-every N` prints a Prometheus
@@ -107,7 +105,7 @@ Change-point detection: `fleet --cpd` runs streaming E-divisive
 detectors over every tenant's UCR and per-region r/rt series plus
 per-shard queue stalls, reporting which series shifted, at which
 interval, by how much, and with what permutation-test confidence —
-deterministically (byte-identical across batch/steal/simd, and the
+deterministically (byte-identical across batch/simd, and the
 JSON without `--cpd` is unchanged). `--degrade TENANT:INTERVAL` plants
 a synthetic regression to exercise it. Offline, `regmon cpd --trace`
 re-hunts a recorded trace artifact and finds the same points, and
@@ -310,16 +308,15 @@ fn print_summary_text(summary: &SessionSummary) {
 }
 
 /// `regmon features` — detected SIMD level, dispatch state and CPU
-/// placement capabilities. The one place where *active* (as opposed to
+/// count. The one place where *active* (as opposed to
 /// hardware-detected) settings are reported, so every other `--json`
-/// document can stay byte-identical across `REGMON_SIMD`/`--pin`.
+/// document can stay byte-identical across `REGMON_SIMD`.
 pub fn features(argv: &[String]) -> Result<(), String> {
     let p = parse("features", argv)?;
     let detected = simd::detected();
     let active = simd::active();
     let env = simd::env_override();
-    let cpus = regmon_fleet::available_cpus();
-    let pinning = regmon_fleet::pinning_supported();
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let supported: Vec<&str> = simd::SimdLevel::ALL
         .iter()
         .filter(|l| l.is_supported())
@@ -340,7 +337,6 @@ pub fn features(argv: &[String]) -> Result<(), String> {
                         .collect(),
                 ),
             ),
-            ("pinning_supported", Json::Bool(pinning)),
             ("cpus", Json::Num(cpus as f64)),
         ]);
         println!("{}", out.render());
@@ -356,14 +352,6 @@ pub fn features(argv: &[String]) -> Result<(), String> {
         }
     );
     println!("levels supported : {}", supported.join(", "));
-    println!(
-        "worker pinning   : {}",
-        if pinning {
-            "available (sched_setaffinity)"
-        } else {
-            "unavailable on this platform"
-        }
-    );
     println!("cpus             : {cpus}");
     Ok(())
 }
@@ -444,8 +432,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     let queue_depth: usize = p.value_or("queue-depth", DEFAULT_QUEUE_DEPTH)?;
     let policy = QueuePolicy::parse(&p.value_or("policy", "block".to_string())?)?;
     let batch: usize = p.value_or("batch", 1)?;
-    let steal = p.flag("steal");
-    let pin = p.flag("pin");
     let pacing = Pacing::parse(&p.value_or("pacing", "lockstep".to_string())?)?;
     let index = index_flag(&p)?;
     let metrics_every: usize = p.value_or("metrics-every", 0)?;
@@ -535,8 +521,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     let config = FleetConfig::new(shards, queue_depth)
         .with_policy(policy)
         .with_batch(batch)
-        .with_steal(steal)
-        .with_pin(pin)
         .with_pacing(pacing)
         .with_metrics_every(metrics_every)
         .with_cpd(cpd_on);
@@ -610,7 +594,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
                     ),
                     ("dropped_intervals", Json::Num(s.dropped_intervals as f64)),
                     ("queue_high_water", Json::Num(s.queue_high_water as f64)),
-                    ("tenants_stolen", Json::Num(s.tenants_stolen as f64)),
                     ("batch_sizes", Json::obj(histogram)),
                 ])
             })
@@ -622,15 +605,10 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
             ("intervals", Json::Num(intervals as f64)),
             ("queue_depth", Json::Num(queue_depth as f64)),
             ("batch", Json::Num(batch as f64)),
-            ("steal", Json::Bool(steal)),
-            // Host capabilities, not per-run placement: this document
-            // stays byte-identical with --pin or REGMON_SIMD set or not
-            // (the active settings live in `regmon features`).
+            // The host capability, not the active level: this document
+            // stays byte-identical with REGMON_SIMD set or not (the
+            // active setting lives in `regmon features`).
             ("host_simd", Json::Str(simd::detected().label().to_string())),
-            (
-                "pinning_supported",
-                Json::Bool(regmon_fleet::pinning_supported()),
-            ),
             (
                 "pacing",
                 Json::Str(
@@ -671,7 +649,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
                         "backpressure_stalls",
                         Json::Num(agg.backpressure_stalls as f64),
                     ),
-                    ("tenants_migrated", Json::Num(agg.tenants_migrated as f64)),
                     ("gpd_phase_changes", Json::Num(agg.gpd_phase_changes as f64)),
                     (
                         "gpd_stable_fraction_mean",
@@ -700,13 +677,11 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "== fleet: {target} x {tenants} tenants over {shards} shards (depth {queue_depth}, {policy:?}, batch {batch}{}{}) ==",
-        if steal { ", steal" } else { "" },
-        if pin { ", pin" } else { "" }
+        "== fleet: {target} x {tenants} tenants over {shards} shards (depth {queue_depth}, {policy:?}, batch {batch}) =="
     );
     println!(
-        "completed {}  evicted {}  failed {}  restarts {}  migrations {}",
-        agg.completed, agg.evicted, agg.failed, agg.restarts, agg.tenants_migrated
+        "completed {}  evicted {}  failed {}  restarts {}",
+        agg.completed, agg.evicted, agg.failed, agg.restarts
     );
     println!(
         "intervals {} produced / {} processed  drops {}  stalls {}",
@@ -730,8 +705,8 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
         report.wall_ms
     );
     println!(
-        "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11} {:>7}  batch sizes",
-        "shard", "tenants", "messages", "stalls", "drops", "high-water", "stolen"
+        "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11}  batch sizes",
+        "shard", "tenants", "messages", "stalls", "drops", "high-water"
     );
     for s in &report.shards {
         let histogram = (0..BATCH_BUCKETS)
@@ -740,14 +715,13 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
             .collect::<Vec<_>>()
             .join(" ");
         println!(
-            "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11} {:>7}  {}",
+            "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11}  {}",
             s.shard,
             s.tenants,
             s.messages_processed,
             s.backpressure_stalls,
             s.dropped_intervals,
             s.queue_high_water,
-            s.tenants_stolen,
             histogram
         );
     }

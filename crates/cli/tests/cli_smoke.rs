@@ -217,6 +217,15 @@ fn fleet_rejects_bad_policy_and_zero_sizes() {
     let (ok, _, stderr) = regmon(&["fleet", "all", "--pacing", "warp"]);
     assert!(!ok);
     assert!(stderr.contains("lockstep"));
+    // Tenants live on `id % shards`: there is no stealing or pinning.
+    for gone in ["--steal", "--pin"] {
+        let (ok, _, stderr) = regmon(&["fleet", "all", gone]);
+        assert!(!ok, "{gone} must be rejected");
+        assert!(
+            stderr.contains(&format!("unknown option {gone}")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -240,7 +249,7 @@ fn fleet_accepts_drop_alias() {
 }
 
 #[test]
-fn fleet_batch_and_steal_json_matches_per_interval_baseline() {
+fn fleet_batched_json_matches_per_interval_baseline() {
     let base = [
         "fleet",
         "all",
@@ -254,37 +263,22 @@ fn fleet_batch_and_steal_json_matches_per_interval_baseline() {
     ];
     let (ok_a, a, _) = regmon(&base);
     let mut batched: Vec<&str> = base.to_vec();
-    batched.extend(["--batch", "8", "--steal"]);
+    batched.extend(["--batch", "8"]);
     let (ok_b, b, _) = regmon(&batched);
     assert!(ok_a && ok_b);
     assert!(a.contains("\"batch\":1"));
     assert!(b.contains("\"batch\":8"));
-    assert!(b.contains("\"steal\":true"));
     assert!(b.contains("\"batch_sizes\":"));
-    assert!(b.contains("\"tenants_migrated\":"));
-    // The per-tenant detector results must not depend on transport
-    // batching or lease stealing: compare the tenants_detail blobs.
+    // The per-tenant detector results and shards must not depend on
+    // transport batching: compare the tenants_detail blobs whole.
     let detail = |s: &str| {
         let start = s.find("\"tenants_detail\":").expect("tenants_detail");
         s[start..].to_string()
     };
-    // Tenant shard assignments may differ under stealing, so strip them.
-    let strip_shard = |s: String| -> String {
-        let mut out = String::with_capacity(s.len());
-        let mut rest = s.as_str();
-        while let Some(at) = rest.find("\"shard\":") {
-            let (head, tail) = rest.split_at(at);
-            out.push_str(head);
-            let end = tail.find(',').expect("shard field terminated");
-            rest = &tail[end + 1..];
-        }
-        out.push_str(rest);
-        out
-    };
     assert_eq!(
-        strip_shard(detail(&a)),
-        strip_shard(detail(&b)),
-        "batching + stealing must not change any tenant's results"
+        detail(&a),
+        detail(&b),
+        "batching must not change any tenant's results or shard"
     );
 }
 

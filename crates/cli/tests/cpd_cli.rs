@@ -2,7 +2,7 @@
 //!
 //! - `fleet --json` must be byte-identical with `--cpd` off, and with
 //!   it on the document must be the same bytes plus one trailing
-//!   `"cpd"` member — across the batching and stealing matrix.
+//!   `"cpd"` member — at every batching factor.
 //! - Offline `regmon cpd --trace` must find the same planted change
 //!   point the online run reported.
 //! - Offline `regmon cpd --bench` must report a step planted in a
@@ -36,88 +36,78 @@ fn temp_path(name: &str) -> String {
 #[test]
 fn fleet_json_gains_only_a_trailing_cpd_member() {
     for &batch in &["1", "8"] {
-        for &steal in &[false, true] {
-            let mut base = vec![
-                "fleet",
-                "all",
-                "--tenants",
-                "6",
-                "--shards",
-                "2",
-                "--intervals",
-                "48",
-                "--batch",
-                batch,
-                "--degrade",
-                "3:20",
-                "--json",
-            ];
-            if steal {
-                base.push("--steal");
-            }
-            let (ok, plain, _) = regmon(&base);
-            assert!(ok, "plain fleet run failed (batch {batch} steal {steal})");
+        let base = vec![
+            "fleet",
+            "all",
+            "--tenants",
+            "6",
+            "--shards",
+            "2",
+            "--intervals",
+            "48",
+            "--batch",
+            batch,
+            "--degrade",
+            "3:20",
+            "--json",
+        ];
+        let (ok, plain, _) = regmon(&base);
+        assert!(ok, "plain fleet run failed (batch {batch})");
 
-            let mut with_cpd = base.clone();
-            with_cpd.push("--cpd");
-            let (ok, cpd, _) = regmon(&with_cpd);
-            assert!(ok, "cpd fleet run failed (batch {batch} steal {steal})");
+        let mut with_cpd = base.clone();
+        with_cpd.push("--cpd");
+        let (ok, cpd, _) = regmon(&with_cpd);
+        assert!(ok, "cpd fleet run failed (batch {batch})");
 
-            // Identical prefix: strip the final `}` from the plain doc,
-            // the cpd doc must continue it with exactly `,"cpd":`.
-            let prefix = plain.trim_end().strip_suffix('}').expect("json object");
-            assert!(
-                cpd.starts_with(prefix),
-                "--cpd perturbed earlier fields (batch {batch} steal {steal})"
-            );
-            assert!(
-                cpd[prefix.len()..].starts_with(",\"cpd\":{"),
-                "--cpd must only append a trailing member, got {:?}",
-                &cpd[prefix.len()..cpd.len().min(prefix.len() + 40)]
-            );
-        }
+        // Identical prefix: strip the final `}` from the plain doc, the
+        // cpd doc must continue it with exactly `,"cpd":`.
+        let prefix = plain.trim_end().strip_suffix('}').expect("json object");
+        assert!(
+            cpd.starts_with(prefix),
+            "--cpd perturbed earlier fields (batch {batch})"
+        );
+        assert!(
+            cpd[prefix.len()..].starts_with(",\"cpd\":{"),
+            "--cpd must only append a trailing member, got {:?}",
+            &cpd[prefix.len()..cpd.len().min(prefix.len() + 40)]
+        );
     }
 }
 
 #[test]
-fn cpd_detections_are_identical_across_batch_and_steal() {
+fn cpd_detections_are_identical_across_batch_sizes() {
     let mut outputs = Vec::new();
-    for &batch in &["1", "8"] {
-        for &steal in &[false, true] {
-            let mut args = vec![
-                "fleet",
-                "all",
-                "--tenants",
-                "6",
-                "--shards",
-                "2",
-                "--intervals",
-                "48",
-                "--batch",
-                batch,
-                "--cpd",
-                "--degrade",
-                "3:20",
-                "--json",
-            ];
-            if steal {
-                args.push("--steal");
-            }
-            let (ok, out, _) = regmon(&args);
-            assert!(ok);
-            // The document as a whole legitimately encodes the batch
-            // and steal settings; the detection member may not.
-            let cpd_member = out
-                .find("\"cpd\":")
-                .map(|i| out[i..].to_string())
-                .expect("cpd member present");
-            outputs.push(cpd_member);
-        }
+    for &batch in &["1", "8", "32"] {
+        let args = [
+            "fleet",
+            "all",
+            "--tenants",
+            "6",
+            "--shards",
+            "2",
+            "--intervals",
+            "48",
+            "--batch",
+            batch,
+            "--cpd",
+            "--degrade",
+            "3:20",
+            "--json",
+        ];
+        let (ok, out, _) = regmon(&args);
+        assert!(ok);
+        // The document as a whole legitimately encodes the batch
+        // setting; the detection member may not.
+        let cpd_member = out
+            .find("\"cpd\":")
+            .map(|i| out[i..].to_string())
+            .expect("cpd member present");
+        outputs.push(cpd_member);
     }
     for other in &outputs[1..] {
         assert_eq!(
             other, &outputs[0],
-            "cpd detections must be byte-identical across batch x steal"
+            "cpd detections must be byte-identical across batch sizes"
         );
     }
 }

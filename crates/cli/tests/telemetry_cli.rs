@@ -1,7 +1,7 @@
 //! Telemetry must be a pure observer: enabling the journal, the trace
 //! writer and the periodic exposition may not perturb a lockstep
-//! fleet's `--json` output by a single byte, across the batching and
-//! stealing matrix. Also smoke-tests the `regmon metrics` surface
+//! fleet's `--json` output by a single byte, at every batching factor
+//! and queue policy. Also smoke-tests the `regmon metrics` surface
 //! end-to-end through the real binary.
 
 use std::process::Command;
@@ -30,8 +30,8 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 #[test]
 fn fleet_json_is_byte_identical_with_telemetry_on() {
     for &batch in &["1", "8"] {
-        for &steal in &[false, true] {
-            let mut base = vec![
+        for &policy in &["block", "drop-oldest"] {
+            let base = vec![
                 "fleet",
                 "all",
                 "--tenants",
@@ -42,15 +42,14 @@ fn fleet_json_is_byte_identical_with_telemetry_on() {
                 "10",
                 "--batch",
                 batch,
+                "--policy",
+                policy,
                 "--json",
             ];
-            if steal {
-                base.push("--steal");
-            }
             let (ok, plain, _) = regmon(&base);
-            assert!(ok, "plain fleet run failed (batch {batch}, steal {steal})");
+            assert!(ok, "plain fleet run failed (batch {batch}, {policy})");
 
-            let trace = temp_path(&format!("trace_b{batch}_s{steal}.json"));
+            let trace = temp_path(&format!("trace_b{batch}_{policy}.json"));
             let trace_str = trace.to_str().expect("utf8 temp path");
             let mut instrumented = base.clone();
             instrumented.extend(["--metrics-every", "1", "--trace-out", trace_str]);
@@ -59,7 +58,7 @@ fn fleet_json_is_byte_identical_with_telemetry_on() {
 
             assert_eq!(
                 plain, traced,
-                "telemetry changed fleet --json output (batch {batch}, steal {steal})"
+                "telemetry changed fleet --json output (batch {batch}, {policy})"
             );
             // The periodic exposition goes to stderr, never stdout.
             assert!(

@@ -67,7 +67,6 @@ pub mod lpd {
 }
 
 mod session;
-pub mod threaded;
 
 pub use session::{
     IntervalOutcome, MonitoringSession, PruningConfig, RegionOutsideImage, SessionConfig,

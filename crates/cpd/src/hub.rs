@@ -7,7 +7,7 @@
 //! are deterministic for a given workload (per-tenant journal streams
 //! are FIFO; queue series come off the lockstep driver thread), and the
 //! hub stores series in a `BTreeMap`, so the detection report is
-//! byte-stable regardless of shard count, batching, or stealing.
+//! byte-stable regardless of shard count or batching.
 
 use crate::stream::{StreamConfig, StreamingCpd};
 use std::collections::BTreeMap;
@@ -151,7 +151,7 @@ impl CpdHub {
     /// Takes detections accumulated since the previous call, sorted by
     /// series key then round. Sorting here (rather than relying on
     /// observation interleaving) is what keeps fleet reports
-    /// byte-identical across batch × steal schedules.
+    /// byte-identical across batch sizes.
     pub fn take_detections(&mut self) -> Vec<ChangePoint> {
         let mut out = std::mem::take(&mut self.pending);
         out.sort_by_key(|a| (a.series, a.round));

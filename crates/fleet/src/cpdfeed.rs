@@ -14,9 +14,9 @@
 //!   current interval ordinal to region-scoped LPD events (per-tenant
 //!   journal streams are FIFO, and LPD transitions of interval `k` are
 //!   recorded before interval `k`'s end marker).
-//! - Queue-stall series come from the lockstep simulation's per-home-
-//!   shard counters, which the fleet equivalence contract already keeps
-//!   byte-identical across batch sizes and stealing modes.
+//! - Queue-stall series come from the lockstep simulation's per-shard
+//!   counters, which the fleet equivalence contract already keeps
+//!   byte-identical across batch sizes.
 //!
 //! Detection cadence inside each [`StreamingCpd`] counts *points*, not
 //! rounds, so while the driver round at which a change point
@@ -24,7 +24,7 @@
 //! rounds, magnitudes and confidences do not. The final report sorts
 //! change points by series key and round, discarding materialization
 //! order — which is what keeps `fleet --json` byte-identical across
-//! batch × steal schedules with `--cpd` on.
+//! batch sizes with `--cpd` on.
 
 use regmon_cpd::{ChangePoint, CpdHub, Metric, SeriesKey, StreamConfig, NO_REGION, NO_TENANT};
 use regmon_telemetry::journal::{self, Event, EventKind};

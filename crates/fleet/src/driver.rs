@@ -19,8 +19,8 @@
 //!   delivered. All counters (stalls, drops, high-water) are thus pure
 //!   functions of tenant placement, round sizes and queue depth: same
 //!   inputs, same numbers, every run, every machine — and independent of
-//!   the physical batching factor and of lease rebalancing, because the
-//!   simulation is keyed to *home* shards.
+//!   the physical batching factor, because the simulation is keyed to
+//!   each tenant's shard (`id % shards`), not to message boundaries.
 //! - [`Pacing::Freerun`]: intervals are pushed straight into the shard
 //!   queues and the *real* queue counters are reported. Results per
 //!   tenant are still exact under `Block` (the queue is lossless FIFO);
@@ -42,24 +42,18 @@
 //! interval sequence — and therefore every summary and phase-change
 //! sequence — is byte-identical to the `batch = 1` path.
 //!
-//! # Work stealing
+//! # Placement
 //!
-//! With [`EngineConfig::steal`] enabled, tenant ownership may move
-//! between shards. Under freerun, idle workers steal from backlogged
-//! peers on their own (see [`crate::shard`]). Under lockstep the driver
-//! itself rebalances deterministically: at each round boundary, if the
-//! busiest shard leases at least two more producing tenants than the
-//! idlest, the lowest-id producing tenant migrates — so summaries *and*
-//! backpressure counters stay byte-identical to the pinned schedule.
+//! Every tenant lives on shard `id % shards` for the whole run; nothing
+//! moves tenants between shards.
 //!
 //! In all modes, per-tenant interval order is preserved end-to-end, so
 //! under `Block` every tenant's [`SessionSummary`] is byte-identical to
 //! a standalone [`MonitoringSession::run_limited`] run — the fleet
 //! equivalence tests assert exactly that, across shard counts, batch
-//! sizes and stealing modes.
+//! sizes and queue policies.
 //!
 //! [`EngineConfig::batch`]: crate::EngineConfig::batch
-//! [`EngineConfig::steal`]: crate::EngineConfig::steal
 //! [`ShardMsg::Batch`]: crate::shard::ShardMsg
 //! [`MonitoringSession::run_limited`]: regmon::MonitoringSession::run_limited
 //! [`SessionSummary`]: regmon::SessionSummary
@@ -159,20 +153,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.engine = self.engine.with_batch(batch);
-        self
-    }
-
-    /// Enables tenant-lease stealing / rebalancing.
-    #[must_use]
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.engine = self.engine.with_steal(steal);
-        self
-    }
-
-    /// Enables best-effort worker CPU pinning (never affects results).
-    #[must_use]
-    pub fn with_pin(mut self, pin: bool) -> Self {
-        self.engine = self.engine.with_pin(pin);
         self
     }
 
@@ -427,9 +407,7 @@ pub fn run_fleet(config: &FleetConfig, specs: &[TenantSpec], schedule: &Schedule
     });
     telemetry::metrics::FLEET_TENANTS.set(specs.len() as i64);
     let batch = config.engine.batch.max(1);
-    // Workers only self-steal in freerun; the lockstep driver rebalances
-    // deterministically itself.
-    let mut engine = FleetEngine::with_worker_steal(config.engine, !lockstep);
+    let mut engine = FleetEngine::new(config.engine);
     let mut tenants: Vec<DriverTenant> = specs
         .iter()
         .map(|spec| DriverTenant::new(engine.admit(spec), spec))
@@ -504,9 +482,6 @@ pub fn run_fleet(config: &FleetConfig, specs: &[TenantSpec], schedule: &Schedule
             }
             for i in 0..tenants.len() {
                 ls.ship_ready(&engine, TenantId(i as u32));
-            }
-            if config.engine.steal {
-                rebalance(&engine, &tenants);
             }
         } else {
             // Freerun: pull whole batches straight off the sampler and
@@ -626,7 +601,6 @@ pub fn run_fleet(config: &FleetConfig, specs: &[TenantSpec], schedule: &Schedule
                 dropped_intervals: drops,
                 queue_high_water: high_water,
                 batch_sizes: f.queue.batch_sizes,
-                tenants_stolen: f.tenants_stolen,
             }
         })
         .collect();
@@ -662,40 +636,6 @@ fn complete_tenant(tenant: &mut DriverTenant<'_>, engine: &FleetEngine, ls: Opti
     }
     engine.finish(tenant.id);
     tenant.producing = false;
-}
-
-/// Lockstep lease rebalancing: if the busiest shard leases at least two
-/// more producing tenants than the idlest, migrate the lowest-id
-/// producing tenant. Pure function of leases and production state, so
-/// runs and stealing-mode comparisons stay byte-identical.
-fn rebalance(engine: &FleetEngine, tenants: &[DriverTenant<'_>]) {
-    let shards = engine.shards();
-    if shards < 2 {
-        return;
-    }
-    let mut counts = vec![0usize; shards];
-    for t in tenants {
-        if t.producing {
-            counts[engine.shard_of(t.id)] += 1;
-        }
-    }
-    let (mut max_s, mut min_s) = (0usize, 0usize);
-    for s in 1..shards {
-        if counts[s] > counts[max_s] {
-            max_s = s;
-        }
-        if counts[s] < counts[min_s] {
-            min_s = s;
-        }
-    }
-    if counts[max_s] >= counts[min_s] + 2 {
-        if let Some(t) = tenants
-            .iter()
-            .find(|t| t.producing && engine.shard_of(t.id) == max_s)
-        {
-            engine.migrate(t.id, min_s);
-        }
-    }
 }
 
 /// Applies one schedule action (round start; simulated buffers are
@@ -773,27 +713,6 @@ mod tests {
                     suite::by_name(name).unwrap(),
                     SessionConfig::new(45_000),
                     intervals,
-                )
-            })
-            .collect()
-    }
-
-    /// Specs with per-tenant interval budgets that drain shards
-    /// unevenly, so the lockstep rebalancer actually migrates. Tenants
-    /// homed on shard 1 of a 4-shard fleet (`i % 4 == 1`) outlive
-    /// everyone else by 16 rounds: once the short tenants complete,
-    /// shard 1 leases two producing tenants against zero elsewhere and
-    /// the `max >= min + 2` trigger fires.
-    fn ragged_specs(n: usize) -> Vec<TenantSpec> {
-        let names = suite::names();
-        (0..n)
-            .map(|i| {
-                let name = names[i % names.len()];
-                TenantSpec::new(
-                    format!("{name}#{i}"),
-                    suite::by_name(name).unwrap(),
-                    SessionConfig::new(45_000),
-                    4 + 16 * usize::from(i % 4 == 1),
                 )
             })
             .collect()
@@ -908,35 +827,6 @@ mod tests {
                 msgs(&batched) < msgs(&baseline),
                 "batch {batch} did not reduce message count"
             );
-        }
-    }
-
-    #[test]
-    fn lockstep_rebalance_migrates_and_preserves_results() {
-        let specs = ragged_specs(8);
-        let pinned = run_fleet(&FleetConfig::new(4, 4), &specs, &Schedule::new());
-        let stolen = run_fleet(
-            &FleetConfig::new(4, 4).with_steal(true),
-            &specs,
-            &Schedule::new(),
-        );
-        assert!(
-            stolen.aggregate.tenants_migrated > 0,
-            "ragged completion must trigger at least one migration"
-        );
-        assert_eq!(pinned.aggregate.tenants_migrated, 0);
-        for (x, y) in pinned.tenants.iter().zip(&stolen.tenants) {
-            assert_eq!(
-                format!("{:?}", x.summary),
-                format!("{:?}", y.summary),
-                "tenant {} diverged under rebalancing",
-                x.id
-            );
-        }
-        for (x, y) in pinned.shards.iter().zip(&stolen.shards) {
-            assert_eq!(x.backpressure_stalls, y.backpressure_stalls);
-            assert_eq!(x.dropped_intervals, y.dropped_intervals);
-            assert_eq!(x.queue_high_water, y.queue_high_water);
         }
     }
 }

@@ -8,33 +8,21 @@
 //! operation available mid-run: tests and embedders can admit, pause,
 //! evict, restart and snapshot tenants while intervals are in flight.
 //!
-//! # Routing and leases
+//! # Routing
 //!
-//! With stealing disabled (the default), a tenant's messages go to its
-//! home shard (`id % shards`) forever — the exact pinned-shard schedule
-//! of the original engine. With [`EngineConfig::steal`] enabled, routing
-//! consults the shared [`LeaseTable`] and every tenant-addressed push
-//! re-validates the lease *inside the queue's push gate*
-//! ([`crate::RingQueue::push_checked`]): the same lock under which a
-//! thief flips the lease. A stale push comes back untouched and is
-//! retried against the new owner, so no message can land behind a
-//! `Release` on the old shard and per-tenant FIFO order is preserved
-//! across migrations.
-//!
-//! [`LeaseTable`]: crate::shard::LeaseTable
+//! A tenant's messages go to its home shard, [`TenantId::shard`]
+//! (`id % shards`), for the tenant's whole life. One shard worker owns
+//! each session, and per-shard FIFO order is per-tenant FIFO order.
 
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use regmon_sampling::Interval;
 
-use crate::queue::{PushError, QueuePolicy, RingQueue};
-use crate::shard::{
-    run_worker, AdmitMsg, LeaseTable, MigrationGate, ShardFinal, ShardMsg, ShardSnapshot,
-    WorkerShared,
-};
+use crate::queue::{QueuePolicy, RingQueue};
+use crate::shard::{run_worker, AdmitMsg, ShardFinal, ShardMsg, ShardSnapshot};
 use crate::tenant::{EvictReason, TenantId, TenantSpec};
 
 /// Default shard queue depth, in messages, of `regmon fleet`,
@@ -55,19 +43,11 @@ pub struct EngineConfig {
     /// Maximum intervals coalesced into one queue message (1 = the
     /// per-interval path).
     pub batch: usize,
-    /// Whether tenant leases may move between shards (work stealing in
-    /// freerun pacing; deterministic driver rebalancing in lockstep).
-    pub steal: bool,
-    /// Whether shard workers pin themselves to CPUs (best-effort
-    /// `sched_setaffinity` on Linux, silently unpinned elsewhere).
-    /// Placement never affects results — outputs are byte-identical
-    /// with pinning on or off.
-    pub pin: bool,
 }
 
 impl EngineConfig {
     /// An engine with `shards` workers and the given queue depth,
-    /// blocking on full queues, per-interval shipping, no stealing.
+    /// blocking on full queues, per-interval shipping.
     #[must_use]
     pub fn new(shards: usize, queue_depth: usize) -> Self {
         Self {
@@ -75,8 +55,6 @@ impl EngineConfig {
             queue_depth,
             policy: QueuePolicy::Block,
             batch: 1,
-            steal: false,
-            pin: false,
         }
     }
 
@@ -93,77 +71,43 @@ impl EngineConfig {
         self.batch = batch.max(1);
         self
     }
-
-    /// Enables or disables tenant-lease stealing.
-    #[must_use]
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
-    }
-
-    /// Enables or disables best-effort worker CPU pinning.
-    #[must_use]
-    pub fn with_pin(mut self, pin: bool) -> Self {
-        self.pin = pin;
-        self
-    }
 }
 
 /// A running fleet: shard workers consuming from bounded ring queues.
 #[derive(Debug)]
 pub struct FleetEngine {
     config: EngineConfig,
-    shared: Arc<WorkerShared>,
+    queues: Vec<Arc<RingQueue<ShardMsg>>>,
     workers: Vec<JoinHandle<ShardFinal>>,
     next_id: u32,
 }
 
 impl FleetEngine {
-    /// Spawns the shard workers. Worker-initiated stealing follows
-    /// [`EngineConfig::steal`]; the lockstep driver uses
-    /// [`FleetEngine::with_worker_steal`] to keep leases mobile while
-    /// rebalancing deterministically itself.
+    /// Spawns the shard workers.
     ///
     /// # Panics
     ///
     /// Panics when `shards == 0` or `queue_depth == 0`.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
-        Self::with_worker_steal(config, config.steal)
-    }
-
-    /// As [`FleetEngine::new`], but decouples *lease mobility*
-    /// (`config.steal`) from *worker-initiated* stealing: under
-    /// lockstep pacing the driver migrates tenants deterministically,
-    /// so workers must not race it.
-    pub(crate) fn with_worker_steal(config: EngineConfig, worker_steal: bool) -> Self {
         assert!(config.shards > 0, "fleet needs at least one shard");
         let queues: Vec<_> = (0..config.shards)
             .map(|shard| Arc::new(RingQueue::new(config.queue_depth).with_label(shard as u64)))
             .collect();
-        let shared = Arc::new(WorkerShared {
-            queues,
-            leases: LeaseTable::default(),
-            gate: MigrationGate::default(),
-            stop_steal: std::sync::atomic::AtomicBool::new(false),
-            worker_steal: worker_steal && config.steal && config.shards > 1,
-            steal_backlog: (config.queue_depth / 2).max(1),
-            pin: config.pin,
-            topology: crate::affinity::Topology::detect(),
-            cpus: crate::affinity::available_cpus(),
-        });
-        let workers = (0..config.shards)
-            .map(|shard| {
-                let shared = Arc::clone(&shared);
+        let workers = queues
+            .iter()
+            .enumerate()
+            .map(|(shard, queue)| {
+                let queue = Arc::clone(queue);
                 std::thread::Builder::new()
                     .name(format!("regmon-fleet-shard-{shard}"))
-                    .spawn(move || run_worker(shard, &shared))
+                    .spawn(move || run_worker(shard, &queue))
                     .expect("spawn shard worker")
             })
             .collect();
         Self {
             config,
-            shared,
+            queues,
             workers,
             next_id: 0,
         }
@@ -181,36 +125,12 @@ impl FleetEngine {
         self.config.shards
     }
 
-    /// The shard a tenant's messages currently route to.
-    #[must_use]
-    pub fn shard_of(&self, id: TenantId) -> usize {
-        if self.config.steal {
-            self.shared.leases.get(id)
-        } else {
-            id.shard(self.config.shards)
-        }
-    }
-
-    /// Pushes a tenant-addressed message to the tenant's current owner,
-    /// re-validating the lease inside the push gate and retrying on a
-    /// stale route. Returns `false` when the queue is closed.
+    /// Pushes a tenant-addressed message to the tenant's home shard.
+    /// Returns `false` when the queue is closed.
     fn push_routed(&self, id: TenantId, msg: ShardMsg, policy: QueuePolicy) -> bool {
-        if !self.config.steal {
-            return self.shared.queues[id.shard(self.config.shards)]
-                .push(msg, policy)
-                .is_ok();
-        }
-        let mut msg = msg;
-        loop {
-            let shard = self.shared.leases.get(id);
-            let gate = || self.shared.leases.get(id) == shard;
-            match self.shared.queues[shard].push_checked(msg, policy, gate) {
-                Ok(()) => return true,
-                Err(PushError::Stale(again)) => msg = again, // lease moved: re-route
-                Err(PushError::Closed(_)) => return false,
-                Err(PushError::TimedOut(_)) => unreachable!("no deadline on routed push"),
-            }
-        }
+        self.queues[id.shard(self.config.shards)]
+            .push(msg, policy)
+            .is_ok()
     }
 
     fn control(&self, id: TenantId, msg: ShardMsg) {
@@ -223,8 +143,7 @@ impl FleetEngine {
     }
 
     /// Admits a tenant, assigning the next dense [`TenantId`]. The
-    /// returned id also fixes the home shard (`id % shards`), where the
-    /// tenant's lease starts.
+    /// returned id also fixes the tenant's shard (`id % shards`).
     pub fn admit(&mut self, spec: &TenantSpec) -> TenantId {
         self.admit_inner(spec, None)
     }
@@ -249,8 +168,6 @@ impl FleetEngine {
     ) -> TenantId {
         let id = TenantId(self.next_id);
         self.next_id += 1;
-        // The lease must exist before any message can route by it.
-        self.shared.leases.push_home(id.shard(self.config.shards));
         self.control(
             id,
             ShardMsg::Admit(Box::new(AdmitMsg {
@@ -355,51 +272,12 @@ impl FleetEngine {
         self.control(id, ShardMsg::Finish(id));
     }
 
-    /// Deterministically migrates a tenant to `to` (lockstep rebalance).
-    /// The driver is the sole lease flipper under lockstep pacing, and
-    /// the paired barrier drains make the hand-off complete before the
-    /// next round ships: `Release` is FIFO-ordered after everything
-    /// already queued for the tenant on the old shard, and `AdoptHandle`
-    /// before everything that will be queued on the new one.
-    pub(crate) fn migrate(&self, id: TenantId, to: usize) {
-        let from = self.shared.leases.get(id);
-        if from == to {
-            return;
-        }
-        let (tx, rx) = sync_channel(1);
-        self.shared.queues[from]
-            .push(ShardMsg::Release(id, tx), QueuePolicy::Block)
-            .expect("shard queue closed while engine alive");
-        self.shared.queues[to]
-            .push(ShardMsg::AdoptHandle(id, rx), QueuePolicy::Block)
-            .expect("shard queue closed while engine alive");
-        self.shared.leases.set(id, to);
-        if regmon_telemetry::enabled() {
-            regmon_telemetry::metrics::FLEET_MIGRATIONS.inc();
-            regmon_telemetry::journal::record(regmon_telemetry::journal::EventKind::Migration {
-                tenant: u64::from(id.0),
-                from_shard: from as u64,
-                to_shard: to as u64,
-            });
-        }
-        self.drain_shard(from);
-        self.drain_shard(to);
-    }
-
     /// Takes a consistent per-shard snapshot of every tenant, mid-run.
     /// Each shard snapshots atomically with respect to its own queue
     /// order (the snapshot request is itself a queued message).
     #[must_use]
     pub fn snapshot(&self) -> Vec<ShardSnapshot> {
-        let mut pending = Vec::with_capacity(self.shared.queues.len());
-        for queue in &self.shared.queues {
-            let (tx, rx) = sync_channel(1);
-            queue
-                .push(ShardMsg::Snapshot(tx), QueuePolicy::Block)
-                .expect("shard queue closed while engine alive");
-            pending.push(rx);
-        }
-        pending
+        self.broadcast(ShardMsg::Snapshot)
             .into_iter()
             .map(|rx| rx.recv().expect("shard worker gone"))
             .collect()
@@ -408,17 +286,7 @@ impl FleetEngine {
     /// Waits until every message queued so far on every shard has been
     /// fully processed (a barrier across the fleet).
     pub fn drain_barrier(&self) {
-        let mut pending = Vec::with_capacity(self.shared.queues.len());
-        for queue in &self.shared.queues {
-            let (tx, rx) = sync_channel(1);
-            queue
-                .push(ShardMsg::Barrier(tx), QueuePolicy::Block)
-                .expect("shard queue closed while engine alive");
-            pending.push(rx);
-        }
-        for rx in pending {
-            rx.recv().expect("shard worker gone");
-        }
+        self.drain_until(None);
     }
 
     /// [`FleetEngine::drain_barrier`] with a wall-clock bound: waits at
@@ -428,23 +296,38 @@ impl FleetEngine {
     /// later unbounded drain or shutdown still observes them, but the
     /// caller regains control instead of hanging behind a stuck shard.
     #[must_use]
-    pub fn drain_barrier_timeout(&self, deadline: std::time::Duration) -> bool {
-        let start = std::time::Instant::now();
-        let mut pending = Vec::with_capacity(self.shared.queues.len());
-        for queue in &self.shared.queues {
-            let (tx, rx) = sync_channel(1);
-            queue
-                .push(ShardMsg::Barrier(tx), QueuePolicy::Block)
-                .expect("shard queue closed while engine alive");
-            pending.push(rx);
-        }
-        for rx in pending {
-            let remaining = deadline.saturating_sub(start.elapsed());
-            if rx.recv_timeout(remaining).is_err() {
-                return false;
-            }
-        }
-        true
+    pub fn drain_barrier_timeout(&self, deadline: Duration) -> bool {
+        self.drain_until(Some(deadline))
+    }
+
+    /// Queues a `Barrier` on every shard and waits for the
+    /// acknowledgements, at most `deadline` in total when one is given.
+    fn drain_until(&self, deadline: Option<Duration>) -> bool {
+        let start = Instant::now();
+        self.broadcast(ShardMsg::Barrier)
+            .into_iter()
+            .all(|rx| match deadline {
+                None => {
+                    rx.recv().expect("shard worker gone");
+                    true
+                }
+                Some(d) => rx.recv_timeout(d.saturating_sub(start.elapsed())).is_ok(),
+            })
+    }
+
+    /// Pushes one reply-channel message (built by `msg`) to every shard
+    /// queue, in shard order, and returns the reply receivers.
+    fn broadcast<R>(&self, msg: impl Fn(SyncSender<R>) -> ShardMsg) -> Vec<Receiver<R>> {
+        self.queues
+            .iter()
+            .map(|queue| {
+                let (tx, rx) = sync_channel(1);
+                queue
+                    .push(msg(tx), QueuePolicy::Block)
+                    .expect("shard queue closed while engine alive");
+                rx
+            })
+            .collect()
     }
 
     /// Parks shard `shard`'s worker deterministically: the returned
@@ -463,26 +346,15 @@ impl FleetEngine {
     pub fn hold_shard(&self, shard: usize) -> ShardHold {
         let (ack_tx, ack_rx) = sync_channel(1);
         let (gate_tx, gate_rx) = sync_channel::<()>(1);
-        self.shared.queues[shard]
+        self.queues[shard]
             .push(ShardMsg::Hold(ack_tx, gate_rx), QueuePolicy::Block)
             .expect("shard queue closed while engine alive");
         ack_rx.recv().expect("shard worker gone");
         ShardHold { _gate: gate_tx }
     }
 
-    /// Waits for a single shard to fully process everything queued to it.
-    pub(crate) fn drain_shard(&self, shard: usize) {
-        let (tx, rx) = sync_channel(1);
-        self.shared.queues[shard]
-            .push(ShardMsg::Barrier(tx), QueuePolicy::Block)
-            .expect("shard queue closed while engine alive");
-        rx.recv().expect("shard worker gone");
-    }
-
     /// Closes every queue, joins every worker and returns their final
-    /// reports in shard order. With stealing enabled, first stops new
-    /// steals and waits for in-flight migrations to land so no tenant
-    /// entry is stranded.
+    /// reports in shard order.
     ///
     /// # Panics
     ///
@@ -491,11 +363,7 @@ impl FleetEngine {
     /// an engine bug.
     #[must_use]
     pub fn shutdown(self) -> Vec<ShardFinal> {
-        if self.config.steal {
-            self.shared.stop_steal.store(true, Ordering::Relaxed);
-            self.shared.gate.wait_idle();
-        }
-        for queue in &self.shared.queues {
+        for queue in &self.queues {
             queue.close();
         }
         self.workers
@@ -509,7 +377,7 @@ impl FleetEngine {
 /// Dropping it releases the worker.
 #[derive(Debug)]
 pub struct ShardHold {
-    _gate: std::sync::mpsc::SyncSender<()>,
+    _gate: SyncSender<()>,
 }
 
 impl ShardHold {
@@ -631,43 +499,48 @@ mod tests {
         assert_eq!(per[0].messages_processed, 14);
     }
 
+    /// The one way a session changes shards: check it out with
+    /// `checkpoint` and admit the snapshot as a new tenant, whose id
+    /// fixes its new shard. The continued stream must match a session
+    /// that never moved.
     #[test]
     fn explicit_migration_moves_tenant_between_shards() {
         let spec = spec(8);
         let intervals: Vec<_> = Sampler::new(&spec.workload, spec.config.sampling)
             .take(8)
             .collect();
-        // Leases mobile, but driver-orchestrated only (no worker races).
-        let mut engine =
-            FleetEngine::with_worker_steal(EngineConfig::new(2, 8).with_steal(true), false);
+        let mut engine = FleetEngine::new(EngineConfig::new(2, 8));
         let id = engine.admit(&spec);
-        assert_eq!(engine.shard_of(id), 0);
+        assert_eq!(id.shard(2), 0);
         for interval in &intervals[..4] {
             assert!(engine.offer_interval(id, interval.clone()));
         }
-        engine.migrate(id, 1);
-        assert_eq!(engine.shard_of(id), 1);
+        let snapshot = engine.checkpoint(id).expect("live session");
+        let moved = engine.admit_from_snapshot(&spec, snapshot);
+        assert_eq!(moved.shard(2), 1);
+        // The retired id is ignored, not re-routed.
+        assert!(engine.offer_interval(id, intervals[4].clone()));
         for interval in &intervals[4..] {
-            assert!(engine.offer_interval(id, interval.clone()));
+            assert!(engine.offer_interval(moved, interval.clone()));
         }
-        engine.finish(id);
+        engine.finish(moved);
         let finals = engine.shutdown();
         assert!(finals[0].tenants.is_empty(), "entry left the old shard");
         let t = &finals[1].tenants[0];
-        assert_eq!(t.intervals_processed, 8, "no interval lost in migration");
+        assert_eq!(t.id, moved);
+        assert_eq!(t.intervals_processed, 4, "the rest arrived after the move");
         assert_eq!(t.state, TenantState::Completed);
-        assert_eq!(finals[1].tenants_stolen, 1);
-        // The migrated summary equals an unmigrated single-shard run.
-        let mut pinned = FleetEngine::new(EngineConfig::new(1, 8));
-        let p = pinned.admit(&spec);
+
+        let mut unmoved = FleetEngine::new(EngineConfig::new(1, 8));
+        let u = unmoved.admit(&spec);
         for interval in &intervals {
-            assert!(pinned.offer_interval(p, interval.clone()));
+            assert!(unmoved.offer_interval(u, interval.clone()));
         }
-        pinned.finish(p);
-        let pinned = pinned.shutdown();
+        unmoved.finish(u);
+        let unmoved = unmoved.shutdown();
         assert_eq!(
             format!("{:?}", t.summary),
-            format!("{:?}", pinned[0].tenants[0].summary)
+            format!("{:?}", unmoved[0].tenants[0].summary)
         );
     }
 }

@@ -2,16 +2,16 @@
 //!
 //! The paper's scalability argument (§3.2.3, §5) is that region
 //! monitoring is cheap because it runs *off the critical path*, in a
-//! separate thread. `regmon::threaded` realizes that for one process;
-//! this crate scales the same producer → bounded queue → monitor-worker
-//! split to a **fleet**: hundreds of concurrent [`MonitoringSession`]s
-//! (one per simulated tenant/process) multiplexed onto a fixed pool of
-//! shard workers.
+//! separate thread. This crate is that producer → bounded queue →
+//! monitor-worker split, scaled to a **fleet**: hundreds of concurrent
+//! [`MonitoringSession`]s (one per simulated tenant/process) multiplexed
+//! onto a fixed pool of shard workers. [`run_single`] is the one-tenant
+//! case: one producer, one queue, one monitor thread.
 //!
 //! - **Sharding** — a tenant with id `i` is owned by shard
-//!   `i % shards`; each shard worker single-threadedly owns its
-//!   tenants' sessions, so sessions need no locks and the fleet scales
-//!   by adding shards.
+//!   `i % shards` for its whole life; each shard worker
+//!   single-threadedly owns its tenants' sessions, so sessions need no
+//!   locks and the fleet scales by adding shards.
 //! - **Backpressure** — per-shard bounded queues with
 //!   [`QueuePolicy::Block`] (lossless, counts producer stalls) or
 //!   [`QueuePolicy::DropOldest`] (lossy, counts drops), plus
@@ -60,13 +60,9 @@
 //! [`MonitoringSession`]: regmon::MonitoringSession
 //! [`MonitoringSession::run_limited`]: regmon::MonitoringSession::run_limited
 
-// `deny` rather than `forbid`: `affinity::linux` carries the scoped
-// `allow(unsafe_code)` in this crate, for the raw `sched_setaffinity`
-// declarations (best-effort worker pinning, no external crate).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod affinity;
 mod cpdfeed;
 mod driver;
 mod engine;
@@ -75,13 +71,11 @@ mod report;
 mod shard;
 mod tenant;
 
-pub use affinity::{available_cpus, pinning_supported};
 pub use cpdfeed::{CpdFeed, CpdReport};
 pub use driver::{run_fleet, ControlAction, FleetConfig, Pacing, Schedule};
 pub use engine::{EngineConfig, FleetEngine, ShardHold, DEFAULT_QUEUE_DEPTH};
 pub use queue::{
-    batch_bucket_label, BoundedQueue, Closed, Droppable, Popped, PushError, QueuePolicy,
-    QueueStats, RingQueue, BATCH_BUCKETS,
+    batch_bucket_label, Closed, Droppable, QueuePolicy, QueueStats, RingQueue, BATCH_BUCKETS,
 };
 pub use report::{FleetAggregate, FleetReport, FleetSnapshot, ShardReport, TenantReport};
 pub use shard::{ShardFinal, ShardSnapshot, TenantSnapshot};
@@ -90,8 +84,7 @@ pub use tenant::{ColdTenantPolicy, EvictReason, FaultPlan, TenantId, TenantSpec,
 use regmon::{SessionConfig, SessionSummary};
 use regmon_workload::Workload;
 
-/// Statistics of a single-tenant fleet run — the generalized form of
-/// [`regmon::threaded::ThreadedRun`].
+/// Statistics of a single-tenant fleet run.
 #[derive(Debug, Clone)]
 pub struct SingleRun {
     /// The analysis results (identical to a single-threaded run).
@@ -101,10 +94,9 @@ pub struct SingleRun {
 }
 
 /// Runs one workload as a fleet of one (one tenant, one shard): the
-/// degenerate case that `regmon::threaded::run_threaded` implements
-/// directly with a `sync_channel`. Exists so the equivalence tests can
-/// pin all three paths — single-threaded, threaded, fleet — to the same
-/// results.
+/// producer samples while a separate monitor thread runs the session,
+/// the paper's off-critical-path arrangement (§3.2.3). The equivalence
+/// tests pin it to the inline single-threaded session.
 ///
 /// # Panics
 ///

@@ -40,7 +40,6 @@
 use regmon_stats::histogram::log2_bucket;
 use regmon_telemetry::{journal, metrics};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// What to do when a shard queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,30 +232,6 @@ struct Inner<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Closed;
 
-/// Why a checked push did not enqueue; the rejected item is handed back.
-#[derive(Debug)]
-pub enum PushError<T> {
-    /// The queue was closed.
-    Closed(T),
-    /// The routing gate returned `false` (e.g. the tenant's lease moved
-    /// to another shard between route lookup and enqueue).
-    Stale(T),
-    /// The deadline of [`RingQueue::push_checked_timeout`] passed while
-    /// the queue stayed full.
-    TimedOut(T),
-}
-
-/// Outcome of a timed pop.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Popped<T> {
-    /// An entry was dequeued.
-    Item(T),
-    /// The timeout elapsed with the queue still empty (and open).
-    Empty,
-    /// The queue is closed and fully drained.
-    Closed,
-}
-
 /// A bounded ring FIFO connecting the fleet driver to one shard worker.
 #[derive(Debug)]
 pub struct RingQueue<T> {
@@ -267,11 +242,6 @@ pub struct RingQueue<T> {
     /// Shard id stamped on telemetry events emitted by this queue.
     label: u64,
 }
-
-/// Backwards-compatible name: PR 1 shipped this queue as `BoundedQueue`
-/// (then a `Mutex<VecDeque>`); the ring rebuild keeps the old name as an
-/// alias so embedders and tests are unaffected.
-pub type BoundedQueue<T> = RingQueue<T>;
 
 impl<T: Droppable> RingQueue<T> {
     /// A queue holding at most `capacity` entries.
@@ -316,75 +286,13 @@ impl<T: Droppable> RingQueue<T> {
     ///
     /// Returns [`Closed`] when the queue has been closed.
     pub fn push(&self, item: T, policy: QueuePolicy) -> Result<(), Closed> {
-        match self.push_checked_deadline(item, policy, || true, None) {
-            Ok(()) => Ok(()),
-            Err(PushError::Closed(_)) => Err(Closed),
-            Err(PushError::Stale(_) | PushError::TimedOut(_)) => {
-                unreachable!("constant-true gate without deadline cannot be stale or time out")
-            }
-        }
-    }
-
-    /// Enqueues `item` under `policy`, but calls `gate` **once, under
-    /// the queue lock, with delivery guaranteed**, immediately before
-    /// the slot write. If `gate` returns `false` nothing is enqueued
-    /// (and nothing is evicted) and the item comes back as
-    /// [`PushError::Stale`].
-    ///
-    /// This is the atomic route-or-retry primitive of tenant leasing: a
-    /// producer routes by the lease table, then re-validates the lease
-    /// inside the gate; a thief *flips* the lease inside the gate of its
-    /// `Release` push. Either way the lease check/flip and the enqueue
-    /// are one atomic step with respect to this queue, so no interval
-    /// can land behind the `Release` message on the old shard.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Closed`] when the queue has been closed (gate not
-    /// called), [`PushError::Stale`] when the gate rejected.
-    pub fn push_checked(
-        &self,
-        item: T,
-        policy: QueuePolicy,
-        gate: impl FnOnce() -> bool,
-    ) -> Result<(), PushError<T>> {
-        self.push_checked_deadline(item, policy, gate, None)
-    }
-
-    /// [`RingQueue::push_checked`] with an upper bound on the blocking
-    /// wait. Work stealing uses this so a thief never parks indefinitely
-    /// on a victim's full queue (which could otherwise form a cycle of
-    /// workers all waiting on each other's queues).
-    ///
-    /// # Errors
-    ///
-    /// As [`RingQueue::push_checked`], plus [`PushError::TimedOut`] when
-    /// the queue stayed full past the deadline (gate not called).
-    pub fn push_checked_timeout(
-        &self,
-        item: T,
-        policy: QueuePolicy,
-        gate: impl FnOnce() -> bool,
-        timeout: Duration,
-    ) -> Result<(), PushError<T>> {
-        self.push_checked_deadline(item, policy, gate, Some(Instant::now() + timeout))
-    }
-
-    fn push_checked_deadline(
-        &self,
-        item: T,
-        policy: QueuePolicy,
-        gate: impl FnOnce() -> bool,
-        deadline: Option<Instant>,
-    ) -> Result<(), PushError<T>> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.closed {
-            return Err(PushError::Closed(item));
+            return Err(Closed);
         }
 
         // Resolve fullness first: either an eviction victim exists, or
-        // we wait for space. The gate runs only after this, so a stale
-        // push never evicts anybody.
+        // we wait for space.
         let mut evict_at = None;
         let mut stalled = false;
         if inner.ring.len >= self.capacity {
@@ -407,33 +315,15 @@ impl<T: Droppable> RingQueue<T> {
                 stalled = true;
                 while inner.ring.len >= self.capacity && !inner.closed {
                     inner.producer_waiters += 1;
-                    if let Some(deadline) = deadline {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            inner.producer_waiters -= 1;
-                            return Err(PushError::TimedOut(item));
-                        }
-                        let (guard, _) = self
-                            .not_full
-                            .wait_timeout(inner, deadline - now)
-                            .expect("queue poisoned");
-                        inner = guard;
-                    } else {
-                        inner = self.not_full.wait(inner).expect("queue poisoned");
-                    }
+                    inner = self.not_full.wait(inner).expect("queue poisoned");
                     inner.producer_waiters -= 1;
                 }
                 if inner.closed {
-                    return Err(PushError::Closed(item));
+                    return Err(Closed);
                 }
             }
         }
 
-        // Space (or a victim) is guaranteed: the gate decides, exactly
-        // once, under the lock.
-        if !gate() {
-            return Err(PushError::Stale(item));
-        }
         if let Some(at) = evict_at {
             let victim = inner.ring.remove_at(at);
             let units = victim.units().unwrap_or(0);
@@ -466,8 +356,8 @@ impl<T: Droppable> RingQueue<T> {
                 metrics::QUEUE_BATCH_UNITS.record(units as u64);
             }
             if stalled {
-                // Stall episodes that end in Closed/TimedOut/Stale
-                // return early and are visible only in the counter.
+                // Stall episodes that end in Closed return early and
+                // are visible only in the counter.
                 journal::record(journal::EventKind::Backpressure {
                     shard: self.label,
                     units: units.unwrap_or(0) as u64,
@@ -522,48 +412,6 @@ impl<T: Droppable> RingQueue<T> {
         }
     }
 
-    /// Dequeues the oldest entry, waiting at most `timeout` while the
-    /// queue is empty. Work-stealing workers poll with this so an idle
-    /// worker regains control to scan peer backlogs.
-    pub fn pop_timeout(&self, timeout: Duration) -> Popped<T> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = inner.ring.pop_front() {
-                inner.stats.popped = inner.stats.popped.saturating_add(1);
-                let wake = inner.producer_waiters > 0;
-                if wake {
-                    inner.stats.notifies = inner.stats.notifies.saturating_add(1);
-                }
-                drop(inner);
-                if regmon_telemetry::enabled() {
-                    metrics::QUEUE_POPPED.inc();
-                    if wake {
-                        metrics::QUEUE_NOTIFIES.inc();
-                    }
-                }
-                if wake {
-                    self.not_full.notify_one();
-                }
-                return Popped::Item(item);
-            }
-            if inner.closed {
-                return Popped::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Popped::Empty;
-            }
-            inner.consumer_waiters += 1;
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .expect("queue poisoned");
-            inner = guard;
-            inner.consumer_waiters -= 1;
-        }
-    }
-
     /// Closes the queue: producers start failing, the consumer drains
     /// the remaining entries and then sees end-of-stream.
     pub fn close(&self) {
@@ -603,6 +451,7 @@ impl<T: Droppable> RingQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[derive(Debug, PartialEq)]
     enum Msg {
@@ -628,7 +477,7 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved() {
-        let q = BoundedQueue::new(8);
+        let q = RingQueue::new(8);
         for i in 0..5 {
             q.push(Msg::Data(i), QueuePolicy::Block).unwrap();
         }
@@ -667,7 +516,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_evicts_front_droppable_only() {
-        let q = BoundedQueue::new(3);
+        let q = RingQueue::new(3);
         q.push(Msg::Ctrl(0), QueuePolicy::DropOldest).unwrap();
         q.push(Msg::Data(1), QueuePolicy::DropOldest).unwrap();
         q.push(Msg::Data(2), QueuePolicy::DropOldest).unwrap();
@@ -800,13 +649,13 @@ mod tests {
 
     #[test]
     fn block_policy_counts_stalls_and_delivers_everything() {
-        let q = Arc::new(BoundedQueue::new(1));
+        let q = Arc::new(RingQueue::new(1));
         let consumer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut got = Vec::new();
                 while let Some(m) = q.pop() {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    std::thread::sleep(Duration::from_millis(1));
                     got.push(m);
                 }
                 got
@@ -824,62 +673,15 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_producer() {
-        let q = Arc::new(BoundedQueue::new(1));
+        let q = Arc::new(RingQueue::new(1));
         q.push(Msg::Data(0), QueuePolicy::Block).unwrap();
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.push(Msg::Data(1), QueuePolicy::Block))
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(10));
         q.close();
         assert_eq!(producer.join().unwrap(), Err(Closed));
-    }
-
-    #[test]
-    fn stale_gate_rejects_without_enqueue_or_eviction() {
-        let q = RingQueue::new(1);
-        q.push(Msg::Data(0), QueuePolicy::Block).unwrap();
-        // Full ring + DropOldest + failing gate: the victim must survive.
-        match q.push_checked(Msg::Data(1), QueuePolicy::DropOldest, || false) {
-            Err(PushError::Stale(Msg::Data(1))) => {}
-            other => panic!("expected Stale, got {other:?}"),
-        }
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.stats().dropped, 0, "stale push must not evict");
-        assert_eq!(q.stats().pushed, 1);
-        q.close();
-        assert_eq!(q.pop(), Some(Msg::Data(0)));
-    }
-
-    #[test]
-    fn push_timeout_gives_item_back_when_full() {
-        let q = RingQueue::new(1);
-        q.push(Msg::Ctrl(0), QueuePolicy::Block).unwrap();
-        let start = Instant::now();
-        match q.push_checked_timeout(
-            Msg::Data(1),
-            QueuePolicy::Block,
-            || true,
-            Duration::from_millis(10),
-        ) {
-            Err(PushError::TimedOut(Msg::Data(1))) => {}
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
-        assert!(start.elapsed() >= Duration::from_millis(10));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn pop_timeout_distinguishes_empty_from_closed() {
-        let q: RingQueue<Msg> = RingQueue::new(4);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Empty);
-        q.push(Msg::Data(7), QueuePolicy::Block).unwrap();
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(5)),
-            Popped::Item(Msg::Data(7))
-        );
-        q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::Closed);
     }
 
     #[test]

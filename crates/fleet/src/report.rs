@@ -53,9 +53,6 @@ pub struct ShardReport {
     /// in log2 buckets `1, 2-3, 4-7, …, 128+`
     /// (see [`crate::batch_bucket_label`]).
     pub batch_sizes: [usize; BATCH_BUCKETS],
-    /// Tenants this shard adopted from peers (work stealing / lockstep
-    /// rebalancing).
-    pub tenants_stolen: usize,
 }
 
 /// Fleet-level roll-up over every tenant and shard.
@@ -81,8 +78,6 @@ pub struct FleetAggregate {
     pub dropped_intervals: usize,
     /// Producer stall episodes across all shards.
     pub backpressure_stalls: usize,
-    /// Tenant migrations between shards across the run.
-    pub tenants_migrated: usize,
     /// Global (centroid) phase changes summed over tenants.
     pub gpd_phase_changes: usize,
     /// Mean per-tenant GPD stable-time fraction.
@@ -178,7 +173,6 @@ impl FleetReport {
             agg.backpressure_stalls = agg
                 .backpressure_stalls
                 .saturating_add(s.backpressure_stalls);
-            agg.tenants_migrated = agg.tenants_migrated.saturating_add(s.tenants_stolen);
         }
         agg
     }

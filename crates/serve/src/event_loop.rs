@@ -10,9 +10,9 @@
 //! byte-identical. 256 idle producers cost 256 pollfd entries, not 256
 //! threads.
 //!
-//! `poll(2)` is declared directly against glibc (the `affinity.rs`
-//! precedent) rather than pulled in as a dependency: one `#[repr(C)]`
-//! struct and one foreign function, confined to the [`sys`] module.
+//! `poll(2)` is declared directly against glibc rather than pulled in
+//! as a dependency: one `#[repr(C)]` struct and one foreign function,
+//! confined to the [`sys`] module.
 //!
 //! Properties:
 //!

@@ -51,8 +51,8 @@
 
 // `deny` rather than `forbid`: the one scoped `allow(unsafe_code)`
 // block in this crate is `event_loop::sys` (direct `poll(2)`
-// declarations against libc, matching the fleet `affinity.rs`
-// precedent).
+// declarations against libc, so the workspace needs no external
+// crate).
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
@@ -79,8 +79,8 @@ pub use replay::{replay, ReplayOptions, ReplayOutcome, ReplayTenant};
 pub use server::{ServeOptions, ServeReport, ServedSession, Server};
 pub use snapshot::{load_snapshot, save_snapshot};
 pub use wire::{
-    read_frame, write_frame, AdmitFrame, Frame, FrameParser, FrameReader, SnapshotFrame,
-    WireDialect, WireError, WIRE_VERSION, WIRE_VERSION_MIN,
+    read_frame, write_frame, AdmitFrame, Checksummed, Frame, FrameParser, FrameReader,
+    SnapshotFrame, WireDialect, WireError, WIRE_VERSION, WIRE_VERSION_MIN,
 };
 
 #[cfg(unix)]

@@ -29,7 +29,8 @@ use regmon_regions::{MonitorSnapshot, RegionId, RegionKind, RegionRecord};
 use crate::crc::crc32;
 use crate::error::ServeError;
 use crate::wire::{
-    decode_config, encode_config, push_f64, push_u16, push_u32, push_u64, Cursor, WireError,
+    decode_config, encode_config, push_f64, push_u16, push_u32, push_u64, Checksummed, Cursor,
+    WireError,
 };
 
 /// Magic bytes opening a snapshot file.
@@ -292,26 +293,27 @@ fn decode_lpd(cur: &mut Cursor<'_>) -> Result<LpdManagerSnapshot, WireError> {
 ///
 /// # Errors
 ///
-/// [`WireError::BadMagic`] / [`WireError::BadVersion`] on a foreign or
-/// newer file, [`WireError::BadCrc`] on corruption,
-/// [`WireError::Truncated`] / [`WireError::Malformed`] on structural
-/// damage.
+/// [`WireError::SnapshotTooShort`] on a file too short to hold the
+/// magic, version and trailer, [`WireError::BadCrc`] on corruption,
+/// [`WireError::NotASnapshot`] / [`WireError::BadVersion`] on a foreign
+/// or newer file, [`WireError::Malformed`] on structural damage.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, WireError> {
     if bytes.len() < 10 {
-        return Err(WireError::Truncated {
-            offset: 0,
-            frame: 0,
-        });
+        return Err(WireError::SnapshotTooShort { len: bytes.len() });
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 4);
     let want = u32::from_le_bytes(trailer.try_into().unwrap());
     let got = crc32(body);
     if want != got {
-        return Err(WireError::BadCrc { want, got });
+        return Err(WireError::BadCrc {
+            of: Checksummed::Snapshot,
+            want,
+            got,
+        });
     }
     let mut cur = Cursor::new(body);
     if cur.take(4)? != SNAPSHOT_MAGIC {
-        return Err(WireError::BadMagic);
+        return Err(WireError::NotASnapshot);
     }
     let version = cur.u16()?;
     if version != SNAPSHOT_VERSION {
@@ -469,6 +471,56 @@ mod tests {
                 decode_snapshot(&bytes[..cut]).is_err(),
                 "cut at {cut} accepted"
             );
+        }
+    }
+
+    /// Snapshot damage is reported in snapshot terms: the message names
+    /// the RGSN format, never a wire frame or the wire magic.
+    fn assert_snapshot_wording(err: &WireError, expect: &str) {
+        let msg = err.to_string();
+        assert!(msg.contains(expect), "{msg:?} lacks {expect:?}");
+        assert!(msg.contains("RGSN") && msg.contains("snapshot"), "{msg:?}");
+        assert!(!msg.contains("frame") && !msg.contains("RGMN"), "{msg:?}");
+    }
+
+    #[test]
+    fn foreign_magic_names_the_snapshot_format() {
+        let mut bytes = encode_snapshot(&live_snapshot());
+        bytes[..4].copy_from_slice(b"RGMN");
+        let len = bytes.len();
+        let crc = crc32(&bytes[..len - 4]);
+        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        let err = decode_snapshot(&bytes).unwrap_err();
+        assert!(matches!(err, WireError::NotASnapshot), "{err:?}");
+        assert_snapshot_wording(&err, "bad magic");
+    }
+
+    #[test]
+    fn bad_trailer_names_the_snapshot_checksum() {
+        let mut bytes = encode_snapshot(&live_snapshot());
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        let err = decode_snapshot(&bytes).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WireError::BadCrc {
+                    of: Checksummed::Snapshot,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_snapshot_wording(&err, "checksum mismatch (trailer");
+    }
+
+    #[test]
+    fn short_file_names_the_snapshot_length() {
+        let bytes = encode_snapshot(&live_snapshot());
+        for len in [0, 1, 9] {
+            let err = decode_snapshot(&bytes[..len]).unwrap_err();
+            assert!(matches!(err, WireError::SnapshotTooShort { len: l } if l == len));
+            assert_snapshot_wording(&err, &format!("truncated: {len} bytes"));
         }
     }
 

@@ -92,7 +92,16 @@ const TYPE_RESUME: u8 = 9;
 const TYPE_RESUME_ACK: u8 = 10;
 const TYPE_BUSY: u8 = 11;
 
-/// Why a wire stream failed to decode.
+/// The checksummed unit a [`WireError::BadCrc`] refers to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Checksummed {
+    /// A wire frame, checked against the CRC in its header.
+    Frame,
+    /// An `RGSN` session snapshot, checked against its CRC trailer.
+    Snapshot,
+}
+
+/// Why a wire stream or a snapshot file failed to decode.
 #[derive(Debug)]
 pub enum WireError {
     /// The stream ended inside a frame (torn write, killed producer).
@@ -109,9 +118,11 @@ pub enum WireError {
         /// The version the producer announced.
         got: u16,
     },
-    /// The frame body does not hash to the checksum in the header.
+    /// A frame body (or snapshot) does not hash to its stored checksum.
     BadCrc {
-        /// Checksum the header claimed.
+        /// What the checksum covers.
+        of: Checksummed,
+        /// Checksum the header (or trailer) claimed.
         want: u32,
         /// Checksum the body actually hashes to.
         got: u32,
@@ -123,6 +134,14 @@ pub enum WireError {
     Malformed(&'static str),
     /// A frame header claimed a body larger than [`MAX_FRAME_LEN`].
     FrameTooLarge(u32),
+    /// A session snapshot is shorter than its fixed magic, version and
+    /// CRC trailer.
+    SnapshotTooShort {
+        /// Length of the rejected file image in bytes.
+        len: usize,
+    },
+    /// A session snapshot does not start with the `RGSN` magic.
+    NotASnapshot,
     /// The underlying transport failed.
     Io(io::Error),
 }
@@ -141,16 +160,35 @@ impl fmt::Display for WireError {
                     "unsupported wire version {got} (this build speaks {WIRE_VERSION_MIN}..={WIRE_VERSION})"
                 )
             }
-            Self::BadCrc { want, got } => {
+            Self::BadCrc {
+                of: Checksummed::Frame,
+                want,
+                got,
+            } => {
                 write!(
                     f,
                     "frame checksum mismatch (header {want:#010x}, body {got:#010x})"
                 )
             }
+            Self::BadCrc {
+                of: Checksummed::Snapshot,
+                want,
+                got,
+            } => write!(
+                f,
+                "RGSN snapshot checksum mismatch (trailer {want:#010x}, contents {got:#010x})"
+            ),
             Self::UnknownFrameType(t) => write!(f, "unknown frame type {t}"),
             Self::Malformed(what) => write!(f, "malformed frame: {what}"),
             Self::FrameTooLarge(len) => {
                 write!(f, "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap")
+            }
+            Self::SnapshotTooShort { len } => write!(
+                f,
+                "RGSN snapshot truncated: {len} bytes, shorter than its 10-byte header and trailer"
+            ),
+            Self::NotASnapshot => {
+                write!(f, "not a session snapshot: bad magic (expected \"RGSN\")")
             }
             Self::Io(e) => write!(f, "wire transport error: {e}"),
         }
@@ -1031,7 +1069,11 @@ fn check_frame<B: AsRef<[u8]>>(
     let want = u32::from_le_bytes(crc.try_into().expect("four bytes"));
     let got = crc32(body);
     if got != want {
-        return Err(WireError::BadCrc { want, got });
+        return Err(WireError::BadCrc {
+            of: Checksummed::Frame,
+            want,
+            got,
+        });
     }
     Ok(Some((body[0], Frame::decode(body[0], &body[1..])?)))
 }

@@ -155,21 +155,6 @@ fn trace_args(out: &mut String, kind: &EventKind) {
         EventKind::RegionFormed { region } | EventKind::RegionEvicted { region } => {
             let _ = write!(out, "{{\"region\":{region}}}");
         }
-        EventKind::Steal {
-            tenant,
-            from_shard,
-            to_shard,
-        }
-        | EventKind::Migration {
-            tenant,
-            from_shard,
-            to_shard,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"tenant\":{tenant},\"from_shard\":{from_shard},\"to_shard\":{to_shard}}}"
-            );
-        }
         EventKind::Backpressure { shard, units } => {
             let _ = write!(out, "{{\"shard\":{shard},\"units\":{units}}}");
         }
@@ -389,16 +374,6 @@ mod tests {
             },
             EventKind::RegionFormed { region: 9 },
             EventKind::RegionEvicted { region: 9 },
-            EventKind::Steal {
-                tenant: 5,
-                from_shard: 0,
-                to_shard: 1,
-            },
-            EventKind::Migration {
-                tenant: 5,
-                from_shard: 1,
-                to_shard: 2,
-            },
             EventKind::Backpressure { shard: 2, units: 8 },
             EventKind::QueueHighWater {
                 shard: 2,

@@ -71,24 +71,6 @@ pub enum EventKind {
         /// The retired region's id.
         region: u64,
     },
-    /// A shard adopted another shard's tenant through work stealing.
-    Steal {
-        /// The stolen tenant.
-        tenant: u64,
-        /// Shard that lost the tenant.
-        from_shard: u64,
-        /// Shard that adopted it.
-        to_shard: u64,
-    },
-    /// A tenant was explicitly migrated between shards.
-    Migration {
-        /// The migrated tenant.
-        tenant: u64,
-        /// Source shard.
-        from_shard: u64,
-        /// Destination shard.
-        to_shard: u64,
-    },
     /// A producer stalled (blocking policy) or dropped (drop-oldest)
     /// against a full shard queue.
     Backpressure {
@@ -139,8 +121,6 @@ impl EventKind {
             EventKind::UcrBreach { .. } => "ucr_breach",
             EventKind::RegionFormed { .. } => "region_formed",
             EventKind::RegionEvicted { .. } => "region_evicted",
-            EventKind::Steal { .. } => "fleet_steal",
-            EventKind::Migration { .. } => "fleet_migration",
             EventKind::Backpressure { .. } => "queue_backpressure",
             EventKind::QueueHighWater { .. } => "queue_high_water",
             EventKind::IntervalEnd { .. } => "interval_end",
@@ -158,7 +138,6 @@ impl EventKind {
             EventKind::UcrBreach { .. }
             | EventKind::RegionFormed { .. }
             | EventKind::RegionEvicted { .. } => "regions",
-            EventKind::Steal { .. } | EventKind::Migration { .. } => "fleet",
             EventKind::Backpressure { .. } | EventKind::QueueHighWater { .. } => "queue",
             EventKind::IntervalEnd { .. } => "session",
             EventKind::ChangePoint { .. } => "cpd",
@@ -166,7 +145,7 @@ impl EventKind {
     }
 
     /// The track (trace-event `tid`) the event renders on: the region
-    /// for region-scoped events, the shard for fleet/queue events, 0
+    /// for region-scoped events, the shard for queue events, 0
     /// otherwise.
     #[must_use]
     pub fn track(&self) -> u64 {
@@ -174,7 +153,6 @@ impl EventKind {
             EventKind::LpdTransition { region, .. }
             | EventKind::RegionFormed { region }
             | EventKind::RegionEvicted { region } => region,
-            EventKind::Steal { to_shard, .. } | EventKind::Migration { to_shard, .. } => to_shard,
             EventKind::Backpressure { shard, .. } | EventKind::QueueHighWater { shard, .. } => {
                 shard
             }

@@ -16,8 +16,7 @@
 //! - [`journal`] — a per-thread fixed-capacity **event journal** (ring
 //!   buffer, epoch-based drain) of typed events: LPD/GPD state
 //!   transitions with Pearson *r* and thresholds, UCR breaches, region
-//!   formation/eviction, fleet steal/migration/backpressure, queue
-//!   high-water.
+//!   formation/eviction, queue backpressure and queue high-water.
 //! - [`clock`] — the **virtual clock**: event timestamps are the
 //!   interval/round index under lockstep pacing and wall-clock
 //!   microseconds only in freerun, so enabling telemetry cannot perturb

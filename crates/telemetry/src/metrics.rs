@@ -53,18 +53,6 @@ pub static QUEUE_BATCH_UNITS: Histogram = Histogram::new(
 
 // -------------------------------------------------------------- fleet
 
-/// Tenants adopted through work stealing.
-pub static FLEET_STEALS: Counter = Counter::new(
-    "regmon_fleet_steals_total",
-    "Tenants adopted by an idle shard through work stealing",
-);
-
-/// Explicit tenant migrations between shards.
-pub static FLEET_MIGRATIONS: Counter = Counter::new(
-    "regmon_fleet_migrations_total",
-    "Explicit tenant migrations between shards",
-);
-
 /// Tenant sessions quarantined after a panic.
 pub static FLEET_PANICS: Counter = Counter::new(
     "regmon_fleet_tenant_panics_total",
@@ -302,14 +290,12 @@ pub static CPD_SERIES_TRACKED: Gauge = Gauge::new(
     "Distinct series tracked by the fleet change-point hub",
 );
 
-static COUNTERS: [&Counter; 38] = [
+static COUNTERS: [&Counter; 36] = [
     &QUEUE_PUSHED,
     &QUEUE_POPPED,
     &QUEUE_DROPPED,
     &QUEUE_STALLS,
     &QUEUE_NOTIFIES,
-    &FLEET_STEALS,
-    &FLEET_MIGRATIONS,
     &FLEET_PANICS,
     &LPD_TRANSITIONS,
     &LPD_PHASE_CHANGES,

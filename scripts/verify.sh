@@ -31,6 +31,17 @@ if [[ "$QUICK" -eq 0 ]]; then
 
   step "calibration guards (full-length paper-figure checks, release build)"
   cargo test --release -p regmon --test calibration_guard -- --ignored
+
+  step "paper results (every deterministic results/*.csv regenerates byte for byte)"
+  for csv in results/*.csv; do
+    bin="$(basename "$csv" .csv)"
+    # The two cost figures are wall-clock measurements, not reproducible bytes.
+    case "$bin" in fig15_overhead | fig16_interval_tree) continue ;; esac
+    if ! env -u REGMON_FAST cargo run -q --release -p regmon-bench --bin "$bin" | cmp - "$csv"; then
+      echo "FAIL: $bin no longer reproduces $csv" >&2
+      exit 1
+    fi
+  done
 fi
 
 step "cargo test"
@@ -63,8 +74,8 @@ cargo run -q --release -p regmon-cli -- metrics --check "$expo.prom"
 cargo run -q --release -p regmon-cli -- metrics --check "$trace"
 rm -f "$trace" "$expo" "$expo.prom"
 
-step "fleet JSON invariance (REGMON_SIMD=scalar, --pin, --index tree and --index linear must not change a byte)"
-for variant in "REGMON_SIMD=scalar" "--pin" "--index tree" "--index linear"; do
+step "fleet JSON invariance (REGMON_SIMD=scalar, --index tree and --index linear must not change a byte)"
+for variant in "REGMON_SIMD=scalar" "--index tree" "--index linear"; do
   envs=() args=()
   if [[ "$variant" == *=* ]]; then envs=("$variant"); else read -ra args <<<"$variant"; fi
   v="$(env "${envs[@]}" cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 "${args[@]}" --json)"
@@ -74,11 +85,11 @@ for variant in "REGMON_SIMD=scalar" "--pin" "--index tree" "--index linear"; do
   fi
 done
 
-step "fleet JSON determinism (batched + stealing)"
-a="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --steal --json)"
-b="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --steal --json)"
+step "fleet JSON determinism (batched)"
+a="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --json)"
+b="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --json)"
 if [[ "$a" != "$b" ]]; then
-  echo "FAIL: fleet --batch 8 --steal --json differed between identical runs" >&2
+  echo "FAIL: fleet --batch 8 --json differed between identical runs" >&2
   exit 1
 fi
 

@@ -5,8 +5,8 @@
 //! stop attributing (the planted `degrade_from` regression) must show
 //! up as a confident UCR change point **attributed to that tenant**,
 //! within two detection windows of the plant; and the detection set
-//! must be byte-identical across batch sizes and stealing modes, like
-//! every other deterministic fleet output.
+//! must be byte-identical across batch sizes, like every other
+//! deterministic fleet output.
 //!
 //! Telemetry is process-global, so every test takes one shared mutex.
 
@@ -111,28 +111,25 @@ fn planted_slowdown_is_detected_and_attributed() {
 }
 
 #[test]
-fn detections_are_identical_across_batch_and_steal() {
+fn detections_are_identical_across_batch_sizes() {
     let _guard = telemetry_lock();
     let mut renderings = Vec::new();
-    for batch in [1usize, 4] {
-        for steal in [false, true] {
-            let report = run_with_cpd(&base_config().with_batch(batch).with_steal(steal));
-            let cpd = report.cpd.expect("cpd enabled");
-            renderings.push((
-                batch,
-                steal,
-                format!(
-                    "{:?} tracked={} points={}",
-                    cpd.change_points, cpd.series_tracked, cpd.points_ingested
-                ),
-            ));
-        }
+    for batch in [1usize, 4, 16] {
+        let report = run_with_cpd(&base_config().with_batch(batch));
+        let cpd = report.cpd.expect("cpd enabled");
+        renderings.push((
+            batch,
+            format!(
+                "{:?} tracked={} points={}",
+                cpd.change_points, cpd.series_tracked, cpd.points_ingested
+            ),
+        ));
     }
-    let (b0, s0, reference) = &renderings[0];
-    for (batch, steal, rendering) in &renderings[1..] {
+    let (b0, reference) = &renderings[0];
+    for (batch, rendering) in &renderings[1..] {
         assert_eq!(
             rendering, reference,
-            "cpd output diverged: batch={batch} steal={steal} vs batch={b0} steal={s0}"
+            "cpd output diverged: batch={batch} vs batch={b0}"
         );
     }
 }

@@ -100,25 +100,54 @@ fn fleet_matches_run_limited_eight_shards_freerun() {
     assert_equivalent(8, Pacing::Freerun);
 }
 
-/// The three paths to the same answer: single-threaded session, the
-/// core threaded (sync_channel) split, and a fleet of one.
+/// The two paths to the same answer: the single-threaded session and a
+/// fleet of one.
 #[test]
-fn single_threaded_threaded_and_fleet_of_one_agree() {
+fn single_session_and_fleet_of_one_agree() {
     let w = suite::by_name("181.mcf").unwrap();
     let config = SessionConfig::new(45_000);
     let single = MonitoringSession::run_limited(&w, &config, INTERVALS);
-    let threaded = regmon::threaded::run_threaded(&w, &config, INTERVALS, 4);
     let fleet = run_single(&w, &config, INTERVALS, 4);
-    assert_eq!(
-        format!("{single:?}"),
-        format!("{:?}", threaded.summary),
-        "threaded diverged"
-    );
     assert_eq!(
         format!("{single:?}"),
         format!("{:?}", fleet.summary),
         "fleet-of-one diverged"
     );
+}
+
+/// Monitoring on a separate thread (the paper's "not on the critical
+/// path" argument, §3.2.3) is equivalent to inline monitoring: a fleet
+/// of one reproduces the single-threaded session byte-for-byte.
+#[test]
+fn fleet_of_one_equals_inline_monitoring() {
+    for name in ["181.mcf", "187.facerec"] {
+        let w = suite::by_name(name).unwrap();
+        let config = SessionConfig::new(450_000);
+        let inline = MonitoringSession::run_limited(&w, &config, INTERVALS);
+        let fleet = run_single(&w, &config, INTERVALS, 8);
+        assert_eq!(
+            format!("{inline:?}"),
+            format!("{:?}", fleet.summary),
+            "{name}: fleet-of-one diverged from inline monitoring"
+        );
+    }
+}
+
+/// A fleet of one with a queue deeper than any lockstep round never
+/// makes the producer wait.
+#[test]
+fn fleet_of_one_deep_queue_absorbs_bursts() {
+    let w = suite::by_name("172.mgrid").unwrap();
+    let run = run_single(&w, &SessionConfig::new(450_000), 20, 64);
+    assert_eq!(run.summary.intervals, 20);
+    assert_eq!(run.backpressure_stalls, 0);
+}
+
+#[test]
+#[should_panic(expected = "queue depth must be positive")]
+fn fleet_of_one_rejects_zero_queue_depth() {
+    let w = suite::by_name("172.mgrid").unwrap();
+    let _ = run_single(&w, &SessionConfig::new(450_000), 1, 0);
 }
 
 /// Same fleet twice → identical reports (counters included), for every

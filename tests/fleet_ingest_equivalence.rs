@@ -1,23 +1,24 @@
 //! Ingestion fast-path equivalence (property suite).
 //!
-//! Interval batching and tenant-lease stealing are *pure transport*:
-//! they may change how intervals travel to shard workers, but never
-//! which intervals arrive, in what per-tenant order, or what any
-//! detector decides. This suite drives randomized fleet shapes through
-//! every combination of batching factor and stealing mode and asserts:
+//! Interval batching is *pure transport*: it may change how intervals
+//! travel to shard workers, but never which intervals arrive, in what
+//! per-tenant order, where a tenant lives, or what any detector
+//! decides. This suite drives randomized fleet shapes through several
+//! batching factors and asserts:
 //!
 //! 1. **Summary identity** — every tenant's `SessionSummary` (compared
 //!    via its full `Debug` rendering, which covers GPD/LPD phase-change
-//!    sequences, stable fractions and region accounting) is
-//!    byte-identical to the per-interval (`batch = 1`, no stealing)
-//!    baseline.
-//! 2. **Counter identity (lockstep)** — the simulated backpressure
-//!    counters (stalls, drops, high-water) are keyed to *home* shards
-//!    and must not move by a single unit under batching or rebalancing,
-//!    for both `Block` and `DropOldest` policies.
-//! 3. **Reference identity (freerun)** — under the lossless `Block`
-//!    policy a free-running fleet at any batch size, with stealing on
-//!    or off, reproduces `MonitoringSession::run_limited` exactly.
+//!    sequences, stable fractions and region accounting) and its shard
+//!    are byte-identical to the per-interval (`batch = 1`) baseline.
+//! 2. **One placement rule** — every tenant is reported on shard
+//!    `id % shards`, in both pacings.
+//! 3. **Counter identity (lockstep)** — the simulated backpressure
+//!    counters (stalls, drops, high-water) are keyed to each tenant's
+//!    shard and must not move by a single unit under batching, for both
+//!    `Block` and `DropOldest` policies.
+//! 4. **Reference identity (freerun)** — under the lossless `Block`
+//!    policy a free-running fleet at any batch size reproduces
+//!    `MonitoringSession::run_limited` exactly.
 
 use proptest::prelude::*;
 
@@ -46,20 +47,31 @@ fn fleet_specs(tenants: usize, intervals: usize) -> Vec<TenantSpec> {
         .collect()
 }
 
-/// Everything about a tenant that transport must not perturb. The
-/// `shard` field is deliberately excluded: stealing is *allowed* to
-/// move a tenant, just not to change its results.
+/// Everything about a tenant that transport must not perturb,
+/// placement included.
 fn tenant_digest(report: &FleetReport) -> Vec<String> {
     report
         .tenants
         .iter()
         .map(|t| {
             format!(
-                "{:?} produced={} processed={} {:?}",
-                t.state, t.intervals_produced, t.intervals_processed, t.summary
+                "shard={} {:?} produced={} processed={} {:?}",
+                t.shard, t.state, t.intervals_produced, t.intervals_processed, t.summary
             )
         })
         .collect()
+}
+
+/// Every tenant must be reported on its home shard, `id % shards`.
+fn assert_home_shards(report: &FleetReport, shards: usize) {
+    for t in &report.tenants {
+        assert_eq!(
+            t.shard,
+            t.id.shard(shards),
+            "tenant {} left its shard",
+            t.id
+        );
+    }
 }
 
 /// The deterministic lockstep backpressure counters, per shard.
@@ -81,7 +93,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn lockstep_results_invariant_under_batching_and_stealing(
+    fn lockstep_results_invariant_under_batching(
         tenants in 3usize..9,
         shards in 1usize..5,
         depth in 2usize..7,
@@ -98,26 +110,23 @@ proptest! {
         };
         let base = FleetConfig::new(shards, depth).with_policy(policy);
         let baseline = run_fleet(&base, &specs, &Schedule::new());
+        assert_home_shards(&baseline, shards);
         let base_digest = tenant_digest(&baseline);
         let base_counters = shard_counters(&baseline);
 
-        for (batch, steal) in [(batch_a, false), (batch_b, true), (1, true)] {
-            let variant = run_fleet(
-                &base.with_batch(batch).with_steal(steal),
-                &specs,
-                &Schedule::new(),
-            );
+        for batch in [batch_a, batch_b] {
+            let variant = run_fleet(&base.with_batch(batch), &specs, &Schedule::new());
             prop_assert_eq!(
                 &base_digest,
                 &tenant_digest(&variant),
-                "summaries diverged at batch={} steal={} policy={:?}",
-                batch, steal, policy
+                "tenants diverged at batch={} policy={:?}",
+                batch, policy
             );
             prop_assert_eq!(
                 &base_counters,
                 &shard_counters(&variant),
-                "lockstep counters diverged at batch={} steal={} policy={:?}",
-                batch, steal, policy
+                "lockstep counters diverged at batch={} policy={:?}",
+                batch, policy
             );
         }
     }
@@ -127,7 +136,6 @@ proptest! {
         shards in 1usize..5,
         depth in 2usize..7,
         batch in 1usize..33,
-        steal in prop::bool::ANY,
     ) {
         let specs = fleet_specs(6, 10);
         let reference: Vec<String> = specs
@@ -142,10 +150,10 @@ proptest! {
         let config = FleetConfig::new(shards, depth)
             .with_policy(QueuePolicy::Block)
             .with_pacing(Pacing::Freerun)
-            .with_batch(batch)
-            .with_steal(steal);
+            .with_batch(batch);
         let report = run_fleet(&config, &specs, &Schedule::new());
         prop_assert_eq!(report.aggregate.completed, specs.len());
+        assert_home_shards(&report, shards);
         prop_assert_eq!(report.aggregate.dropped_intervals, 0, "Block never drops");
         for (i, expect) in reference.iter().enumerate() {
             let summary = report.tenants[i]
@@ -155,8 +163,8 @@ proptest! {
             prop_assert_eq!(
                 expect,
                 &format!("{summary:?}"),
-                "tenant {} diverged from run_limited (shards={} batch={} steal={})",
-                i, shards, batch, steal
+                "tenant {} diverged from run_limited (shards={} batch={})",
+                i, shards, batch
             );
         }
     }

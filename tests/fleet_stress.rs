@@ -139,36 +139,28 @@ fn freerun_drop_oldest_drops_deterministically() {
     assert_eq!(t.state, TenantState::Completed);
 }
 
-/// Freerun work stealing, deterministically: parking shard 0's worker
-/// with [`FleetEngine::hold_shard`] gives it a backlog that cannot
-/// drain, so the idle shard 1 *provably* steals the backlogged tenant —
-/// no throttling, no retry loop, no scheduler luck. The park does not
-/// block the steal itself: the thief flips the lease inside the gate
-/// of its `Release` push and keeps polling for the entry, which the
-/// victim hands over once released. Despite the migration every
-/// summary must match `run_limited` byte-for-byte.
+/// One placement rule: a tenant never leaves `id % shards`. Parking
+/// shard 0's worker with [`FleetEngine::hold_shard`] gives its tenant a
+/// backlog that cannot drain while shard 1 sits idle, with no
+/// throttling and no scheduler luck. The backlog must still be served
+/// where it was queued, and every summary must match `run_limited`
+/// byte-for-byte.
 #[test]
-fn freerun_steal_rebalances_and_preserves_summaries() {
+fn backlogged_tenant_stays_on_its_home_shard() {
     const DEPTH: usize = 8;
-    // Workers steal from a peer whose queue holds DEPTH / 2 messages.
-    const BACKLOG: usize = DEPTH / 2;
     const BATCH: usize = 4;
-    let mut engine = FleetEngine::new(
-        EngineConfig::new(2, DEPTH)
-            .with_policy(QueuePolicy::Block)
-            .with_steal(true),
-    );
-    // Tenant ids home round-robin: the victim on shard 0, a resident
-    // on shard 1.
-    let victim_spec = spec("172.mgrid", 0, BACKLOG * BATCH);
+    let mut engine = FleetEngine::new(EngineConfig::new(2, DEPTH).with_policy(QueuePolicy::Block));
+    // Tenant ids home round-robin: the backlogged tenant on shard 0, a
+    // resident on shard 1.
+    let backlogged_spec = spec("172.mgrid", 0, (DEPTH - 1) * BATCH);
     let resident_spec = spec("181.mcf", 1, 10);
-    let victim = engine.admit(&victim_spec);
+    let backlogged = engine.admit(&backlogged_spec);
     let resident = engine.admit(&resident_spec);
-    assert_eq!((engine.shard_of(victim), engine.shard_of(resident)), (0, 1));
+    assert_eq!((backlogged.shard(2), resident.shard(2)), (0, 1));
 
-    // Park shard 0 first so it cannot steal the resident while shard 1
-    // works; then run the resident to completion on shard 1 (a hold is
-    // also a barrier: it returns once everything queued before it ran).
+    // Park shard 0, then run the resident to completion on shard 1 (a
+    // hold is also a barrier: it returns once everything queued before
+    // it ran).
     let hold = engine.hold_shard(0);
     let resident_intervals: Vec<_> =
         Sampler::new(&resident_spec.workload, resident_spec.config.sampling)
@@ -178,37 +170,27 @@ fn freerun_steal_rebalances_and_preserves_summaries() {
     engine.finish(resident);
     engine.hold_shard(1).release();
 
-    // Exactly BACKLOG batches for the parked shard: the steal threshold
-    // is met only once the last one is queued, so every interval lands
-    // on shard 0 and nothing else is left for a second steal.
-    let victim_intervals: Vec<_> = Sampler::new(&victim_spec.workload, victim_spec.config.sampling)
-        .take(victim_spec.max_intervals)
+    // Fill the parked shard's queue to one short of full (the finish
+    // takes the last slot), then let shard 1 idle beside it.
+    let backlog: Vec<_> = Sampler::new(&backlogged_spec.workload, backlogged_spec.config.sampling)
+        .take(backlogged_spec.max_intervals)
         .collect();
-    for chunk in victim_intervals.chunks(BATCH) {
-        assert!(engine.offer_batch(victim, chunk.to_vec()));
+    for chunk in backlog.chunks(BATCH) {
+        assert!(engine.offer_batch(backlogged, chunk.to_vec()));
     }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while engine.shard_of(victim) != 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "idle shard 1 never stole the backlogged tenant"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    // Routed to the thief, which replays it after the hand-off.
-    engine.finish(victim);
+    engine.finish(backlogged);
+    engine.hold_shard(1).release();
     hold.release();
     let finals = engine.shutdown();
 
-    assert_eq!(finals[0].tenants_stolen, 0);
-    assert_eq!(finals[1].tenants_stolen, 1, "exactly one steal");
-    assert!(finals[0].tenants.is_empty(), "the victim left shard 0");
-    for (id, spec) in [(victim, &victim_spec), (resident, &resident_spec)] {
-        let t = finals[1]
-            .tenants
-            .iter()
-            .find(|t| t.id == id)
-            .expect("both tenants end on shard 1");
+    for (id, spec, shard) in [
+        (backlogged, &backlogged_spec, 0),
+        (resident, &resident_spec, 1),
+    ] {
+        let [t] = finals[shard].tenants.as_slice() else {
+            panic!("shard {shard} must hold exactly its own tenant");
+        };
+        assert_eq!(t.id, id);
         assert_eq!(t.state, TenantState::Completed);
         assert_eq!(t.intervals_processed, spec.max_intervals);
         let reference =
@@ -219,10 +201,11 @@ fn freerun_steal_rebalances_and_preserves_summaries() {
                 "{:?}",
                 t.summary.as_ref().expect("completed tenant has a summary")
             ),
-            "{} diverged under work stealing",
+            "{} diverged",
             t.name
         );
     }
+    assert_eq!(finals[0].queue.stalls, 0, "the backlog fit the queue");
 }
 
 // ---------------------------------------------------------------------------
