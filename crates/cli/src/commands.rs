@@ -69,9 +69,9 @@ with --snapshot-at/--snapshot-out, or resuming with --resume);
 socket or TCP and reports each finished session like `regmon run`.
 
 Everything regmon writes — journals, the --durable WAL, `send` and
-`migrate` — is wire v2: delta-encoded columnar batches, roughly 8x
-smaller than v1's raw samples, optionally LZ-compressed with
---compress. v1 is read-only: journals and WALs recorded as v1 still
+`migrate` — is wire v2: columnar batches (delta-encoded addresses,
+delta-of-delta-encoded cycles), about 4.5x smaller than v1's raw
+samples, optionally LZ-compressed with --compress. v1 is read-only: journals and WALs recorded as v1 still
 replay, send and recover byte-identically. `regmon serve` (unix
 only) multiplexes all connections over --event-workers poll(2)
 workers. `regmon migrate` moves a live session between two servers

@@ -1162,6 +1162,99 @@ mod tests {
         assert_eq!(summaries[0], summaries[2]);
     }
 
+    /// Journals and WALs that builds before delta-of-delta columns
+    /// wrote (every batch column in the delta layout) still replay and
+    /// recover to the in-process run's summary, byte for byte.
+    #[cfg(unix)]
+    #[test]
+    fn delta_column_journals_and_wals_still_read() {
+        use crate::client::{send_plan, RetryPolicy, SendPlan, SessionStream};
+        use crate::durable::{wal_path, FsyncPolicy};
+        use crate::replay::{replay_stream, ReplayOptions};
+        use crate::wire::encode_frame_delta_columns;
+        use std::os::unix::net::UnixStream;
+
+        let (config, n) = (SessionConfig::new(45_000), 20);
+        let w = suite::by_name("172.mgrid").unwrap();
+        let direct = format!("{:?}", MonitoringSession::run_limited(&w, &config, n));
+        // Replay reports the admitted name, `stream_for`'s "172.mgrid#0".
+        let unnamed = |mut summary: regmon::SessionSummary| {
+            summary.workload = "172.mgrid".into();
+            format!("{summary:?}")
+        };
+        let written = stream_for("172.mgrid", &config, n, 0);
+        let mut reader = FrameReader::new(written.as_slice());
+        let mut frames = Vec::new();
+        while let Some(frame) = reader.next_frame().unwrap() {
+            frames.push(frame);
+        }
+        let old: Vec<u8> = frames.iter().flat_map(encode_frame_delta_columns).collect();
+        assert!(old.len() > written.len(), "no column chose delta-of-delta");
+
+        let replayed = replay_stream(old.as_slice(), &ReplayOptions::default()).unwrap();
+        assert_eq!(unnamed(replayed.tenants[0].summary.clone()), direct);
+
+        // A WAL as an older durable server left it when killed after
+        // four batches: the opener and each folded batch.
+        let dir = std::env::temp_dir().join(format!("regmon-serve-old-wal-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let records = frames
+            .iter()
+            .filter(|frame| matches!(frame, Frame::Admit(_) | Frame::Batch { .. }))
+            .take(5);
+        let wal: Vec<u8> = records.flat_map(encode_frame_delta_columns).collect();
+        std::fs::write(wal_path(&dir, 0), wal).unwrap();
+        let durable = DurableOptions {
+            dir: dir.clone(),
+            checkpoint_every: 4,
+            fsync: FsyncPolicy::Never,
+        };
+        let server = Arc::new(Server::new(ServeOptions {
+            durable: Some(durable),
+            recover: true,
+            ..ServeOptions::default()
+        }));
+        assert_eq!(server.recover().unwrap(), 1);
+        let Frame::Admit(admit) = &frames[1] else {
+            panic!("stream opens with {:?}", frames[1]);
+        };
+        let plan = SendPlan {
+            sessions: vec![SessionStream {
+                admit: (**admit).clone(),
+                snapshot: None,
+                base: 0,
+                batches: Sampler::new(&w, config.sampling)
+                    .take(n)
+                    .collect::<Vec<_>>()
+                    .chunks(3)
+                    .map(<[_]>::to_vec)
+                    .collect(),
+                finish: true,
+                checkpoint: false,
+            }],
+        };
+        let (client, srv) = UnixStream::pair().unwrap();
+        let handle = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.handle_io(srv))
+        };
+        let mut stream = Some(client);
+        let policy = RetryPolicy {
+            retries: 0,
+            timeout: std::time::Duration::from_secs(5),
+            backoff: std::time::Duration::from_millis(1),
+        };
+        let dial = move || Ok(stream.take().unwrap());
+        send_plan(dial, &plan, false, &policy, true, None).unwrap();
+        handle.join().unwrap().unwrap();
+        let report = Arc::into_inner(server).unwrap().finish();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(report.recovered, 1);
+        let recovered = report.sessions[0].summary.clone().unwrap();
+        assert_eq!(unnamed(recovered), direct);
+    }
+
     #[test]
     fn v2_hello_is_answered_and_v1_hello_is_not() {
         // A v2 producer waits for the server's Hello; a v1 producer is

@@ -295,8 +295,9 @@ fn decode_lpd(cur: &mut Cursor<'_>) -> Result<LpdManagerSnapshot, WireError> {
 ///
 /// [`WireError::SnapshotTooShort`] on a file too short to hold the
 /// magic, version and trailer, [`WireError::BadCrc`] on corruption,
-/// [`WireError::NotASnapshot`] / [`WireError::BadVersion`] on a foreign
-/// or newer file, [`WireError::Malformed`] on structural damage.
+/// [`WireError::NotASnapshot`] / [`WireError::SnapshotVersion`] on a
+/// foreign or newer file, [`WireError::SnapshotMalformed`] on
+/// structural damage.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, WireError> {
     if bytes.len() < 10 {
         return Err(WireError::SnapshotTooShort { len: bytes.len() });
@@ -311,24 +312,32 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, WireError> {
             got,
         });
     }
-    let mut cur = Cursor::new(body);
-    if cur.take(4)? != SNAPSHOT_MAGIC {
+    if body[..4] != SNAPSHOT_MAGIC {
         return Err(WireError::NotASnapshot);
     }
-    let version = cur.u16()?;
+    let version = u16::from_le_bytes([body[4], body[5]]);
     if version != SNAPSHOT_VERSION {
-        return Err(WireError::BadVersion { got: version });
+        return Err(WireError::SnapshotVersion { got: version });
     }
-    let config: SessionConfig = decode_config(&mut cur)?;
+    // The field decoders are the wire's; their damage is the snapshot's.
+    decode_body(&mut Cursor::new(&body[6..])).map_err(|e| match e {
+        WireError::Malformed(what) => WireError::SnapshotMalformed(what),
+        other => other,
+    })
+}
+
+/// Decodes the snapshot fields after the magic and version.
+fn decode_body(cur: &mut Cursor<'_>) -> Result<SessionSnapshot, WireError> {
+    let config: SessionConfig = decode_config(cur)?;
     let intervals = cur.usize_field()?;
     let regions_formed = cur.usize_field()?;
     let regions_pruned = cur.usize_field()?;
-    let monitor = decode_monitor(&mut cur)?;
-    let gpd = decode_gpd(&mut cur)?;
+    let monitor = decode_monitor(cur)?;
+    let gpd = decode_gpd(cur)?;
     if gpd.history.len() > config.gpd.history_len {
         return Err(WireError::Malformed("gpd history longer than history_len"));
     }
-    let lpd = decode_lpd(&mut cur)?;
+    let lpd = decode_lpd(cur)?;
     for (id, detector) in &lpd.detectors {
         let region = monitor.regions.binary_search_by_key(id, |r| r.id);
         if region.is_ok_and(|at| {
@@ -531,10 +540,16 @@ mod tests {
         let len = bytes.len();
         let crc = crc32(&bytes[..len - 4]);
         bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(WireError::BadVersion { got: 0x63 })
-        ));
+        let err = decode_snapshot(&bytes).unwrap_err();
+        assert!(
+            matches!(err, WireError::SnapshotVersion { got: 0x63 }),
+            "{err:?}"
+        );
+        assert_snapshot_wording(
+            &err,
+            "unsupported RGSN snapshot version 99 (this build reads 1)",
+        );
+        assert!(!err.to_string().contains("wire"), "{err}");
     }
 
     // ------------------------------------------ decoder property tests
@@ -603,7 +618,7 @@ mod tests {
     fn snapshot_decoder_survives_arbitrary_and_mutated_blobs() {
         let clean = encode_snapshot(&live_snapshot());
         let body = &clean[..clean.len() - 4];
-        let mut decoded = 0;
+        let (mut decoded, mut malformed) = (0, 0);
         for case in 0..2000 {
             // Case `case` replays from `TestRng::for_case` alone.
             let mut rng = TestRng::for_case("snapshot::decoder_fuzz", case);
@@ -616,11 +631,22 @@ mod tests {
             }
             let result = std::panic::catch_unwind(|| decode_snapshot(&blob))
                 .unwrap_or_else(|_| panic!("case {case}: decode panicked on {blob:02x?}"));
-            if let Ok(snapshot) = result {
-                decoded += 1;
-                restore(case, snapshot);
+            match result {
+                Ok(snapshot) => {
+                    decoded += 1;
+                    restore(case, snapshot);
+                }
+                Err(err) => {
+                    assert_snapshot_wording(&err, "");
+                    assert!(!err.to_string().contains("wire"), "case {case}: {err}");
+                    if let WireError::SnapshotMalformed(_) = err {
+                        malformed += 1;
+                    }
+                }
             }
         }
+        // Some damage must get past the checksum into the field decoders.
+        assert!(malformed > 100, "only {malformed} blobs reached the body");
         // The mutations must leave some blobs decodable, or the restore
         // half of the property never runs.
         assert!(decoded > 100, "only {decoded} blobs decoded");
@@ -676,7 +702,7 @@ mod tests {
             assert!(
                 matches!(
                     decode_snapshot(&encode_snapshot(&snapshot)),
-                    Err(WireError::Malformed(got)) if got == want
+                    Err(WireError::SnapshotMalformed(got)) if got == want
                 ),
                 "{want}"
             );

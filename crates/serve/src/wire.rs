@@ -20,12 +20,17 @@
 //! `migrate` — is **wire-v2**:
 //!
 //! * `Batch2` — the delta-columnar batch representation: per interval
-//!   the addr and cycle streams travel as separate columns, each a
-//!   `[width u8][base u64][deltas…]` run of zigzag-encoded wrapping
+//!   the addr and cycle streams travel as separate columns, each either
+//!   a `[width u8][base u64][deltas…]` run of zigzag-encoded wrapping
 //!   deltas narrowed to the smallest of {1, 2, 4} bytes that fits (or
-//!   raw 8-byte values when deltas do not help). PC streams are
-//!   overwhelmingly local, so real batches shrink roughly 8x — and the
-//!   CRC and decode passes shrink with them.
+//!   raw 8-byte values when deltas do not help), or a delta-of-delta
+//!   run `[0x10|width u8][base u64][first delta u64][second
+//!   differences…]`, whichever is smaller. PC streams are local, so
+//!   the addr column takes narrow deltas; sampled cycles advance by a
+//!   near-constant period, so the cycle column takes 1-byte second
+//!   differences. A 2,032-sample interval of pipebench's `serve_loops`
+//!   traffic is 7,230 bytes (3.6 per sample, 4.5x smaller than v1) —
+//!   and the CRC and decode passes shrink with it.
 //! * `Compressed` — an optional LZ wrapper ([`crate::compress`]) around
 //!   another frame's payload, chosen per producer via `--compress`.
 //! * `Snapshot` / `Checkpoint` — the live-migration handshake: a
@@ -56,6 +61,7 @@ use regmon_sampling::{Interval, PcSample, SamplingConfig};
 
 use crate::compress;
 use crate::crc::crc32;
+use crate::snapshot::SNAPSHOT_VERSION;
 
 /// Magic bytes opening every `Hello` frame and snapshot file header.
 pub const WIRE_MAGIC: [u8; 4] = *b"RGMN";
@@ -142,6 +148,15 @@ pub enum WireError {
     },
     /// A session snapshot does not start with the `RGSN` magic.
     NotASnapshot,
+    /// A session snapshot declares a format version this build does
+    /// not read.
+    SnapshotVersion {
+        /// The version the snapshot declared.
+        got: u16,
+    },
+    /// A session snapshot whose checksum holds but whose contents are
+    /// structurally invalid (the snapshot-side [`WireError::Malformed`]).
+    SnapshotMalformed(&'static str),
     /// The underlying transport failed.
     Io(io::Error),
 }
@@ -190,6 +205,11 @@ impl fmt::Display for WireError {
             Self::NotASnapshot => {
                 write!(f, "not a session snapshot: bad magic (expected \"RGSN\")")
             }
+            Self::SnapshotVersion { got } => write!(
+                f,
+                "unsupported RGSN snapshot version {got} (this build reads {SNAPSHOT_VERSION})"
+            ),
+            Self::SnapshotMalformed(what) => write!(f, "malformed RGSN snapshot: {what}"),
             Self::Io(e) => write!(f, "wire transport error: {e}"),
         }
     }
@@ -634,50 +654,129 @@ fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
-/// Encodes one value column as `[width u8][base u64][deltas…]`.
-///
-/// The base is the first value verbatim; the remaining `n-1` entries
-/// are zigzag-folded *wrapping* deltas narrowed to the smallest of
-/// {1, 2, 4} bytes that holds every fold. When even 4 bytes do not fit
-/// the column falls back to width 8: raw values (no deltas) — so the
-/// worst case costs what v1 cost.
-/// Wrapping arithmetic makes the round trip exact for every `u64`
-/// input, including columns that wrap past zero.
-fn encode_column(values: &[u64], out: &mut Vec<u8>) {
-    let Some((&base, rest)) = values.split_first() else {
-        return; // empty column: nsamples == 0 says it all
-    };
-    let mut max_fold = 0u64;
-    let mut prev = base;
-    for &v in rest {
-        max_fold = max_fold.max(zigzag(v.wrapping_sub(prev) as i64));
-        prev = v;
-    }
-    let width: u8 = match max_fold {
+/// Column-code flag for a delta-of-delta column; the low bits of a
+/// column code give the entry width in bytes.
+const COLUMN_DOD: u8 = 0x10;
+
+/// The narrowest of {1, 2, 4, 8} bytes that holds `max_fold`.
+fn fold_width(max_fold: u64) -> u8 {
+    match max_fold {
         0..=0xFF => 1,
         0x100..=0xFFFF => 2,
         0x1_0000..=0xFFFF_FFFF => 4,
         _ => 8,
+    }
+}
+
+/// Appends the low `width` bytes of `fold` (little-endian).
+fn push_fold(out: &mut Vec<u8>, fold: u64, width: u8) {
+    out.extend_from_slice(&fold.to_le_bytes()[..usize::from(width)]);
+}
+
+/// Encodes one value column in whichever of two layouts is smaller:
+///
+/// * delta: `[w u8][base u64][n-1 deltas]` — the first value verbatim,
+///   then zigzag-folded *wrapping* deltas narrowed to the smallest of
+///   {1, 2, 4} bytes that holds every fold. When even 4 bytes do not
+///   fit the column falls back to width 8: raw values (no deltas) — so
+///   the worst case costs what v1 cost.
+/// * delta-of-delta (`0x10|w`, w ∈ {1, 2, 4}): `[0x10|w u8][base u64]
+///   [first delta u64][n-2 second differences]`, each entry the zigzag
+///   fold of `delta[i] - delta[i-1]`. A sampled cycle column is a
+///   constant period plus a few cycles of skid, so its second
+///   differences fit one byte where its deltas need four (Gorilla's
+///   timestamp encoding, Pelkonen et al., VLDB 2015).
+///
+/// One pass finds both maxima. Wrapping arithmetic makes the round trip
+/// exact for every `u64` input, including columns that wrap past zero.
+fn encode_column(values: &[u64], out: &mut Vec<u8>) {
+    let Some((&base, rest)) = values.split_first() else {
+        return; // empty column: nsamples == 0 says it all
+    };
+    let first_delta = rest.first().map_or(0, |&v| v.wrapping_sub(base));
+    let (mut max_fold, mut max_fold2) = (0u64, 0u64);
+    let (mut prev, mut prev_delta) = (base, first_delta);
+    for &v in rest {
+        let delta = v.wrapping_sub(prev);
+        max_fold = max_fold.max(zigzag(delta as i64));
+        max_fold2 = max_fold2.max(zigzag(delta.wrapping_sub(prev_delta) as i64));
+        (prev, prev_delta) = (v, delta);
+    }
+    let width = fold_width(max_fold);
+    let width2 = fold_width(max_fold2);
+    let delta_len = rest.len() * usize::from(width);
+    let dod_len = rest
+        .len()
+        .checked_sub(1)
+        .map(|m| 8 + m * usize::from(width2));
+    if width2 <= 4 && dod_len.is_some_and(|len| len < delta_len) {
+        out.push(COLUMN_DOD | width2);
+        push_u64(out, base);
+        push_u64(out, first_delta);
+        let (mut prev, mut prev_delta) = (rest[0], first_delta);
+        for &v in &rest[1..] {
+            let delta = v.wrapping_sub(prev);
+            push_fold(out, zigzag(delta.wrapping_sub(prev_delta) as i64), width2);
+            (prev, prev_delta) = (v, delta);
+        }
+        return;
+    }
+    write_delta_column(values, width, out);
+}
+
+/// Writes `values` in the delta layout at `width` (nothing when empty).
+fn write_delta_column(values: &[u64], width: u8, out: &mut Vec<u8>) {
+    let Some((&base, rest)) = values.split_first() else {
+        return;
     };
     out.push(width);
     push_u64(out, base);
     let mut prev = base;
     for &v in rest {
-        let fold = zigzag(v.wrapping_sub(prev) as i64);
         match width {
-            1 => out.push(fold as u8),
-            2 => push_u16(out, fold as u16),
-            4 => push_u32(out, fold as u32),
-            _ => push_u64(out, v),
+            8 => push_u64(out, v),
+            _ => push_fold(out, zigzag(v.wrapping_sub(prev) as i64), width),
         }
         prev = v;
     }
 }
 
-/// Walks an `n`-entry column written by [`encode_column`], writing each
-/// decoded value into the matching `out` slot via `set`. Decoding in
-/// place lets [`decode_interval_v2`] fill the final `PcSample` vector
-/// directly — no intermediate per-column `Vec<u64>` on the hot path.
+/// Walks `W`-byte little-endian entries, writing `value(entry)` into
+/// successive `slots`.
+fn fill_entries<T, const W: usize>(
+    slots: &mut [T],
+    bytes: &[u8],
+    mut value: impl FnMut(u64) -> u64,
+    set: &mut impl FnMut(&mut T, u64),
+) {
+    for (slot, rec) in slots.iter_mut().zip(bytes.chunks_exact(W)) {
+        let mut le = [0u8; 8];
+        le[..W].copy_from_slice(rec);
+        set(slot, value(u64::from_le_bytes(le)));
+    }
+}
+
+/// [`fill_entries`] at a runtime width of 1, 2, 4 or 8 bytes.
+fn fill_column<T>(
+    width: u8,
+    slots: &mut [T],
+    bytes: &[u8],
+    value: impl FnMut(u64) -> u64,
+    mut set: impl FnMut(&mut T, u64),
+) {
+    match width {
+        1 => fill_entries::<T, 1>(slots, bytes, value, &mut set),
+        2 => fill_entries::<T, 2>(slots, bytes, value, &mut set),
+        4 => fill_entries::<T, 4>(slots, bytes, value, &mut set),
+        _ => fill_entries::<T, 8>(slots, bytes, value, &mut set),
+    }
+}
+
+/// Walks an `n`-entry column written by [`encode_column`] (either
+/// layout), writing each decoded value into the matching `out` slot
+/// via `set`. Decoding in place lets [`decode_interval_v2`] fill the
+/// final `PcSample` vector directly — no intermediate per-column
+/// `Vec<u64>` on the hot path.
 fn decode_column_into<T>(
     cur: &mut Cursor<'_>,
     out: &mut [T],
@@ -686,50 +785,51 @@ fn decode_column_into<T>(
     let Some((first, rest)) = out.split_first_mut() else {
         return Ok(());
     };
-    let width = cur.u8()?;
+    let code = cur.u8()?;
     let base = cur.u64()?;
-    let payload = match width {
-        1 | 2 | 4 | 8 => rest.len().saturating_mul(width as usize),
+    let width = code & !COLUMN_DOD;
+    let dod = code & COLUMN_DOD != 0;
+    let (head, entries) = match (dod, width) {
+        (false, 1 | 2 | 4 | 8) => (0, rest.len()),
+        (true, 1 | 2 | 4) => (8, rest.len().saturating_sub(1)),
         _ => return Err(WireError::Malformed("bad column width")),
     };
     // Refuse counts the payload cannot hold before allocating.
+    let payload = entries
+        .saturating_mul(usize::from(width))
+        .saturating_add(head);
     if payload > cur.bytes.len() - cur.pos {
         return Err(WireError::Malformed("sample count exceeds payload"));
     }
-    let bytes = cur.take(payload)?;
     set(first, base);
     let mut prev = base;
-    match width {
-        1 => {
-            for (slot, &b) in rest.iter_mut().zip(bytes) {
-                prev = prev.wrapping_add(unzigzag(u64::from(b)) as u64);
-                set(slot, prev);
-            }
-        }
-        2 => {
-            for (slot, rec) in rest.iter_mut().zip(bytes.chunks_exact(2)) {
-                let fold = u64::from(u16::from_le_bytes(rec.try_into().expect("two bytes")));
-                prev = prev.wrapping_add(unzigzag(fold) as u64);
-                set(slot, prev);
-            }
-        }
-        4 => {
-            for (slot, rec) in rest.iter_mut().zip(bytes.chunks_exact(4)) {
-                let fold = u64::from(u32::from_le_bytes(rec.try_into().expect("four bytes")));
-                prev = prev.wrapping_add(unzigzag(fold) as u64);
-                set(slot, prev);
-            }
-        }
-        _ => {
+    if !dod {
+        let bytes = cur.take(payload)?;
+        if width == 8 {
             // Raw values: no delta chain to walk.
-            for (slot, rec) in rest.iter_mut().zip(bytes.chunks_exact(8)) {
-                set(
-                    slot,
-                    u64::from_le_bytes(rec.try_into().expect("eight bytes")),
-                );
-            }
+            fill_column(width, rest, bytes, |raw| raw, set);
+        } else {
+            let step = |fold| {
+                prev = prev.wrapping_add(unzigzag(fold) as u64);
+                prev
+            };
+            fill_column(width, rest, bytes, step, set);
         }
+        return Ok(());
     }
+    let Some((second, tail)) = rest.split_first_mut() else {
+        return Err(WireError::Malformed("delta-of-delta column of one value"));
+    };
+    let mut delta = cur.u64()?;
+    let bytes = cur.take(payload - head)?;
+    prev = prev.wrapping_add(delta);
+    set(second, prev);
+    let step = |fold| {
+        delta = delta.wrapping_add(unzigzag(fold) as u64);
+        prev = prev.wrapping_add(delta);
+        prev
+    };
+    fill_column(width, tail, bytes, step, set);
     Ok(())
 }
 
@@ -741,16 +841,29 @@ fn decode_column(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u64>, WireError> 
     Ok(values)
 }
 
-/// Encodes one interval in the v2 delta-columnar layout.
-fn encode_interval_v2(interval: &Interval, out: &mut Vec<u8>) {
+/// Encodes one interval in the v2 delta-columnar layout, each column
+/// written by `column`.
+fn encode_interval_v2(interval: &Interval, out: &mut Vec<u8>, column: fn(&[u64], &mut Vec<u8>)) {
     push_u64(out, interval.index as u64);
     push_u64(out, interval.start_cycle);
     push_u64(out, interval.end_cycle);
     push_u32(out, interval.samples.len() as u32);
     let addrs: Vec<u64> = interval.samples.iter().map(|s| s.addr.get()).collect();
     let cycles: Vec<u64> = interval.samples.iter().map(|s| s.cycle).collect();
-    encode_column(&addrs, out);
-    encode_column(&cycles, out);
+    column(&addrs, out);
+    column(&cycles, out);
+}
+
+/// The column encoder builds before delta-of-delta wrote: always the
+/// delta layout. Kept as the reference for the old-file tests.
+#[cfg(test)]
+fn encode_delta_column(values: &[u64], out: &mut Vec<u8>) {
+    let max_fold = values
+        .windows(2)
+        .map(|pair| zigzag(pair[1].wrapping_sub(pair[0]) as i64))
+        .max()
+        .unwrap_or(0);
+    write_delta_column(values, fold_width(max_fold), out);
 }
 
 /// Decodes a v2 interval into the exact [`Interval`] v1 would carry.
@@ -834,7 +947,7 @@ impl Frame {
                 push_u32(out, *tenant);
                 push_u32(out, intervals.len() as u32);
                 for interval in intervals {
-                    encode_interval_v2(interval, out);
+                    encode_interval_v2(interval, out, encode_column);
                 }
             }
             Self::Finish { tenant } => push_u32(out, *tenant),
@@ -1022,6 +1135,23 @@ impl WireDialect {
         }
         seal_frame(body)
     }
+}
+
+/// [`Frame::encode`] as builds before delta-of-delta wrote it: every
+/// batch column in the delta layout. The reference encoder for the
+/// tests that read journals and WALs those builds left behind.
+#[cfg(test)]
+pub(crate) fn encode_frame_delta_columns(frame: &Frame) -> Vec<u8> {
+    let Frame::Batch { tenant, intervals } = frame else {
+        return frame.encode();
+    };
+    let mut body = vec![TYPE_BATCH2];
+    push_u32(&mut body, *tenant);
+    push_u32(&mut body, intervals.len() as u32);
+    for interval in intervals {
+        encode_interval_v2(interval, &mut body, encode_delta_column);
+    }
+    seal_frame(body)
 }
 
 /// Writes one frame to a transport.
@@ -1581,18 +1711,21 @@ mod tests {
     fn batch2_roundtrips_bit_identically_for_every_remainder_shape() {
         // Every sample count 0..=64 must survive the round trip exactly:
         // the delta-columnar v2 batch (plain and compressed, including
-        // the width-8 raw column) and the v1 raw-sample batch old
+        // the width-8 raw and delta-of-delta columns), the delta-only v2
+        // batch older builds wrote, and the v1 raw-sample batch old
         // journals and WALs carry.
         for n in 0..=64usize {
-            let frame = stress_batch(n);
-            for dialect in [
-                WireDialect::V1,
-                WireDialect::v2(false),
-                WireDialect::v2(true),
-            ] {
-                let bytes = dialect.encode_frame(&frame);
-                let decoded = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-                assert_eq!(decoded, frame, "n {n} {dialect:?}");
+            for frame in [stress_batch(n), sampler_batch(n)] {
+                let encodings = [
+                    WireDialect::V1.encode_frame(&frame),
+                    WireDialect::v2(false).encode_frame(&frame),
+                    WireDialect::v2(true).encode_frame(&frame),
+                    encode_frame_delta_columns(&frame),
+                ];
+                for (i, bytes) in encodings.iter().enumerate() {
+                    let decoded = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
+                    assert_eq!(decoded, frame, "n {n} encoding {i}");
+                }
             }
         }
     }
@@ -1614,27 +1747,155 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_column_width_is_chosen_and_roundtrips() {
-        // Constant stride 4 → width 1; stride 300 → 2; stride 100k → 4;
-        // pseudorandom → 8. Each must decode back exactly.
-        for (stride, want_width) in [(4u64, 1u8), (300, 2), (100_000, 4)] {
-            let values: Vec<u64> = (0..50).map(|i| 0x4000_0000 + i * stride).collect();
-            let mut out = Vec::new();
-            encode_column(&values, &mut out);
-            assert_eq!(out[0], want_width, "stride {stride}");
-            let mut cur = Cursor::new(&out);
-            assert_eq!(decode_column(&mut cur, values.len()).unwrap(), values);
-            cur.finish().unwrap();
-        }
-        let values: Vec<u64> = (0..50u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    /// Deterministic per-index noise in `0..2^24`.
+    fn jitter(i: u64) -> u64 {
+        i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40
+    }
+
+    /// A column shaped like the sampler's cycle stream: sample `i`
+    /// fires at `base + i * period` plus up to `skid` cycles of skid.
+    fn cycle_column(n: usize, base: u64, period: u64, skid: u64) -> Vec<u64> {
+        (0..n as u64)
+            .map(|i| {
+                base.wrapping_add(i.wrapping_mul(period))
+                    .wrapping_add(jitter(i) % (skid + 1))
+            })
+            .collect()
+    }
+
+    /// A batch as the sampler emits it: local PCs, and cycles one
+    /// interrupt period apart plus up to 20 cycles of skid.
+    fn sampler_batch(n: usize) -> Frame {
+        let cycles = cycle_column(n, 45_000, 45_000, 20);
+        let samples = cycles
+            .iter()
+            .enumerate()
+            .map(|(i, &cycle)| PcSample {
+                addr: Addr::new(0x4000_0000 + (jitter(i as u64) % 64) * 4),
+                cycle,
+            })
             .collect();
+        Frame::Batch {
+            tenant: 2,
+            intervals: vec![Interval {
+                index: 5,
+                start_cycle: 0,
+                end_cycle: 45_000 * (n as u64 + 1),
+                samples,
+            }],
+        }
+    }
+
+    /// Encodes `values` as one column, checks it decodes back exactly
+    /// and consumes every byte, and returns its column code.
+    fn roundtrip_column(values: &[u64]) -> u8 {
         let mut out = Vec::new();
-        encode_column(&values, &mut out);
-        assert_eq!(out[0], 8);
+        encode_column(values, &mut out);
         let mut cur = Cursor::new(&out);
         assert_eq!(decode_column(&mut cur, values.len()).unwrap(), values);
+        cur.finish().unwrap();
+        out.first().copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn every_column_width_is_chosen_and_roundtrips() {
+        // Delta layout: a constant stride of 4 → width 1 (a 1-byte
+        // delta is never beaten); strides of 300 and 100k jittered by
+        // up to one stride, so their second differences are as wide as
+        // their deltas → widths 2 and 4; pseudorandom → 8.
+        for (stride, noise, want) in [(4u64, 1u64, 1u8), (300, 300, 2), (100_000, 100_000, 4)] {
+            let values: Vec<u64> = (0..50)
+                .map(|i| 0x4000_0000 + i * stride + jitter(i) % noise)
+                .collect();
+            assert_eq!(roundtrip_column(&values), want, "stride {stride}");
+        }
+        let values: Vec<u64> = (0..50u64)
+            .map(|i| {
+                let z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9)
+            })
+            .collect();
+        assert_eq!(roundtrip_column(&values), 8);
+        // Delta-of-delta: constant strides of 300 and 100k, a sampled
+        // cycle column, one with 1000 cycles of skid, and a stride past
+        // 32 bits with 2^20 of noise.
+        let stride =
+            |stride: u64| -> Vec<u64> { (0..50).map(|i| 0x4000_0000 + i * stride).collect() };
+        for (values, want) in [
+            (stride(300), 1),
+            (stride(100_000), 1),
+            (cycle_column(50, 45_000, 45_000, 20), 1),
+            (cycle_column(50, 45_000, 45_000, 1000), 2),
+            (cycle_column(50, 0, 1 << 40, 1 << 20), 4),
+        ] {
+            assert_eq!(roundtrip_column(&values), COLUMN_DOD | want, "{values:?}");
+        }
+    }
+
+    #[test]
+    fn cycle_columns_roundtrip_at_every_length() {
+        // `i64::MIN` second differences: deltas alternating 0 and 2^63.
+        let extreme =
+            |n: usize| -> Vec<u64> { (0..n as u64).map(|i| ((i / 2) % 2) << 63).collect() };
+        for n in 0..=64usize {
+            let sampled = cycle_column(n, 45_000, 45_000, 20);
+            let code = roundtrip_column(&sampled);
+            // Delta-of-delta pays its 8-byte first delta back from the
+            // fourth sample on (8 + (n-2) < 4 (n-1)).
+            if n >= 4 {
+                assert_eq!(code, COLUMN_DOD | 1, "n {n}");
+            } else {
+                assert_eq!(code & COLUMN_DOD, 0, "n {n}");
+            }
+            let wrapping = cycle_column(n, u64::MAX - 3 * 45_000, 45_000, 20);
+            assert_eq!(roundtrip_column(&wrapping), code, "n {n}");
+            roundtrip_column(&cycle_column(n, 0, 45_000, 0));
+            roundtrip_column(&extreme(n));
+            // A first delta of 2^63, then a constant stride: the raw
+            // first delta carries what no zigzag fold could.
+            let far: Vec<u64> = (0..n as u64).map(|i| i << 63).collect();
+            roundtrip_column(&far);
+        }
+        // The encoder never picks delta-of-delta below four values, but
+        // the decoder reads it from two on: 7, 12 (+5), 20 (+8 = +5+3).
+        let mut column = vec![COLUMN_DOD | 1];
+        column.extend_from_slice(&7u64.to_le_bytes());
+        column.extend_from_slice(&5u64.to_le_bytes());
+        let two = decode_column(&mut Cursor::new(&column), 2).unwrap();
+        assert_eq!(two, [7, 12]);
+        column.push(zigzag(3) as u8);
+        let three = decode_column(&mut Cursor::new(&column), 3).unwrap();
+        assert_eq!(three, [7, 12, 20]);
+    }
+
+    #[test]
+    fn malformed_delta_of_delta_columns_are_rejected() {
+        let values = cycle_column(10, 45_000, 45_000, 20);
+        let mut column = Vec::new();
+        encode_column(&values, &mut column);
+        assert_eq!(column[0], COLUMN_DOD | 1);
+        let decode = |bytes: &[u8], n| decode_column(&mut Cursor::new(bytes), n);
+        // Every cut, and every count past what the entries can hold.
+        for cut in 0..column.len() {
+            assert!(decode(&column[..cut], values.len()).is_err(), "cut {cut}");
+        }
+        for n in values.len() + 1..values.len() + 9 {
+            let err = decode(&column, n).unwrap_err();
+            assert!(matches!(err, WireError::Malformed(_)), "n {n}: {err}");
+        }
+        // Widths delta-of-delta does not define, and one value (no
+        // second value for the first delta to reach).
+        for code in [COLUMN_DOD, COLUMN_DOD | 3, COLUMN_DOD | 8, 0x20 | 1] {
+            let mut bad = column.clone();
+            bad[0] = code;
+            let err = decode(&bad, values.len()).unwrap_err();
+            assert!(
+                err.to_string().contains("bad column width"),
+                "{code:#x}: {err}"
+            );
+        }
+        let err = decode(&column, 1).unwrap_err();
+        assert!(err.to_string().contains("of one value"), "{err}");
     }
 
     #[test]
@@ -1870,6 +2131,7 @@ mod tests {
         let dialect = dialects[below(rng, 3)];
         let mut frames = sample_frames();
         frames.insert(3, stress_batch(below(rng, 24)));
+        frames.insert(4, sampler_batch(below(rng, 24)));
         frames.push(Frame::Checkpoint { tenant: 3 });
         let mut bodies: Vec<Vec<u8>> = frames
             .iter()
