@@ -33,7 +33,7 @@ use regmon_binary::Addr;
 use regmon_cpd::{CpdHub, Metric, SeriesKey, StreamConfig, NO_REGION};
 use regmon_fleet::{Droppable, QueuePolicy, RingQueue};
 use regmon_sampling::{Interval, PcSample};
-use regmon_serve::wire::{read_frame, Frame, WireDialect};
+use regmon_serve::wire::{read_frame, Frame};
 
 /// Samples per synthetic interval payload (the payload travels by move,
 /// so this sets consumer accounting work, not copy volume).
@@ -265,11 +265,10 @@ fn run_wire(shape: Shape, frames: &[(usize, Vec<u8>)]) -> f64 {
     })
 }
 
-/// Pre-encoded single-session wire-v1 streams (Hello + Admit +
-/// batch-32 frames + Finish) for the connection-scaling rows. v1 is
-/// deliberate: v1 producers are one-way (no Hello reply to wait for),
-/// so the rows time the serve loop's connection handling, not the
-/// codec or the `Hello` round-trip.
+/// Pre-encoded single-session wire streams (Hello + Admit + batch-32
+/// frames + Finish) for the connection-scaling rows. Producers write
+/// the whole stream before reading the `Hello` answer, so the rows time
+/// the serve loop's connection handling, not a `Hello` round-trip.
 #[cfg(unix)]
 fn encode_session_streams(active: usize, per_conn: usize) -> Vec<Vec<u8>> {
     use regmon_serve::wire::AdmitFrame;
@@ -280,7 +279,7 @@ fn encode_session_streams(active: usize, per_conn: usize) -> Vec<Vec<u8>> {
         .collect();
     (0..active)
         .map(|t| {
-            let mut bytes = Frame::Hello { version: 1 }.encode();
+            let mut bytes = Frame::hello().encode();
             bytes.extend(
                 Frame::Admit(Box::new(AdmitFrame {
                     tenant: 0,
@@ -292,10 +291,13 @@ fn encode_session_streams(active: usize, per_conn: usize) -> Vec<Vec<u8>> {
                 .encode(),
             );
             for chunk in intervals.chunks(HEADLINE_BATCH) {
-                bytes.extend(WireDialect::V1.encode_frame(&Frame::Batch {
-                    tenant: 0,
-                    intervals: chunk.to_vec(),
-                }));
+                bytes.extend(
+                    Frame::Batch {
+                        tenant: 0,
+                        intervals: chunk.to_vec(),
+                    }
+                    .encode(),
+                );
             }
             bytes.extend(Frame::Finish { tenant: 0 }.encode());
             bytes
@@ -322,7 +324,7 @@ fn connect_retry(sock: &std::path::Path) -> std::os::unix::net::UnixStream {
 /// server with 4 event-loop workers. Returns elapsed seconds.
 #[cfg(unix)]
 fn run_connection_scaling(idle: usize, streams: &[Vec<u8>]) -> f64 {
-    use std::io::Write as _;
+    use std::io::{Read as _, Write as _};
     use std::os::unix::net::UnixStream;
     let sock = std::env::temp_dir().join(format!("regmon-fleet-scale-{}.sock", std::process::id()));
     let options = regmon_serve::ServeOptions {
@@ -350,9 +352,16 @@ fn run_connection_scaling(idle: usize, streams: &[Vec<u8>]) -> f64 {
             let bytes = bytes.clone();
             let sock = sock.clone();
             thread::spawn(move || {
+                // Write everything, half-close, then read the replies
+                // to EOF: the Hello answer waits in the socket buffer,
+                // and the server closes once it has read the stream.
                 let mut stream = connect_retry(&sock);
                 stream.write_all(&bytes).expect("stream session");
-                stream.flush().expect("flush session");
+                stream
+                    .shutdown(std::net::Shutdown::Write)
+                    .expect("half-close session");
+                let mut replies = Vec::new();
+                stream.read_to_end(&mut replies).expect("read replies");
             })
         })
         .collect();

@@ -47,11 +47,11 @@ USAGE:
                [--fsync always|checkpoint|never] [--idle-timeout-ms N]
                [--max-conns N] [--drain-deadline-ms N]
                [--json] [--trace-out FILE]
-  regmon send <journal> (--unix PATH | --tcp ADDR) [--compress]
+  regmon send <journal> (--unix PATH | --tcp ADDR)
                [--retries N] [--timeout-ms N] [--backoff-ms N] [--resume]
                [--no-finish]
   regmon migrate <journal> --at N (--from PATH | --from-tcp ADDR)
-               (--to PATH | --to-tcp ADDR) [--compress] [--retries N]
+               (--to PATH | --to-tcp ADDR) [--retries N]
                [--timeout-ms N] [--backoff-ms N]
   regmon metrics [<benchmark>] [--intervals N] [--json]
   regmon metrics --check FILE
@@ -68,11 +68,11 @@ with --snapshot-at/--snapshot-out, or resuming with --resume);
 `regmon serve` ingests journals streamed by `regmon send` over a unix
 socket or TCP and reports each finished session like `regmon run`.
 
-Everything regmon writes — journals, the --durable WAL, `send` and
-`migrate` — is wire v2: columnar batches (delta-encoded addresses,
-delta-of-delta-encoded cycles), about 4.5x smaller than v1's raw
-samples, optionally LZ-compressed with --compress. v1 is read-only: journals and WALs recorded as v1 still
-replay, send and recover byte-identically. `regmon serve` (unix
+Everything regmon writes and reads — journals, the --durable WAL,
+`send` and `migrate` — is wire v2: columnar batches (delta-encoded
+addresses, delta-of-delta-encoded cycles). Wire v1 journals and WALs
+and LZ-compressed streams from older builds are no longer read: they
+fail with an error naming the retired format. `regmon serve` (unix
 only) multiplexes all connections over --event-workers poll(2)
 workers. `regmon migrate` moves a live session between two servers
 mid-stream: the first server checkpoints and retires the tenant, the
@@ -1011,10 +1011,6 @@ fn parse_retry_policy(p: &crate::args::Parsed) -> Result<regmon_serve::RetryPoli
 
 /// `regmon send <journal>` — stream a recorded journal to a live server.
 ///
-/// The journal's frames travel in wire v2 (`--compress`ed on request)
-/// whichever version the journal was recorded in, so a v1 journal
-/// arrives as delta-encoded v2 frames.
-///
 /// With `--retries N` a dropped connection reconnects after a
 /// deterministic exponential backoff and resumes from the last
 /// interval the server acknowledged; `--resume` opens
@@ -1031,7 +1027,6 @@ pub fn send(argv: &[String]) -> Result<(), String> {
     if unix.is_empty() == tcp.is_empty() {
         return Err("send needs exactly one of --unix PATH or --tcp ADDR".into());
     }
-    let compress = p.flag("compress");
     let resume = p.flag("resume");
     let policy = parse_retry_policy(&p)?;
 
@@ -1054,7 +1049,6 @@ pub fn send(argv: &[String]) -> Result<(), String> {
             Ok(stream)
         },
         &plan,
-        compress,
         &policy,
         resume,
         None,
@@ -1063,19 +1057,18 @@ pub fn send(argv: &[String]) -> Result<(), String> {
 
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
     let retried = if outcome.retries > 0 {
-        format!(", {} reconnect(s)", outcome.retries)
+        format!(" ({} reconnect(s))", outcome.retries)
     } else {
         String::new()
     };
     eprintln!(
         "send: {} frames, {} bytes streamed, {} intervals, \
-         {:.1} ms, {:.3} M intervals/s ({}{retried})",
+         {:.1} ms, {:.3} M intervals/s{retried}",
         outcome.frames,
         outcome.bytes,
         outcome.intervals,
         elapsed * 1e3,
         outcome.intervals as f64 / elapsed / 1e6,
-        wire_label(compress),
     );
     Ok(())
 }
@@ -1107,7 +1100,6 @@ pub fn migrate(argv: &[String]) -> Result<(), String> {
     if to.is_empty() == to_tcp.is_empty() {
         return Err("migrate needs exactly one of --to PATH or --to-tcp ADDR".into());
     }
-    let compress = p.flag("compress");
     let policy = parse_retry_policy(&p)?;
     let deadline = (!policy.timeout.is_zero()).then_some(policy.timeout);
 
@@ -1155,15 +1147,8 @@ pub fn migrate(argv: &[String]) -> Result<(), String> {
             checkpoint: true,
         }],
     };
-    let first = regmon_serve::send_plan(
-        connect(&from, &from_tcp),
-        &prefix,
-        compress,
-        &policy,
-        false,
-        None,
-    )
-    .map_err(|e| format!("migrate (first server): {e}"))?;
+    let first = regmon_serve::send_plan(connect(&from, &from_tcp), &prefix, &policy, false, None)
+        .map_err(|e| format!("migrate (first server): {e}"))?;
     let snapshot = first
         .snapshots
         .into_iter()
@@ -1182,38 +1167,21 @@ pub fn migrate(argv: &[String]) -> Result<(), String> {
     suffix_frames.push(Frame::Finish { tenant });
     let suffix =
         regmon_serve::SendPlan::from_frames(suffix_frames).map_err(|e| format!("migrate: {e}"))?;
-    let second = regmon_serve::send_plan(
-        connect(&to, &to_tcp),
-        &suffix,
-        compress,
-        &policy,
-        false,
-        None,
-    )
-    .map_err(|e| format!("migrate (second server): {e}"))?;
+    let second = regmon_serve::send_plan(connect(&to, &to_tcp), &suffix, &policy, false, None)
+        .map_err(|e| format!("migrate (second server): {e}"))?;
 
     let retried = first.retries + second.retries;
     let retried = if retried > 0 {
-        format!(", {retried} reconnect(s)")
+        format!(" ({retried} reconnect(s))")
     } else {
         String::new()
     };
     eprintln!(
-        "migrate: session {:?} handed off after {at}/{} intervals ({}{retried})",
+        "migrate: session {:?} handed off after {at}/{} intervals{retried}",
         admit.name,
         intervals.len(),
-        wire_label(compress),
     );
     Ok(())
-}
-
-/// How `send`/`migrate` frames travelled, for their stderr summary.
-fn wire_label(compress: bool) -> &'static str {
-    if compress {
-        "wire v2, compressed"
-    } else {
-        "wire v2"
-    }
 }
 
 /// Drains the event journal and writes it to `path` as chrome://tracing

@@ -9,15 +9,15 @@
 //! regmon fleet all [--tenants 64] [--shards 4] [--intervals 50] [--json]
 //! regmon replay session.rgj [--json] [--snapshot-at 20 --snapshot-out ck.rgsn]
 //! regmon serve --unix /tmp/regmon.sock [--expect-sessions 4] [--json]
-//! regmon send session.rgj --unix /tmp/regmon.sock [--compress]
+//! regmon send session.rgj --unix /tmp/regmon.sock [--retries 3]
 //! regmon migrate session.rgj --at 20 --from /tmp/a.sock --to /tmp/b.sock
 //! regmon metrics [187.facerec] [--json] | regmon metrics --check trace.json
 //! regmon cpd --trace trace.json [--json] | regmon cpd --bench BENCH_a.json,BENCH_b.json
 //! ```
 //!
-//! Every wire byte `regmon` writes (`--record` journals, the `--durable`
-//! WAL, `send` and `migrate`) is wire v2; wire v1 journals and WALs are
-//! read-only and still replay, send and recover byte-identically.
+//! Every wire byte `regmon` writes or reads (`--record` journals, the
+//! `--durable` WAL, `send` and `migrate`) is wire v2; wire v1 journals
+//! and WALs from older builds fail with an error naming the format.
 
 mod args;
 mod commands;

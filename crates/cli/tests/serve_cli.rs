@@ -271,13 +271,11 @@ fn spawn_server(sock: &std::path::Path, extra: &[&str]) -> std::process::Child {
     server
 }
 
-/// Compressed wire v2, over one or two event workers, must emit the
-/// byte-identical `--json` report of the in-process run (plain v2 is
-/// `served_session_json_matches_in_process_run`; wire v1 is read-only,
-/// and its journals and WALs are covered by the old-format tests).
+/// A journal sent to a server with one or two event workers must emit
+/// the byte-identical `--json` report of the in-process run.
 #[cfg(unix)]
 #[test]
-fn wire_version_matrix_is_byte_identical_to_run() {
+fn event_worker_matrix_is_byte_identical_to_run() {
     let dir = temp_dir("matrix");
     let journal = dir.join("session.rgj");
     let journal_s = journal.to_str().unwrap();
@@ -293,19 +291,11 @@ fn wire_version_matrix_is_byte_identical_to_run() {
     ]);
     assert!(ok);
 
-    let cases: &[(&str, &[&str], &[&str])] = &[
-        ("v2 compressed", &[], &["--compress"]),
-        (
-            "two event workers, v2 compressed",
-            &["--event-workers", "2"],
-            &["--compress"],
-        ),
-    ];
-    for (label, serve_extra, send_extra) in cases {
+    for workers in ["1", "2"] {
+        let label = format!("{workers} event worker(s)");
         let sock = dir.join("regmon.sock");
-        let server = spawn_server(&sock, serve_extra);
-        let mut send_args = vec!["send", journal_s, "--unix", sock.to_str().unwrap()];
-        send_args.extend_from_slice(send_extra);
+        let server = spawn_server(&sock, &["--event-workers", workers]);
+        let send_args = ["send", journal_s, "--unix", sock.to_str().unwrap()];
         let (ok, _, send_err) = regmon(&send_args);
         assert!(ok, "{label}: {send_err}");
         assert!(send_err.contains("bytes streamed"), "{label}: {send_err}");
@@ -357,7 +347,6 @@ fn migrated_session_resumes_byte_identically() {
         sock_a.to_str().unwrap(),
         "--to",
         sock_b.to_str().unwrap(),
-        "--compress",
     ]);
     assert!(ok, "{stderr}");
     assert!(stderr.contains("handed off after 11/24"), "{stderr}");
@@ -487,18 +476,34 @@ fn exhausted_send_reports_position_and_exits_nonzero() {
 
 #[test]
 fn wire_flag_typos_get_spelling_help() {
-    let (ok, _, stderr) = regmon(&["send", "x.rgj", "--unix", "/nope", "--compres"]);
+    let (ok, _, stderr) = regmon(&["send", "x.rgj", "--unix", "/nope", "--retires", "1"]);
     assert!(!ok);
-    assert!(stderr.contains("did you mean --compress?"), "{stderr}");
+    assert!(stderr.contains("did you mean --retries?"), "{stderr}");
     // Removed options fail loudly instead of being swallowed along
     // with their value.
-    for argv in [
-        &["serve", "--unix", "/nope", "--serve-loop", "events"][..],
-        &["serve", "--unix", "/nope", "--wire-version", "2"],
-        &["send", "x.rgj", "--unix", "/nope", "--wire-version", "1"],
+    for (argv, option) in [
+        (
+            &["serve", "--unix", "/nope", "--serve-loop", "events"][..],
+            "--serve-loop",
+        ),
+        (
+            &["serve", "--unix", "/nope", "--wire-version", "2"],
+            "--wire-version",
+        ),
+        (
+            &["send", "x.rgj", "--unix", "/nope", "--wire-version", "1"],
+            "--wire-version",
+        ),
+        (
+            &["send", "x.rgj", "--unix", "/nope", "--compress"],
+            "--compress",
+        ),
+        (
+            &["migrate", "x.rgj", "--at", "1", "--compress"],
+            "--compress",
+        ),
     ] {
         let (ok, _, stderr) = regmon(argv);
-        let option = argv[argv.len() - 2];
         assert!(!ok, "{option} was accepted");
         assert!(
             stderr.contains(&format!("unknown option {option}")),
@@ -586,20 +591,6 @@ fn frame_types(bytes: &[u8]) -> Vec<u8> {
     types
 }
 
-/// Re-encodes frames as wire v1, the format older builds wrote.
-fn encode_v1(frames: &[regmon_serve::Frame]) -> Vec<u8> {
-    use regmon_serve::{Frame, WireDialect};
-    let hello = Frame::Hello { version: 1 };
-    frames
-        .iter()
-        .map(|frame| match frame {
-            Frame::Hello { .. } => &hello,
-            other => other,
-        })
-        .flat_map(|frame| WireDialect::V1.encode_frame(frame))
-        .collect()
-}
-
 /// `regmon run 181.mcf --intervals N --json --record <journal>`: the
 /// report every other transport must reproduce.
 fn run_recorded(intervals: &str, journal: &std::path::Path) -> String {
@@ -625,43 +616,134 @@ fn serve_one(sock: &std::path::Path, serve_extra: &[&str], send: &[&str]) -> (St
     (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
 }
 
-/// Wire v1 is read-only, not gone: a journal recorded as v1 by an older
-/// build replays and sends byte-identically to the in-process run, and
-/// a WAL of v1 records, as an older durable server left it when it
-/// crashed 12 intervals in, recovers byte-identically under
-/// `--recover` plus `send --resume`.
+/// Frame type of the retired LZSS-compressed wrapper.
+const TYPE_COMPRESSED: u8 = 6;
+
+/// Seals a hand-written frame body (`[type][payload]`) in the wire
+/// envelope: `[len u32][crc32 u32][body]`.
+fn seal(body: &[u8]) -> Vec<u8> {
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&regmon_serve::crc::crc32(body).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// A wire-v1 `Batch` frame as older builds wrote it: tenant 0, one
+/// interval holding one raw `[addr u64][cycle u64]` sample.
+fn v1_batch() -> Vec<u8> {
+    let mut body = vec![TYPE_BATCH];
+    body.extend_from_slice(&0u32.to_le_bytes()); // tenant
+    body.extend_from_slice(&1u32.to_le_bytes()); // intervals
+    for field in [0u64, 0, 45_000] {
+        body.extend_from_slice(&field.to_le_bytes()); // index, start, end
+    }
+    body.extend_from_slice(&1u32.to_le_bytes()); // samples
+    for field in [0x4000_1000u64, 45_000] {
+        body.extend_from_slice(&field.to_le_bytes()); // addr, cycle
+    }
+    seal(&body)
+}
+
+/// Runs `regmon <args>` with stdout discarded, failing the test if it
+/// has not exited within 20 s. Returns success and stderr.
+#[cfg(unix)]
+fn regmon_bounded(args: &[&str]) -> (bool, String) {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_regmon"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn regmon");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("poll regmon").is_none() {
+        if Instant::now() >= deadline {
+            child.kill().ok();
+            panic!("regmon {args:?} did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("reap regmon");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Wire v1 and LZSS compression are retired. A v1 journal and a
+/// journal holding a compressed frame make `replay` and `send` exit
+/// nonzero with an error naming the format, and a WAL of v1 records
+/// makes `serve --recover` do the same, leaving the WAL untouched
+/// instead of truncating its batches away as a torn tail.
 #[cfg(unix)]
 #[test]
-fn v1_journals_and_wals_reproduce_run_byte_identically() {
+fn retired_formats_fail_replay_send_and_recover_by_name() {
     use regmon_serve::Frame;
-    let dir = temp_dir("v1");
-    let (full, prefix, v1) = (dir.join("full.rgj"), dir.join("12.rgj"), dir.join("v1.rgj"));
-    let sock = dir.join("regmon.sock");
-    let run_json = run_recorded("30", &full);
-    run_recorded("12", &prefix);
+    let dir = temp_dir("retired");
+    let recorded = dir.join("v2.rgj");
+    run_recorded("4", &recorded);
+    let admit = regmon_serve::read_journal(&recorded)
+        .unwrap()
+        .into_iter()
+        .find(|frame| matches!(frame, Frame::Admit(_)))
+        .expect("journal admits a tenant");
+    let (admit, finish) = (admit.encode(), Frame::Finish { tenant: 0 }.encode());
 
-    let bytes = encode_v1(&regmon_serve::read_journal(&full).unwrap());
-    assert!(frame_types(&bytes).contains(&TYPE_BATCH));
-    std::fs::write(&v1, bytes).unwrap();
-    let v1 = v1.to_str().unwrap();
-    let (ok, replay_json, stderr) = regmon(&["replay", v1, "--json"]);
-    assert!(ok, "{stderr}");
-    assert_eq!(run_json, replay_json, "v1 journal replay diverged");
-    let (served_json, _) = serve_one(&sock, &[], &[v1]);
-    assert_eq!(run_json, served_json, "sent v1 journal diverged");
+    // Admit and Finish are spelled the same in v1 and v2.
+    let v1 = [
+        Frame::Hello { version: 1 }.encode(),
+        admit.clone(),
+        v1_batch(),
+        finish.clone(),
+    ];
+    let packed_batch = seal(&[TYPE_COMPRESSED, TYPE_BATCH2, 0, 0, 0, 0]);
+    let packed = [Frame::hello().encode(), admit.clone(), packed_batch, finish];
+    let nobody = dir.join("nobody.sock");
+    for (name, bytes, cause) in [
+        ("v1.rgj", v1.concat(), "wire v1 is no longer read"),
+        (
+            "packed.rgj",
+            packed.concat(),
+            "compression is no longer read",
+        ),
+    ] {
+        let journal = dir.join(name);
+        std::fs::write(&journal, bytes).unwrap();
+        let journal = journal.to_str().unwrap();
+        for argv in [
+            &["replay", journal, "--json"][..],
+            &["send", journal, "--unix", nobody.to_str().unwrap()],
+        ] {
+            let (ok, _, stderr) = regmon(argv);
+            assert!(!ok, "{argv:?} accepted a retired format");
+            assert!(stderr.contains(cause), "{argv:?}: {stderr}");
+        }
+    }
 
-    // WAL records are the opener and each folded batch: no Hello, and
-    // no Finish for a session the crash cut short.
-    let mut records = regmon_serve::read_journal(&prefix).unwrap();
-    records.retain(|frame| matches!(frame, Frame::Admit(_) | Frame::Batch { .. }));
+    // A WAL holds no Hello: its opener, then each folded batch.
     let wal_dir = dir.join("wal");
     std::fs::create_dir_all(&wal_dir).unwrap();
-    std::fs::write(wal_dir.join("session-0000.wal"), encode_v1(&records)).unwrap();
-    let recover = ["--recover", wal_dir.to_str().unwrap()];
-    let send = [full.to_str().unwrap(), "--resume", "--retries", "3"];
-    let (served_json, served_err) = serve_one(&sock, &recover, &send);
-    assert!(served_err.contains("recovered"), "{served_err}");
-    assert_eq!(run_json, served_json, "recovered v1 WAL diverged");
+    let wal = wal_dir.join("session-0000.wal");
+    let records = [admit, v1_batch()].concat();
+    std::fs::write(&wal, &records).unwrap();
+    let sock = dir.join("regmon.sock");
+    let (ok, stderr) = regmon_bounded(&[
+        "serve",
+        "--unix",
+        sock.to_str().unwrap(),
+        "--expect-sessions",
+        "1",
+        "--recover",
+        wal_dir.to_str().unwrap(),
+    ]);
+    assert!(!ok, "serve --recover accepted a v1 WAL");
+    assert!(stderr.contains("wire v1 is no longer read"), "{stderr}");
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        records,
+        "the v1 WAL was rewritten"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

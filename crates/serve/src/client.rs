@@ -2,12 +2,11 @@
 //!
 //! `regmon send` / `regmon migrate` (and the fault-injection suite)
 //! stream sessions through [`send_plan`]: the journal's frames are
-//! grouped per session ([`SendPlan`]), re-encoded in wire-v2 (LZ-wrapped
-//! with `--compress`) whatever dialect the journal was recorded in, and
-//! — when a retry budget is configured — every transport failure
-//! triggers a reconnect with deterministic exponential backoff
-//! (`backoff · 2^attempt`, no jitter: the retry schedule of a run is
-//! reproducible). Each connection opens with a v2 `Hello` and waits for
+//! grouped per session ([`SendPlan`]), re-encoded with
+//! [`Frame::encode`], and — when a retry budget is configured — every
+//! transport failure triggers a reconnect with deterministic exponential
+//! backoff (`backoff · 2^attempt`, no jitter: the retry schedule of a
+//! run is reproducible). Each connection opens with a v2 `Hello` and waits for
 //! the server's `Hello` answer; nothing is negotiated.
 //!
 //! On reconnect the client does not blindly replay. It sends a wire-v2
@@ -28,7 +27,7 @@ use std::time::Duration;
 use regmon_sampling::Interval;
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::wire::{read_frame, AdmitFrame, Frame, SnapshotFrame, WireDialect, WireError};
+use crate::wire::{read_frame, AdmitFrame, Frame, SnapshotFrame, WireError};
 
 /// Reconnect policy for one send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,8 +177,6 @@ pub struct SendOutcome {
     pub intervals: u64,
     /// Reconnect attempts used (0 = first connection succeeded).
     pub retries: u32,
-    /// The dialect the frames travelled in (v2, compressed or not).
-    pub dialect: WireDialect,
     /// Per session: the `Snapshot` reply when
     /// [`SessionStream::checkpoint`] asked for one.
     pub snapshots: Vec<Option<SnapshotFrame>>,
@@ -244,8 +241,7 @@ struct Totals {
 /// Streams a plan to a server, reconnecting and resuming on failure.
 ///
 /// `connect` opens a fresh transport per attempt (it should arm
-/// [`RetryPolicy::timeout`] as the socket read deadline). Frames travel
-/// in wire-v2, LZ-compressed when `compress` is set. With `resume`,
+/// [`RetryPolicy::timeout`] as the socket read deadline). With `resume`,
 /// even the first attempt opens with a `Resume` handshake instead of
 /// blind openers — for continuing a stream a previous process started.
 ///
@@ -257,7 +253,6 @@ struct Totals {
 pub fn send_plan<S, C>(
     mut connect: C,
     plan: &SendPlan,
-    compress: bool,
     policy: &RetryPolicy,
     resume: bool,
     mut faults: Option<&mut FaultPlan>,
@@ -267,7 +262,6 @@ where
     C: FnMut() -> std::io::Result<S>,
 {
     let telemetry_on = regmon_telemetry::enabled();
-    let dialect = WireDialect::v2(compress);
     let mut totals = Totals::default();
     let mut snapshots: Vec<Option<SnapshotFrame>> = vec![None; plan.sessions.len()];
     let mut attempt = 0u32;
@@ -275,7 +269,6 @@ where
         let outcome = run_attempt(
             &mut connect,
             plan,
-            dialect,
             attempt > 0 || resume,
             &mut totals,
             &mut snapshots,
@@ -288,7 +281,6 @@ where
                     bytes: totals.bytes,
                     intervals: plan.sessions.iter().map(SessionStream::intervals).sum(),
                     retries: attempt,
-                    dialect,
                     snapshots,
                 });
             }
@@ -315,7 +307,6 @@ where
 fn run_attempt<S, C>(
     connect: &mut C,
     plan: &SendPlan,
-    dialect: WireDialect,
     resuming: bool,
     totals: &mut Totals,
     snapshots: &mut [Option<SnapshotFrame>],
@@ -327,14 +318,7 @@ where
 {
     let mut stream = connect().map_err(|e| AttemptFail::Retry(format!("connect: {e}")))?;
     let mut buf = Vec::with_capacity(64 * 1024);
-    push_frame(
-        &mut stream,
-        &mut buf,
-        dialect,
-        &Frame::hello(),
-        totals,
-        faults,
-    )?;
+    push_frame(&mut stream, &mut buf, &Frame::hello(), totals, faults)?;
     flush(&mut stream, &mut buf)?;
     match read_reply(&mut stream, "hello")? {
         Frame::Hello { .. } => {}
@@ -349,13 +333,12 @@ where
         let tenant = session.admit.tenant;
         let mut next = session.base;
         if !resuming {
-            open_session(&mut stream, &mut buf, dialect, session, totals, faults)?;
+            open_session(&mut stream, &mut buf, session, totals, faults)?;
         } else {
             // Reconnect: ask where this session's stream left off.
             push_frame(
                 &mut stream,
                 &mut buf,
-                dialect,
                 &Frame::Resume(Box::new(session.admit.clone())),
                 totals,
                 faults,
@@ -380,7 +363,7 @@ where
                     if found {
                         next = next_interval.max(session.base);
                     } else {
-                        open_session(&mut stream, &mut buf, dialect, session, totals, faults)?;
+                        open_session(&mut stream, &mut buf, session, totals, faults)?;
                     }
                 }
                 other => {
@@ -403,7 +386,6 @@ where
             push_frame(
                 &mut stream,
                 &mut buf,
-                dialect,
                 &Frame::Batch {
                     tenant,
                     intervals: send,
@@ -417,7 +399,6 @@ where
             push_frame(
                 &mut stream,
                 &mut buf,
-                dialect,
                 &Frame::Checkpoint { tenant },
                 totals,
                 faults,
@@ -435,7 +416,6 @@ where
             push_frame(
                 &mut stream,
                 &mut buf,
-                dialect,
                 &Frame::Finish { tenant },
                 totals,
                 faults,
@@ -452,7 +432,6 @@ where
 fn open_session<S: Write>(
     stream: &mut S,
     buf: &mut Vec<u8>,
-    dialect: WireDialect,
     session: &SessionStream,
     totals: &mut Totals,
     faults: &mut Option<&mut FaultPlan>,
@@ -467,7 +446,7 @@ fn open_session<S: Write>(
         })),
         None => Frame::Admit(Box::new(session.admit.clone())),
     };
-    push_frame(stream, buf, dialect, &frame, totals, faults)
+    push_frame(stream, buf, &frame, totals, faults)
 }
 
 /// Encodes one frame through the fault hook and into the write buffer.
@@ -476,12 +455,11 @@ fn open_session<S: Write>(
 fn push_frame<S: Write>(
     stream: &mut S,
     buf: &mut Vec<u8>,
-    dialect: WireDialect,
     frame: &Frame,
     totals: &mut Totals,
     faults: &mut Option<&mut FaultPlan>,
 ) -> Result<(), AttemptFail> {
-    let mut bytes = dialect.encode_frame(frame);
+    let mut bytes = frame.encode();
     let fault = faults.as_deref_mut().and_then(|p| p.take(totals.frames));
     totals.frames += 1;
     let injected = match fault {
@@ -571,7 +549,7 @@ mod tests {
             max_intervals: 4,
         };
         let plan = SendPlan::from_frames(vec![
-            Frame::Hello { version: 1 },
+            Frame::hello(),
             Frame::Admit(Box::new(admit.clone())),
             Frame::Batch {
                 tenant: 7,

@@ -7,9 +7,9 @@
 //! `Checkpoint`. Records reuse the wire envelope (`[len][crc32][body]`),
 //! so the WAL inherits the codec's bit-exactness and corruption
 //! detection for free, and recovery is just a replay of the frames a
-//! live connection would have delivered. Records are written in
-//! wire-v2 (delta-encoded batches); WALs of v1 records from older
-//! builds still recover, because the codec still reads v1.
+//! live connection would have delivered. Records are wire-v2
+//! (delta-encoded batches); a WAL of v1 records from an older build
+//! fails recovery with an error naming the retired format.
 //!
 //! Periodically (every [`DurableOptions::checkpoint_every`] intervals)
 //! the server additionally snapshots the live session into
@@ -22,7 +22,9 @@
 //! Torn WAL tails are expected (that is what a crash looks like) and
 //! never fatal: [`read_wal`] stops at the first incomplete or
 //! corrupt record and truncates the file back to the last complete
-//! one, so the reopened WAL appends cleanly.
+//! one, so the reopened WAL appends cleanly. A whole, checksummed
+//! record of a frame type this build does not read is no torn tail but
+//! another format, and fails instead.
 //!
 //! WAL appends go straight to the file descriptor — no user-space
 //! buffering — so everything a client was acknowledged past survives a
@@ -38,7 +40,7 @@ use std::path::{Path, PathBuf};
 use regmon::SessionSnapshot;
 
 use crate::snapshot::{decode_snapshot, encode_snapshot};
-use crate::wire::{Frame, FrameReader};
+use crate::wire::{read_frame, Frame, FrameReader, WireError};
 
 /// When durable serve calls `fsync` on its WAL and checkpoint files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -210,12 +212,22 @@ pub struct WalRecovery {
 ///
 /// # Errors
 ///
-/// Filesystem failures only; corruption is handled by truncation.
+/// Filesystem failures, and [`std::io::ErrorKind::InvalidData`] when
+/// the scan stops at a checksummed record of an unknown frame type (a
+/// wire-v1 batch or a compressed frame from an older build): truncating
+/// it would silently drop the session's intervals. Other corruption is
+/// handled by truncation.
 pub fn read_wal(path: &Path) -> std::io::Result<WalRecovery> {
     let bytes = std::fs::read(path)?;
     let (frames, good) = parse_wal(&bytes);
     let torn = (bytes.len() - good) as u64;
     if torn > 0 {
+        if let Err(e @ WireError::UnknownFrameType(_)) = read_frame(&mut &bytes[good..]) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{}: {e}", path.display()),
+            ));
+        }
         OpenOptions::new()
             .write(true)
             .open(path)?
@@ -336,6 +348,29 @@ mod tests {
         assert_eq!(torn.frames, frames);
         assert_eq!(torn.torn_bytes, 5);
         assert_eq!(std::fs::read(&path).unwrap().len(), good);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wal_with_a_retired_frame_type_fails_and_is_kept() {
+        // An older build's v1 WAL: an Admit (spelled as in v2), then a
+        // checksummed wire-v1 batch record (type 3). Recovery refuses
+        // it by name instead of truncating the batch away as torn.
+        let dir = temp_dir("retired");
+        let path = wal_path(&dir, 0);
+        let mut bytes = sample_frames()[0].encode();
+        let body = [3u8, 0, 0, 0, 0, 0, 0, 0, 0];
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crate::crc::crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_wal(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("wire v1 is no longer read"),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
 

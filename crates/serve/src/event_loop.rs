@@ -398,10 +398,8 @@ mod tests {
         dir.join(format!("{stem}-{}.sock", std::process::id()))
     }
 
-    /// A one-way producer stream: a journal whose `Hello` is swapped
-    /// for a v1 one, which the server never answers, so the producer
-    /// may close without reading.
-    fn one_way_stream(workload: &str, config: &SessionConfig, n: usize) -> Vec<u8> {
+    /// A producer stream: one session's journal, `Hello` to `Finish`.
+    fn session_stream(workload: &str, config: &SessionConfig, n: usize) -> Vec<u8> {
         let w = suite::by_name(workload).unwrap();
         let mut journal = JournalWriter::new(Vec::new()).unwrap();
         journal
@@ -418,9 +416,18 @@ mod tests {
             journal.batch(0, chunk.to_vec()).unwrap();
         }
         journal.finish(0).unwrap();
-        let mut bytes = Frame::Hello { version: 1 }.encode();
-        bytes.extend_from_slice(&journal.into_inner().unwrap()[bytes.len()..]);
-        bytes
+        journal.into_inner().unwrap()
+    }
+
+    /// Streams `bytes` as a producer: writes them all, half-closes, then
+    /// reads the server's replies to EOF.
+    fn produce(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<Vec<u8>> {
+        let mut stream = UnixStream::connect(path)?;
+        stream.write_all(bytes)?;
+        stream.shutdown(std::net::Shutdown::Write)?;
+        let mut replies = Vec::new();
+        stream.read_to_end(&mut replies)?;
+        Ok(replies)
     }
 
     #[test]
@@ -455,11 +462,11 @@ mod tests {
         // ...and some that stream full sessions concurrently.
         let senders: Vec<_> = (0..active)
             .map(|_| {
-                let bytes = one_way_stream("172.mgrid", &config, 10);
+                let bytes = session_stream("172.mgrid", &config, 10);
                 let path = server_path.clone();
                 std::thread::spawn(move || {
-                    let mut stream = UnixStream::connect(&path).unwrap();
-                    stream.write_all(&bytes).unwrap();
+                    let replies = produce(&path, &bytes).unwrap();
+                    assert_eq!(replies, Frame::hello().encode());
                 })
             })
             .collect();
@@ -507,17 +514,14 @@ mod tests {
             )
         });
         // A corrupt producer (bad CRC mid-stream)...
-        let mut bad = one_way_stream("172.mgrid", &config, 6);
+        let mut bad = session_stream("172.mgrid", &config, 6);
         let idx = bad.len() / 2;
         bad[idx] ^= 0xFF;
-        let mut bad_stream = UnixStream::connect(&server_path).unwrap();
-        let _ = bad_stream.write_all(&bad);
-        drop(bad_stream);
+        let _ = produce(&server_path, &bad);
         // ...must not stop a healthy one on the same worker.
-        let good = one_way_stream("172.mgrid", &config, 6);
-        let mut good_stream = UnixStream::connect(&server_path).unwrap();
-        good_stream.write_all(&good).unwrap();
-        drop(good_stream);
+        let good = session_stream("172.mgrid", &config, 6);
+        let replies = produce(&server_path, &good).unwrap();
+        assert_eq!(replies, Frame::hello().encode());
         let report = serving.join().unwrap().unwrap();
         std::fs::remove_file(&server_path).ok();
 

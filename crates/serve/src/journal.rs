@@ -7,10 +7,9 @@
 //! bytes at a live `regmon serve`, so one artifact exercises every
 //! ingestion path and all three must agree byte-identically.
 //!
-//! Journals are written in **wire-v2**: every `Batch` is a
-//! delta-encoded `Batch2` frame. Journals recorded as v1 by older
-//! builds still read, replay and send byte-identically, because the
-//! codec still decodes v1; nothing writes v1 any more.
+//! Journals are **wire-v2**: every `Batch` is a delta-encoded `Batch2`
+//! frame. A journal recorded as v1 by an older build fails to read with
+//! an error naming the retired format.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};

@@ -57,7 +57,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod client;
-pub mod compress;
 pub mod crc;
 pub mod durable;
 pub mod error;
@@ -80,7 +79,7 @@ pub use server::{ServeOptions, ServeReport, ServedSession, Server};
 pub use snapshot::{load_snapshot, save_snapshot};
 pub use wire::{
     read_frame, write_frame, AdmitFrame, Checksummed, Frame, FrameParser, FrameReader,
-    SnapshotFrame, WireDialect, WireError, WIRE_VERSION, WIRE_VERSION_MIN,
+    SnapshotFrame, WireError, WIRE_VERSION,
 };
 
 #[cfg(unix)]

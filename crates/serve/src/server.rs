@@ -1,9 +1,8 @@
 //! `regmon serve`: a wire-ingesting server over the fleet engine.
 //!
 //! The server accepts N concurrent producer connections (unix socket or
-//! TCP), decodes their `regmon-wire` frames (v2, or v1 from producers
-//! of older builds) and demultiplexes the intervals
-//! into [`FleetEngine`] shard workers — the same bounded ring queues,
+//! TCP), decodes their `regmon-wire` v2 frames and demultiplexes the
+//! intervals into [`FleetEngine`] shard workers — the same bounded ring queues,
 //! batching and telemetry the in-process fleet driver uses. Each
 //! connection's wire tenant ids are remapped to engine-global tenant
 //! ids at admission, so independent producers can both call their first
@@ -22,9 +21,8 @@
 //! then joins the shard workers and collects their final summaries.
 //! Because the pipeline is deterministic and the wire codec bit-exact,
 //! a session streamed through the server finishes byte-identical to the
-//! same session run in-process — over either wire version, compressed
-//! or not. A producer opening with a v2 `Hello` gets a v2 `Hello`
-//! back; a v1 `Hello` opens a one-way stream that is never answered.
+//! same session run in-process. Every producer's `Hello` gets a
+//! `Hello` back.
 //!
 //! Wire-v2 additionally lets a producer *move* a live session: a
 //! `Checkpoint` frame freezes the tenant and sends its full RGSN
@@ -211,17 +209,12 @@ impl Conn {
         telemetry_on: bool,
     ) -> Result<(), ServeError> {
         match frame {
-            Frame::Hello { version } => {
+            Frame::Hello { .. } => {
                 if self.saw_hello {
                     return Err(ServeError::Protocol("duplicate Hello frame".into()));
                 }
                 self.saw_hello = true;
-                if version >= 2 {
-                    // v2 producers wait for the answer; v1 producers
-                    // are one-way and never read, so writing to them
-                    // could deadlock against an unread socket.
-                    self.out.extend_from_slice(&Frame::hello().encode());
-                }
+                self.out.extend_from_slice(&Frame::hello().encode());
             }
             _ if !self.saw_hello => {
                 return Err(ServeError::Protocol(
@@ -553,7 +546,7 @@ impl Conn {
 
 /// Adapts a read-only transport (a byte slice, a recorded journal) to
 /// the read-write shape the connection pump wants: replies are simply
-/// discarded, exactly as a one-way v1 producer would never read them.
+/// discarded.
 struct SinkWrites<R>(R);
 
 impl<R: Read> Read for SinkWrites<R> {
@@ -788,7 +781,7 @@ impl Server {
     }
 
     /// Handles one read-only producer stream to completion (reply
-    /// frames are discarded — the v1 one-way shape). Returns the number
+    /// frames are discarded). Returns the number
     /// of sessions the stream finished.
     ///
     /// # Errors
@@ -856,8 +849,6 @@ impl Server {
         telemetry_on: bool,
     ) -> Result<(), ServeError> {
         loop {
-            let before_v2 = parser.v2_frames();
-            let before_packed = parser.compressed_frames();
             let frame = match parser.next_frame() {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return Ok(()),
@@ -869,16 +860,6 @@ impl Server {
                 }
             };
             self.account(0, 1, telemetry_on);
-            if telemetry_on {
-                let v2 = parser.v2_frames() - before_v2;
-                if v2 > 0 {
-                    regmon_telemetry::metrics::WIRE_V2_FRAMES.add(v2);
-                }
-                let packed = parser.compressed_frames() - before_packed;
-                if packed > 0 {
-                    regmon_telemetry::metrics::WIRE_COMPRESSED_FRAMES.add(packed);
-                }
-            }
             conn.on_frame(frame, self, telemetry_on)?;
         }
     }
@@ -1042,7 +1023,7 @@ pub fn serve_tcp(addr: &str, options: ServeOptions) -> Result<ServeReport, Serve
 mod tests {
     use super::*;
     use crate::journal::JournalWriter;
-    use crate::wire::{read_frame, AdmitFrame, FrameReader, WireDialect};
+    use crate::wire::{read_frame, AdmitFrame, FrameReader, WireError};
     use regmon::MonitoringSession;
     use regmon_binary::{Addr, AddrRange};
     use regmon_regions::{RegionId, RegionKind, RegionRecord};
@@ -1068,23 +1049,6 @@ mod tests {
         }
         journal.finish(tenant).unwrap();
         journal.into_inner().unwrap()
-    }
-
-    /// Re-encodes a byte stream in the given dialect (Hello carries
-    /// the dialect's version, batches its representation).
-    fn transcode(bytes: &[u8], dialect: WireDialect) -> Vec<u8> {
-        let mut reader = FrameReader::new(bytes);
-        let mut out = Vec::new();
-        while let Some(frame) = reader.next_frame().unwrap() {
-            let frame = match frame {
-                Frame::Hello { .. } => Frame::Hello {
-                    version: dialect.version,
-                },
-                other => other,
-            };
-            out.extend_from_slice(&dialect.encode_frame(&frame));
-        }
-        out
     }
 
     /// A loopback transport: reads from a canned request, collects
@@ -1135,31 +1099,17 @@ mod tests {
     }
 
     #[test]
-    fn v2_stream_matches_v1_stream_byte_identically() {
-        // The same session over wire v1, v2 and v2+compress must land
-        // identically in the engine.
+    fn reencoded_stream_is_byte_identical() {
+        // `send` decodes a journal and re-encodes every frame: what it
+        // puts on the wire must be the journal's own bytes.
         let config = SessionConfig::new(45_000);
         let written = stream_for("172.mgrid", &config, 20, 0);
-        let mut summaries = Vec::new();
-        for dialect in [
-            WireDialect::V1,
-            WireDialect::v2(false),
-            WireDialect::v2(true),
-        ] {
-            let bytes = transcode(&written, dialect);
-            let server = Server::new(ServeOptions {
-                shards: 2,
-                queue_depth: 16,
-                expect_sessions: 1,
-                ..ServeOptions::default()
-            });
-            server.handle(bytes.as_slice()).unwrap();
-            let report = server.finish();
-            assert!(report.errors.is_empty(), "{dialect:?}: {:?}", report.errors);
-            summaries.push(format!("{:?}", report.sessions[0].summary));
+        let mut reader = FrameReader::new(written.as_slice());
+        let mut reencoded = Vec::new();
+        while let Some(frame) = reader.next_frame().unwrap() {
+            reencoded.extend_from_slice(&frame.encode());
         }
-        assert_eq!(summaries[0], summaries[1]);
-        assert_eq!(summaries[0], summaries[2]);
+        assert_eq!(reencoded, written);
     }
 
     /// Journals and WALs that builds before delta-of-delta columns
@@ -1246,7 +1196,7 @@ mod tests {
             backoff: std::time::Duration::from_millis(1),
         };
         let dial = move || Ok(stream.take().unwrap());
-        send_plan(dial, &plan, false, &policy, true, None).unwrap();
+        send_plan(dial, &plan, &policy, true, None).unwrap();
         handle.join().unwrap().unwrap();
         let report = Arc::into_inner(server).unwrap().finish();
         std::fs::remove_dir_all(&dir).ok();
@@ -1257,27 +1207,38 @@ mod tests {
 
     #[test]
     fn v2_hello_is_answered_and_v1_hello_is_not() {
-        // A v2 producer waits for the server's Hello; a v1 producer is
-        // one-way and never gets one.
-        for (version, answered) in [(2u16, true), (1, false)] {
-            let server = Server::new(ServeOptions::default());
-            let request = Frame::Hello { version }.encode();
-            let mut transport = Loopback {
-                input: &request,
-                replies: Vec::new(),
-            };
-            server.handle_io(&mut transport).unwrap();
-            if answered {
-                let reply = read_frame(&mut transport.replies.as_slice())
-                    .unwrap()
-                    .unwrap();
-                assert_eq!(reply, Frame::hello());
-            } else {
-                assert!(transport.replies.is_empty(), "v1 streams are one-way");
-            }
-            // Engine still alive; shut it down cleanly.
-            let _ = server.finish();
-        }
+        // A v2 Hello gets the server's Hello back; a v1 Hello is
+        // rejected, by name, before anything is answered.
+        let server = Server::new(ServeOptions::default());
+        let request = Frame::hello().encode();
+        let mut transport = Loopback {
+            input: &request,
+            replies: Vec::new(),
+        };
+        server.handle_io(&mut transport).unwrap();
+        let reply = read_frame(&mut transport.replies.as_slice())
+            .unwrap()
+            .unwrap();
+        assert_eq!(reply, Frame::hello());
+
+        let request = Frame::Hello { version: 1 }.encode();
+        let mut transport = Loopback {
+            input: &request,
+            replies: Vec::new(),
+        };
+        let err = server.handle_io(&mut transport).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Wire(WireError::BadVersion { got: 1 })),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("wire v1 is no longer read"),
+            "{err}"
+        );
+        assert!(transport.replies.is_empty());
+        // Engine still alive; shut it down cleanly.
+        let report = server.finish();
+        assert_eq!(report.errors.len(), 1);
     }
 
     #[test]
@@ -1304,10 +1265,13 @@ mod tests {
         request.extend_from_slice(&Frame::hello().encode());
         request.extend_from_slice(&Frame::Admit(Box::new(admit.clone())).encode());
         for chunk in intervals[..split].chunks(4) {
-            request.extend_from_slice(&WireDialect::v2(false).encode_frame(&Frame::Batch {
-                tenant: 0,
-                intervals: chunk.to_vec(),
-            }));
+            request.extend_from_slice(
+                &Frame::Batch {
+                    tenant: 0,
+                    intervals: chunk.to_vec(),
+                }
+                .encode(),
+            );
         }
         request.extend_from_slice(&Frame::Checkpoint { tenant: 0 }.encode());
         let server_a = Server::new(ServeOptions::default());
@@ -1336,10 +1300,13 @@ mod tests {
         request.extend_from_slice(&Frame::hello().encode());
         request.extend_from_slice(&snapshot_frame.encode());
         for chunk in intervals[split..].chunks(4) {
-            request.extend_from_slice(&WireDialect::v2(true).encode_frame(&Frame::Batch {
-                tenant: 0,
-                intervals: chunk.to_vec(),
-            }));
+            request.extend_from_slice(
+                &Frame::Batch {
+                    tenant: 0,
+                    intervals: chunk.to_vec(),
+                }
+                .encode(),
+            );
         }
         request.extend_from_slice(&Frame::Finish { tenant: 0 }.encode());
         let server_b = Server::new(ServeOptions::default());

@@ -16,8 +16,8 @@
 //! configurations are *bit-identical* to what the producer encoded —
 //! the whole determinism contract rests on that.
 //!
-//! Everything regmon writes — journals, the durable WAL, `send` and
-//! `migrate` — is **wire-v2**:
+//! Everything regmon writes and reads — journals, the durable WAL,
+//! `send` and `migrate` — is **wire-v2**, encoded by [`Frame::encode`]:
 //!
 //! * `Batch2` — the delta-columnar batch representation: per interval
 //!   the addr and cycle streams travel as separate columns, each either
@@ -29,20 +29,18 @@
 //!   the addr column takes narrow deltas; sampled cycles advance by a
 //!   near-constant period, so the cycle column takes 1-byte second
 //!   differences. A 2,032-sample interval of pipebench's `serve_loops`
-//!   traffic is 7,230 bytes (3.6 per sample, 4.5x smaller than v1) —
-//!   and the CRC and decode passes shrink with it.
-//! * `Compressed` — an optional LZ wrapper ([`crate::compress`]) around
-//!   another frame's payload, chosen per producer via `--compress`.
+//!   traffic is 7,230 bytes (3.6 per sample) — and the CRC and decode
+//!   passes shrink with it.
 //! * `Snapshot` / `Checkpoint` — the live-migration handshake: a
 //!   checkpoint request pulls a tenant's RGSN session snapshot back
 //!   over the wire, and a snapshot frame admits that tenant elsewhere.
 //!
-//! **Wire-v1** is read-only: its raw-sample `Batch` (16 bytes per
-//! sample) decodes into the same [`Frame::Batch`] a `Batch2` does, so
-//! old journals replay and old WALs recover bit-identically.
-//! [`WireDialect::V1`] stays only as the tests' and bench's reference
-//! encoder. Nothing is negotiated: a v2 `Hello` gets a v2 `Hello` back,
-//! and a v1 `Hello` opens a one-way stream.
+//! Nothing is negotiated: a `Hello` must carry [`WIRE_VERSION`], and the
+//! server answers each one with its own. Wire v1 (a raw-sample `Batch`,
+//! frame type 3) and LZSS-compressed frames (type 6) are retired: a v1
+//! `Hello` and both frame types are rejected with errors that name
+//! them, so an old journal or WAL fails loudly instead of being
+//! misread.
 //!
 //! Decoding is strict: truncated streams, corrupt checksums, foreign
 //! magic, unknown frame types and out-of-range field values are all
@@ -59,18 +57,14 @@ use regmon_lpd::{LpdConfig, SimilarityKind, ThresholdPolicy};
 use regmon_regions::{FormationConfig, IndexKind};
 use regmon_sampling::{Interval, PcSample, SamplingConfig};
 
-use crate::compress;
 use crate::crc::crc32;
 use crate::snapshot::SNAPSHOT_VERSION;
 
 /// Magic bytes opening every `Hello` frame and snapshot file header.
 pub const WIRE_MAGIC: [u8; 4] = *b"RGMN";
 
-/// The protocol version this build writes.
+/// The protocol version this build writes and reads.
 pub const WIRE_VERSION: u16 = 2;
-
-/// The oldest protocol version this build still reads.
-pub const WIRE_VERSION_MIN: u16 = 1;
 
 /// Upper bound on a single frame's `len` field (64 MiB). A frame
 /// claiming more is rejected before any allocation happens.
@@ -84,14 +78,11 @@ const MAX_GPD_HISTORY: usize = 1 << 16;
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_ADMIT: u8 = 2;
-// Wire-v1 raw-sample batch: decoded, written only by `WireDialect::V1`.
-const TYPE_BATCH: u8 = 3;
-/// A v1 sample: `[addr u64 LE][cycle u64 LE]`.
-const V1_SAMPLE_BYTES: usize = 16;
+// Types 3 (the wire-v1 raw-sample batch) and 6 (the LZSS wrapper) are
+// retired. Never reuse them: an old file must fail as an unknown type,
+// not be misread.
 const TYPE_FINISH: u8 = 4;
-// Wire-v2 frame types.
 const TYPE_BATCH2: u8 = 5;
-const TYPE_COMPRESSED: u8 = 6;
 const TYPE_SNAPSHOT: u8 = 7;
 const TYPE_CHECKPOINT: u8 = 8;
 const TYPE_RESUME: u8 = 9;
@@ -169,12 +160,14 @@ impl fmt::Display for WireError {
                 "wire stream truncated mid-frame (frame {frame} at byte offset {offset})"
             ),
             Self::BadMagic => write!(f, "bad magic (expected \"RGMN\")"),
-            Self::BadVersion { got } => {
-                write!(
-                    f,
-                    "unsupported wire version {got} (this build speaks {WIRE_VERSION_MIN}..={WIRE_VERSION})"
-                )
-            }
+            Self::BadVersion { got: 1 } => write!(
+                f,
+                "wire v1 is no longer read (this build reads wire v{WIRE_VERSION})"
+            ),
+            Self::BadVersion { got } => write!(
+                f,
+                "unsupported wire version {got} (this build reads wire v{WIRE_VERSION})"
+            ),
             Self::BadCrc {
                 of: Checksummed::Frame,
                 want,
@@ -192,6 +185,14 @@ impl fmt::Display for WireError {
             } => write!(
                 f,
                 "RGSN snapshot checksum mismatch (trailer {want:#010x}, contents {got:#010x})"
+            ),
+            Self::UnknownFrameType(3) => write!(
+                f,
+                "unknown frame type 3 (a wire v1 batch; wire v1 is no longer read)"
+            ),
+            Self::UnknownFrameType(6) => write!(
+                f,
+                "unknown frame type 6 (an LZSS-compressed frame; compression is no longer read)"
             ),
             Self::UnknownFrameType(t) => write!(f, "unknown frame type {t}"),
             Self::Malformed(what) => write!(f, "malformed frame: {what}"),
@@ -598,49 +599,6 @@ pub(crate) fn decode_config(cur: &mut Cursor<'_>) -> Result<SessionConfig, WireE
     })
 }
 
-// --------------------------------------------------- interval codec
-
-fn encode_interval(interval: &Interval, out: &mut Vec<u8>) {
-    push_u64(out, interval.index as u64);
-    push_u64(out, interval.start_cycle);
-    push_u64(out, interval.end_cycle);
-    push_u32(out, interval.samples.len() as u32);
-    for sample in &interval.samples {
-        push_u64(out, sample.addr.get());
-        push_u64(out, sample.cycle);
-    }
-}
-
-fn decode_interval(cur: &mut Cursor<'_>) -> Result<Interval, WireError> {
-    let index = cur.usize_field()?;
-    let start_cycle = cur.u64()?;
-    let end_cycle = cur.u64()?;
-    let nsamples = cur.u32()? as usize;
-    // Each sample is `[addr u64][cycle u64]`; refuse counts the payload
-    // cannot hold before allocating. With the whole run
-    // bounds-prevalidated here, the decode below is one `take` and one
-    // pass — no per-sample cursor arithmetic.
-    if nsamples.saturating_mul(V1_SAMPLE_BYTES) > cur.bytes.len() - cur.pos {
-        return Err(WireError::Malformed("sample count exceeds payload"));
-    }
-    let samples = cur
-        .take(nsamples * V1_SAMPLE_BYTES)?
-        .chunks_exact(V1_SAMPLE_BYTES)
-        .map(|rec| PcSample {
-            addr: Addr::new(u64::from_le_bytes(
-                rec[..8].try_into().expect("eight bytes"),
-            )),
-            cycle: u64::from_le_bytes(rec[8..].try_into().expect("eight bytes")),
-        })
-        .collect();
-    Ok(Interval {
-        index,
-        start_cycle,
-        end_cycle,
-        samples,
-    })
-}
-
 // ------------------------------------------- delta-columnar codec (v2)
 
 /// Zigzag-folds a signed delta so small magnitudes of either sign get
@@ -678,8 +636,7 @@ fn push_fold(out: &mut Vec<u8>, fold: u64, width: u8) {
 /// * delta: `[w u8][base u64][n-1 deltas]` — the first value verbatim,
 ///   then zigzag-folded *wrapping* deltas narrowed to the smallest of
 ///   {1, 2, 4} bytes that holds every fold. When even 4 bytes do not
-///   fit the column falls back to width 8: raw values (no deltas) — so
-///   the worst case costs what v1 cost.
+///   fit the column falls back to width 8: raw values (no deltas).
 /// * delta-of-delta (`0x10|w`, w ∈ {1, 2, 4}): `[0x10|w u8][base u64]
 ///   [first delta u64][n-2 second differences]`, each entry the zigzag
 ///   fold of `delta[i] - delta[i-1]`. A sampled cycle column is a
@@ -866,7 +823,7 @@ fn encode_delta_column(values: &[u64], out: &mut Vec<u8>) {
     write_delta_column(values, fold_width(max_fold), out);
 }
 
-/// Decodes a v2 interval into the exact [`Interval`] v1 would carry.
+/// Decodes one v2 interval.
 fn decode_interval_v2(cur: &mut Cursor<'_>) -> Result<Interval, WireError> {
     let index = cur.usize_field()?;
     let start_cycle = cur.u64()?;
@@ -983,40 +940,22 @@ impl Frame {
                     return Err(WireError::BadMagic);
                 }
                 let version = cur.u16()?;
-                if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
+                if version != WIRE_VERSION {
                     return Err(WireError::BadVersion { got: version });
                 }
                 Self::Hello { version }
             }
             TYPE_ADMIT => Self::Admit(decode_admit(&mut cur)?),
-            TYPE_BATCH | TYPE_BATCH2 => {
+            TYPE_BATCH2 => {
                 let tenant = cur.u32()?;
                 let count = cur.u32()? as usize;
                 let mut intervals = Vec::with_capacity(count.min(4096));
                 for _ in 0..count {
-                    intervals.push(match frame_type {
-                        TYPE_BATCH => decode_interval(&mut cur)?,
-                        _ => decode_interval_v2(&mut cur)?,
-                    });
+                    intervals.push(decode_interval_v2(&mut cur)?);
                 }
-                // v1 and v2 decode to the same variant: downstream
-                // consumers never see which representation travelled.
                 Self::Batch { tenant, intervals }
             }
             TYPE_FINISH => Self::Finish { tenant: cur.u32()? },
-            TYPE_COMPRESSED => {
-                let inner_type = cur.u8()?;
-                if inner_type == TYPE_COMPRESSED {
-                    return Err(WireError::Malformed("nested compressed frame"));
-                }
-                let uncompressed_len = cur.u32()?;
-                if uncompressed_len > MAX_FRAME_LEN {
-                    return Err(WireError::FrameTooLarge(uncompressed_len));
-                }
-                let packed = cur.take(cur.bytes.len() - cur.pos)?;
-                let payload = compress::decompress(packed, uncompressed_len as usize)?;
-                return Self::decode(inner_type, &payload);
-            }
             TYPE_SNAPSHOT => {
                 let tenant = cur.u32()?;
                 let name = cur.string()?;
@@ -1053,12 +992,14 @@ impl Frame {
     }
 
     /// Serializes the frame into its full wire representation
-    /// (header + checksum + body) in wire-v2, uncompressed: `Batch`
-    /// travels as `Batch2`. This is what every journal, WAL record and
-    /// reply frame holds.
+    /// (header + checksum + body): `Batch` travels as `Batch2`. This is
+    /// the only encoder; every journal, WAL record and reply frame holds
+    /// its output.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        WireDialect::v2(false).encode_frame(self)
+        let mut body = vec![self.type_byte()];
+        self.encode_payload(&mut body);
+        seal_frame(body)
     }
 }
 
@@ -1072,68 +1013,28 @@ fn seal_frame(body: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// A wire encoding: which protocol version frames are encoded in, and
-/// whether v2 payloads are LZ-compressed. Decoding does not need one —
-/// the frame type byte says it all — so the dialect is an encoder
-/// concern only.
+/// A stand-in for the retired encoder selector, kept only until the
+/// benchmark harness calls [`Frame::encode`] directly.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireDialect {
-    /// Protocol version to encode (1 or 2).
-    pub version: u16,
-    /// Whether to LZ-compress v2 batch/snapshot payloads (kept only
-    /// when it actually shrinks the frame). Ignored at version 1.
-    pub compress: bool,
-}
+pub struct WireDialect;
 
 impl WireDialect {
-    /// The v1 encoder: `Batch` as the raw-sample `TYPE_BATCH` layout
-    /// builds before v2 wrote. Nothing in regmon writes it; it is the
-    /// reference for the old-format compatibility tests and the
-    /// transport bench.
-    pub const V1: Self = Self {
-        version: 1,
-        compress: false,
-    };
-
-    /// The v2 dialect.
+    /// The plain wire-v2 encoder.
+    ///
+    /// # Panics
+    ///
+    /// When `compress` is set: compressed frames are no longer written.
     #[must_use]
     pub fn v2(compress: bool) -> Self {
-        Self {
-            version: 2,
-            compress,
-        }
+        assert!(!compress, "compressed frames are no longer written");
+        Self
     }
 
-    /// Serializes `frame` in this dialect (header + checksum + body).
+    /// [`Frame::encode`].
     #[must_use]
     pub fn encode_frame(&self, frame: &Frame) -> Vec<u8> {
-        let mut body = match frame {
-            Frame::Batch { tenant, intervals } if self.version < 2 => {
-                let mut body = vec![TYPE_BATCH];
-                push_u32(&mut body, *tenant);
-                push_u32(&mut body, intervals.len() as u32);
-                for interval in intervals {
-                    encode_interval(interval, &mut body);
-                }
-                body
-            }
-            _ => {
-                let mut body = vec![frame.type_byte()];
-                frame.encode_payload(&mut body);
-                body
-            }
-        };
-        if self.compress && self.version >= 2 && matches!(body[0], TYPE_BATCH2 | TYPE_SNAPSHOT) {
-            if let Some(packed) = compress::compress_if_smaller(&body[1..]) {
-                let mut wrapped = vec![TYPE_COMPRESSED, body[0]];
-                push_u32(&mut wrapped, (body.len() - 1) as u32);
-                wrapped.extend_from_slice(&packed);
-                if wrapped.len() < body.len() {
-                    body = wrapped;
-                }
-            }
-        }
-        seal_frame(body)
+        frame.encode()
     }
 }
 
@@ -1180,11 +1081,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
 /// order: the length cap, the zero-length rejection, the CRC and the
 /// payload decode. `rest(len)` supplies the `4 + len` bytes after the
 /// length word (checksum, then body), or `None` while they have not
-/// all arrived. Returns the frame with its type byte.
+/// all arrived.
 fn check_frame<B: AsRef<[u8]>>(
     len_word: [u8; 4],
     rest: impl FnOnce(usize) -> Result<Option<B>, WireError>,
-) -> Result<Option<(u8, Frame)>, WireError> {
+) -> Result<Option<Frame>, WireError> {
     let len = u32::from_le_bytes(len_word);
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(len));
@@ -1205,7 +1106,7 @@ fn check_frame<B: AsRef<[u8]>>(
             got,
         });
     }
-    Ok(Some((body[0], Frame::decode(body[0], &body[1..])?)))
+    Frame::decode(body[0], &body[1..]).map(Some)
 }
 
 /// A frame decoder over a byte stream that also tracks how many wire
@@ -1273,7 +1174,7 @@ impl<R: Read> FrameReader<R> {
             }
             Ok(Some(rest))
         })?;
-        let (_, frame) = checked.expect("a blocking read supplies the whole frame");
+        let frame = checked.expect("a blocking read supplies the whole frame");
         self.frames_read += 1;
         Ok(Some(frame))
     }
@@ -1292,8 +1193,6 @@ pub struct FrameParser {
     /// Stream offset of `buf[pos]`.
     offset: u64,
     frames_read: u64,
-    v2_frames: u64,
-    compressed_frames: u64,
 }
 
 impl FrameParser {
@@ -1318,18 +1217,6 @@ impl FrameParser {
         self.frames_read
     }
 
-    /// Wire-v2 frames (new frame types) decoded so far.
-    #[must_use]
-    pub fn v2_frames(&self) -> u64 {
-        self.v2_frames
-    }
-
-    /// Compression-wrapped frames decoded so far.
-    #[must_use]
-    pub fn compressed_frames(&self) -> u64 {
-        self.compressed_frames
-    }
-
     /// Decodes the next complete frame out of the buffer; `Ok(None)`
     /// means more bytes are needed.
     ///
@@ -1347,18 +1234,9 @@ impl FrameParser {
             total = 8 + len;
             Ok(avail.get(4..total))
         })?;
-        let Some((frame_type, frame)) = checked else {
+        let Some(frame) = checked else {
             return Ok(None);
         };
-        match frame_type {
-            TYPE_COMPRESSED => {
-                self.v2_frames += 1;
-                self.compressed_frames += 1;
-            }
-            TYPE_BATCH2 | TYPE_SNAPSHOT | TYPE_CHECKPOINT | TYPE_RESUME | TYPE_RESUME_ACK
-            | TYPE_BUSY => self.v2_frames += 1,
-            _ => {}
-        }
         self.pos += total;
         self.offset += total as u64;
         self.frames_read += 1;
@@ -1584,6 +1462,28 @@ mod tests {
     }
 
     #[test]
+    fn retired_frame_types_are_rejected_by_name() {
+        // A v1 raw-sample batch (type 3) and an LZSS-compressed frame
+        // (type 6) behind a v2 Hello: both stop the stream, and the
+        // error says which retired format it met.
+        for (frame_type, names) in [(3u8, "wire v1"), (6, "LZSS-compressed")] {
+            let mut body = vec![frame_type];
+            push_u32(&mut body, 0);
+            push_u32(&mut body, 0);
+            let mut stream = Frame::hello().encode();
+            stream.extend_from_slice(&seal_frame(body));
+            let mut reader = FrameReader::new(stream.as_slice());
+            assert_eq!(reader.next_frame().unwrap(), Some(Frame::hello()));
+            let err = reader.next_frame().unwrap_err();
+            assert!(
+                matches!(err, WireError::UnknownFrameType(t) if t == frame_type),
+                "{err}"
+            );
+            assert!(err.to_string().contains(names), "{err}");
+        }
+    }
+
+    #[test]
     fn oversized_frame_rejected_before_allocation() {
         let mut bytes = Vec::new();
         push_u32(&mut bytes, MAX_FRAME_LEN + 1);
@@ -1606,7 +1506,7 @@ mod tests {
     fn batch_sample_count_is_bounds_checked() {
         // A Batch frame claiming 1M samples in a tiny payload must be
         // rejected without a huge allocation.
-        let mut body = vec![TYPE_BATCH];
+        let mut body = vec![TYPE_BATCH2];
         push_u32(&mut body, 0); // tenant
         push_u32(&mut body, 1); // one interval
         push_u64(&mut body, 0); // index
@@ -1616,67 +1516,6 @@ mod tests {
         let bytes = seal_frame(body);
         let err = read_frame(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)));
-    }
-
-    #[test]
-    fn bulk_decode_matches_scalar_for_every_remainder_shape() {
-        // The v1 interval decode takes its samples in one chunked pass
-        // over a bounds-prevalidated run. For every sample count 0..=64
-        // it must reproduce a field-by-field cursor walk exactly.
-        for n in 0..=64usize {
-            let samples: Vec<PcSample> = (0..n as u64)
-                .map(|i| PcSample {
-                    addr: Addr::new(0x4000_0000 + i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    cycle: i.wrapping_mul(45_000) ^ (i << 56),
-                })
-                .collect();
-            let interval = Interval {
-                index: n,
-                start_cycle: 1,
-                end_cycle: u64::MAX - 2,
-                samples,
-            };
-            let mut bytes = Vec::new();
-            encode_interval(&interval, &mut bytes);
-
-            let mut cur = Cursor::new(&bytes);
-            let header = (cur.u64().unwrap(), cur.u64().unwrap(), cur.u64().unwrap());
-            let count = cur.u32().unwrap() as usize;
-            let oracle: Vec<PcSample> = (0..count)
-                .map(|_| PcSample {
-                    addr: Addr::new(cur.u64().unwrap()),
-                    cycle: cur.u64().unwrap(),
-                })
-                .collect();
-            cur.finish().unwrap();
-            assert_eq!(header, (n as u64, 1, u64::MAX - 2), "n {n}");
-            assert_eq!(oracle, interval.samples, "scalar oracle, n {n}");
-
-            let mut cur = Cursor::new(&bytes);
-            let decoded = decode_interval(&mut cur).unwrap();
-            cur.finish().unwrap();
-            assert_eq!(decoded, interval, "n {n}");
-        }
-    }
-
-    #[test]
-    fn batch_roundtrip_is_identical_at_every_simd_level() {
-        // The v1 frame codec (the raw-sample decode old journals take)
-        // must produce the same decoded Batch no matter which level
-        // `REGMON_SIMD` dials dispatch to.
-        let frame = &sample_frames()[2];
-        let bytes = WireDialect::V1.encode_frame(frame);
-        let baseline = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-        assert_eq!(baseline, *frame);
-        let before = regmon_stats::simd::active();
-        for level in SimdLevel::ALL {
-            if regmon_stats::simd::force(level) != level {
-                continue;
-            }
-            let decoded = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-            assert_eq!(decoded, baseline, "{}", level.label());
-        }
-        regmon_stats::simd::force(before);
     }
 
     // ------------------------------------------------- wire-v2 tests
@@ -1710,18 +1549,12 @@ mod tests {
     #[test]
     fn batch2_roundtrips_bit_identically_for_every_remainder_shape() {
         // Every sample count 0..=64 must survive the round trip exactly:
-        // the delta-columnar v2 batch (plain and compressed, including
-        // the width-8 raw and delta-of-delta columns), the delta-only v2
-        // batch older builds wrote, and the v1 raw-sample batch old
-        // journals and WALs carry.
+        // the delta-columnar v2 batch (including the width-8 raw and
+        // delta-of-delta columns) and the delta-only v2 batch older
+        // builds wrote.
         for n in 0..=64usize {
             for frame in [stress_batch(n), sampler_batch(n)] {
-                let encodings = [
-                    WireDialect::V1.encode_frame(&frame),
-                    WireDialect::v2(false).encode_frame(&frame),
-                    WireDialect::v2(true).encode_frame(&frame),
-                    encode_frame_delta_columns(&frame),
-                ];
+                let encodings = [frame.encode(), encode_frame_delta_columns(&frame)];
                 for (i, bytes) in encodings.iter().enumerate() {
                     let decoded = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
                     assert_eq!(decoded, frame, "n {n} encoding {i}");
@@ -1733,18 +1566,16 @@ mod tests {
     #[test]
     fn batch2_roundtrip_is_identical_at_every_simd_level() {
         let frame = stress_batch(64);
-        for compress in [false, true] {
-            let bytes = WireDialect::v2(compress).encode_frame(&frame);
-            let before = regmon_stats::simd::active();
-            for level in SimdLevel::ALL {
-                if regmon_stats::simd::force(level) != level {
-                    continue;
-                }
-                let decoded = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-                assert_eq!(decoded, frame, "{} compress {compress}", level.label());
+        let bytes = frame.encode();
+        let before = regmon_stats::simd::active();
+        for level in SimdLevel::ALL {
+            if regmon_stats::simd::force(level) != level {
+                continue;
             }
-            regmon_stats::simd::force(before);
+            let decoded = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
+            assert_eq!(decoded, frame, "{}", level.label());
         }
+        regmon_stats::simd::force(before);
     }
 
     /// Deterministic per-index noise in `0..2^24`.
@@ -1917,9 +1748,9 @@ mod tests {
 
     #[test]
     fn v2_batches_are_much_smaller_on_local_streams() {
-        // The bench-shaped payload (constant strides) must shrink
-        // enough to carry the ≥2x ingest win: v1 spends 16 bytes per
-        // sample, v2 about 2.
+        // The bench-shaped payload (constant strides) must shrink to
+        // under a quarter of the 16 bytes per sample raw `[addr][cycle]`
+        // pairs spend; v2 spends about 2.
         let samples: Vec<PcSample> = (0..2048u64)
             .map(|i| PcSample {
                 addr: Addr::new(0x4000_0000 + i * 4),
@@ -1935,64 +1766,22 @@ mod tests {
                 samples,
             }],
         };
-        let v1 = WireDialect::V1.encode_frame(&frame);
         let v2 = frame.encode();
-        assert!(v2.len() * 4 < v1.len(), "v1 {} v2 {}", v1.len(), v2.len());
+        assert!(v2.len() * 4 < 2048 * 16, "v2 {}", v2.len());
     }
 
     #[test]
-    fn compressed_frames_roundtrip_and_shrink() {
-        let frame = Frame::Batch {
-            tenant: 1,
-            intervals: vec![Interval {
-                index: 0,
-                start_cycle: 0,
-                end_cycle: 1000,
-                samples: (0..512u64)
-                    .map(|i| PcSample {
-                        addr: Addr::new(0x4000_0000 + (i % 8) * 16),
-                        cycle: i,
-                    })
-                    .collect(),
-            }],
-        };
-        let plain = WireDialect::v2(false).encode_frame(&frame);
-        let packed = WireDialect::v2(true).encode_frame(&frame);
-        assert!(
-            packed.len() < plain.len(),
-            "{} vs {}",
-            packed.len(),
-            plain.len()
+    fn hello_accepts_v2_and_rejects_v1() {
+        let bytes = Frame::hello().encode();
+        let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
+        assert_eq!(frame, Frame::Hello { version: 2 });
+        let bytes = Frame::Hello { version: 1 }.encode();
+        let err = read_frame(&mut bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, WireError::BadVersion { got: 1 }), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "wire v1 is no longer read (this build reads wire v2)"
         );
-        let decoded = read_frame(&mut packed.as_slice()).unwrap().unwrap();
-        assert_eq!(decoded, frame);
-    }
-
-    #[test]
-    fn plain_encode_is_v2_and_v1_differs_only_in_batches() {
-        // Plain encoding writes `Batch` as `Batch2`; the v1 reference
-        // encoder writes the raw-sample `Batch`. Every other frame is
-        // spelled the same in both, and both decode to the same value.
-        for frame in sample_frames() {
-            let plain = frame.encode();
-            assert_eq!(plain, WireDialect::v2(false).encode_frame(&frame));
-            let v1 = WireDialect::V1.encode_frame(&frame);
-            if matches!(frame, Frame::Batch { .. }) {
-                assert_eq!((plain[8], v1[8]), (TYPE_BATCH2, TYPE_BATCH));
-            } else {
-                assert_eq!(v1, plain);
-            }
-            assert_eq!(read_frame(&mut v1.as_slice()).unwrap().unwrap(), frame);
-        }
-    }
-
-    #[test]
-    fn hello_accepts_both_supported_versions() {
-        for version in [1u16, 2] {
-            let bytes = Frame::Hello { version }.encode();
-            let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
-            assert_eq!(frame, Frame::Hello { version });
-        }
     }
 
     #[test]
@@ -2006,7 +1795,7 @@ mod tests {
     fn frame_parser_matches_frame_reader_at_every_chunk_size() {
         let mut stream = Vec::new();
         for frame in sample_frames() {
-            stream.extend_from_slice(&WireDialect::v2(true).encode_frame(&frame));
+            stream.extend_from_slice(&frame.encode());
         }
         let mut reader = FrameReader::new(stream.as_slice());
         let mut want = Vec::new();
@@ -2120,22 +1909,15 @@ mod tests {
         (0..n).map(|_| rng.next_u64() as u8).collect()
     }
 
-    /// Arbitrary bytes, or a byte-mutated copy of a valid v1 or v2
-    /// stream.
+    /// Arbitrary bytes, or a byte-mutated copy of a valid stream.
     fn fuzz_stream(rng: &mut TestRng) -> Vec<u8> {
-        let dialects = [
-            WireDialect::V1,
-            WireDialect::v2(false),
-            WireDialect::v2(true),
-        ];
-        let dialect = dialects[below(rng, 3)];
         let mut frames = sample_frames();
         frames.insert(3, stress_batch(below(rng, 24)));
         frames.insert(4, sampler_batch(below(rng, 24)));
         frames.push(Frame::Checkpoint { tenant: 3 });
         let mut bodies: Vec<Vec<u8>> = frames
             .iter()
-            .map(|frame| dialect.encode_frame(frame)[8..].to_vec())
+            .map(|frame| frame.encode()[8..].to_vec())
             .collect();
         match below(rng, 4) {
             0 => {

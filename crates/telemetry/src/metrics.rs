@@ -202,19 +202,6 @@ pub static SNAPSHOT_RESTORES: Counter = Counter::new(
     "Session snapshots deserialized and resumed",
 );
 
-/// Wire-v2 frames (delta-columnar batches, compressed wrappers,
-/// migration frames) decoded successfully.
-pub static WIRE_V2_FRAMES: Counter = Counter::new(
-    "regmon_wire_v2_frames_total",
-    "Wire-v2 frames decoded successfully by the serve layer",
-);
-
-/// Compressed wire frames decoded successfully.
-pub static WIRE_COMPRESSED_FRAMES: Counter = Counter::new(
-    "regmon_wire_compressed_frames_total",
-    "LZ-compressed wire frames decoded successfully by the serve layer",
-);
-
 /// Readiness wake-ups taken by serve event-loop workers.
 pub static SERVE_EVENT_WAKEUPS: Counter = Counter::new(
     "regmon_serve_event_wakeups_total",
@@ -290,7 +277,7 @@ pub static CPD_SERIES_TRACKED: Gauge = Gauge::new(
     "Distinct series tracked by the fleet change-point hub",
 );
 
-static COUNTERS: [&Counter; 36] = [
+static COUNTERS: [&Counter; 34] = [
     &QUEUE_PUSHED,
     &QUEUE_POPPED,
     &QUEUE_DROPPED,
@@ -316,8 +303,6 @@ static COUNTERS: [&Counter; 36] = [
     &SERVE_RECEIVED_BYTES,
     &SNAPSHOT_SAVES,
     &SNAPSHOT_RESTORES,
-    &WIRE_V2_FRAMES,
-    &WIRE_COMPRESSED_FRAMES,
     &SERVE_EVENT_WAKEUPS,
     &SERVE_MIGRATIONS,
     &SERVE_RECOVERIES,

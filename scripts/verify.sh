@@ -137,17 +137,6 @@ if [[ "$run_json" != "$(cat "$serve_dir/served.json")" ]]; then
   exit 1
 fi
 
-step "serve smoke (wire-v2 + compression)"
-cargo run -q --release -p regmon-cli -- serve --unix "$serve_dir/regmon.sock" --expect-sessions 1 --json >"$serve_dir/served_compressed.json" 2>/dev/null &
-serve_pid=$!
-for _ in $(seq 1 100); do [[ -S "$serve_dir/regmon.sock" ]] && break; sleep 0.1; done
-cargo run -q --release -p regmon-cli -- send "$serve_dir/session.rgj" --unix "$serve_dir/regmon.sock" --compress 2>/dev/null
-wait "$serve_pid"
-if [[ "$run_json" != "$(cat "$serve_dir/served_compressed.json")" ]]; then
-  echo "FAIL: compressed served --json differed from the recorded run --json" >&2
-  exit 1
-fi
-
 step "migrate round-trip (mid-session handoff between two live servers)"
 cargo run -q --release -p regmon-cli -- serve --unix "$serve_dir/a.sock" --expect-sessions 1 --json >"$serve_dir/migrate_a.json" 2>/dev/null &
 a_pid=$!

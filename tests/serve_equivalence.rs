@@ -11,8 +11,7 @@
 //!    index kinds × similarity metrics × pruning × wire batching ×
 //!    telemetry on/off.
 //! 2. **Replay identity** — replaying a recorded journal (at any frame
-//!    batching, as `JournalWriter` writes it or re-encoded as the v1
-//!    journals older builds wrote) reproduces
+//!    batching) reproduces
 //!    `MonitoringSession::run_limited` exactly, and a replay resumed
 //!    from a mid-stream checkpoint agrees with the straight replay.
 //! 3. **Rejection** — corrupting any byte of a journal or snapshot, or
@@ -25,10 +24,10 @@ use regmon::{MonitoringSession, PruningConfig, SessionConfig};
 use regmon_lpd::SimilarityKind;
 use regmon_regions::IndexKind;
 use regmon_sampling::Sampler;
-use regmon_serve::journal::{read_frames, JournalWriter};
+use regmon_serve::journal::JournalWriter;
 use regmon_serve::replay::{replay_stream, ReplayOptions};
 use regmon_serve::snapshot::{decode_snapshot, encode_snapshot};
-use regmon_serve::wire::{AdmitFrame, Frame, WireDialect, WireError};
+use regmon_serve::wire::{AdmitFrame, WireError};
 use regmon_workload::suite;
 
 const WORKLOADS: [&str; 3] = ["172.mgrid", "181.mcf", "254.gap"];
@@ -55,16 +54,9 @@ fn config_for(index: u8, similarity: u8, pruning: bool, period_sel: u8) -> Sessi
     config
 }
 
-/// A single-tenant journal with the given frame batching: as
-/// `JournalWriter` writes it (`None`), or re-encoded in a wire dialect
-/// (v1 as older builds wrote it, v2, or v2 + compression).
-fn journal_bytes(
-    workload: &str,
-    config: &SessionConfig,
-    n: usize,
-    chunk: usize,
-    dialect: Option<WireDialect>,
-) -> Vec<u8> {
+/// A single-tenant journal with the given frame batching, as
+/// `JournalWriter` writes it.
+fn journal_bytes(workload: &str, config: &SessionConfig, n: usize, chunk: usize) -> Vec<u8> {
     let w = suite::by_name(workload).unwrap();
     let mut journal = JournalWriter::new(Vec::new()).unwrap();
     journal
@@ -81,22 +73,7 @@ fn journal_bytes(
         journal.batch(0, batch.to_vec()).unwrap();
     }
     journal.finish(0).unwrap();
-    let written = journal.into_inner().unwrap();
-    let Some(dialect) = dialect else {
-        return written;
-    };
-    let hello = Frame::Hello {
-        version: dialect.version,
-    };
-    read_frames(written.as_slice())
-        .unwrap()
-        .iter()
-        .map(|frame| match frame {
-            Frame::Hello { .. } => &hello,
-            other => other,
-        })
-        .flat_map(|frame| dialect.encode_frame(frame))
-        .collect()
+    journal.into_inner().unwrap()
 }
 
 fn checkpoint_roundtrip_case(workload: &str, config: &SessionConfig, total: usize, cut: usize) {
@@ -170,12 +147,11 @@ proptest! {
         chunk in 1usize..6,
         snapshot_at in 2usize..14,
         workload_sel in 0usize..3,
-        v1 in prop::bool::ANY,
     ) {
         let config = config_for(index, 0, pruning, workload_sel as u8);
         let workload = WORKLOADS[workload_sel];
         let n = 16;
-        let bytes = journal_bytes(workload, &config, n, chunk, v1.then_some(WireDialect::V1));
+        let bytes = journal_bytes(workload, &config, n, chunk);
 
         let w = suite::by_name(workload).unwrap();
         let direct = MonitoringSession::run_limited(&w, &config, n);
@@ -220,10 +196,9 @@ proptest! {
     fn corrupt_journal_byte_is_rejected(
         flip_bit in 0u32..8,
         position in 0usize..10_000,
-        v1 in prop::bool::ANY,
     ) {
         let config = config_for(1, 0, false, 0);
-        let mut bytes = journal_bytes("172.mgrid", &config, 6, 2, v1.then_some(WireDialect::V1));
+        let mut bytes = journal_bytes("172.mgrid", &config, 6, 2);
         let idx = position * (bytes.len() - 1) / 10_000;
         bytes[idx] ^= 1 << flip_bit;
         let result = replay_stream(bytes.as_slice(), &ReplayOptions::default());
@@ -234,24 +209,20 @@ proptest! {
     #[test]
     fn truncated_journal_is_rejected(
         position in 0usize..10_000,
-        v1 in prop::bool::ANY,
     ) {
         let config = config_for(0, 0, false, 0);
-        let bytes = journal_bytes("172.mgrid", &config, 4, 1, v1.then_some(WireDialect::V1));
+        let bytes = journal_bytes("172.mgrid", &config, 4, 1);
         let cut = 1 + position * (bytes.len() - 2) / 10_000;
         let result = replay_stream(&bytes[..cut], &ReplayOptions::default());
         prop_assert!(result.is_err(), "cut at {} accepted", cut);
     }
 
-    /// Wire-v2 streams (delta-encoded batches, optionally LZ-wrapped)
-    /// replay byte-identically to the in-process run of the same
-    /// session: the dialect changes the bytes on the wire, never the
-    /// result.
+    /// Wire-v2 streams (delta-encoded batches) replay byte-identically
+    /// to the in-process run of the same session.
     #[test]
     fn v2_journal_replays_identically(
         index in 0u8..3,
         chunk in 1usize..6,
-        compress in prop::bool::ANY,
         workload_sel in 0usize..3,
     ) {
         let config = config_for(index, 0, false, workload_sel as u8);
@@ -259,8 +230,7 @@ proptest! {
         let n = 14;
         let w = suite::by_name(workload).unwrap();
         let direct = MonitoringSession::run_limited(&w, &config, n);
-        let bytes =
-            journal_bytes(workload, &config, n, chunk, Some(WireDialect::v2(compress)));
+        let bytes = journal_bytes(workload, &config, n, chunk);
         let outcome = replay_stream(bytes.as_slice(), &ReplayOptions::default()).unwrap();
         prop_assert_eq!(outcome.tenants.len(), 1);
         prop_assert_eq!(
@@ -269,18 +239,16 @@ proptest! {
         );
     }
 
-    /// Any single corrupted byte of a wire-v2 journal — header, varint
-    /// delta column, or compressed body — is rejected, never decoded
-    /// into a different stream.
+    /// Any single corrupted byte of a wire-v2 journal — header or
+    /// delta column — is rejected, never decoded into a different
+    /// stream.
     #[test]
     fn corrupt_v2_journal_byte_is_rejected(
         flip_bit in 0u32..8,
-        compress in prop::bool::ANY,
         position in 0usize..10_000,
     ) {
         let config = config_for(1, 0, false, 0);
-        let mut bytes = journal_bytes(
-            "172.mgrid", &config, 6, 2, Some(WireDialect::v2(compress)));
+        let mut bytes = journal_bytes("172.mgrid", &config, 6, 2);
         let idx = position * (bytes.len() - 1) / 10_000;
         bytes[idx] ^= 1 << flip_bit;
         let result = replay_stream(bytes.as_slice(), &ReplayOptions::default());
@@ -292,12 +260,10 @@ proptest! {
     /// the offset where that frame began and its zero-based index.
     #[test]
     fn truncated_v2_journal_is_rejected_with_position(
-        compress in prop::bool::ANY,
         position in 0usize..10_000,
     ) {
         let config = config_for(0, 0, false, 0);
-        let bytes = journal_bytes(
-            "172.mgrid", &config, 4, 1, Some(WireDialect::v2(compress)));
+        let bytes = journal_bytes("172.mgrid", &config, 4, 1);
         let starts = frame_starts(&bytes);
         let cut = 1 + position * (bytes.len() - 2) / 10_000;
         let result = replay_stream(&bytes[..cut], &ReplayOptions::default());
@@ -343,31 +309,23 @@ fn frame_starts(bytes: &[u8]) -> Vec<usize> {
 
 /// The whole out-of-process path — wire decode included — is invariant
 /// under the SIMD dispatch level: a journal replayed under forced
-/// scalar and avx2 dispatch yields byte-identical summaries, whether it
-/// was written as v2 or as v1.
+/// scalar and avx2 dispatch yields byte-identical summaries.
 #[test]
 fn replay_is_simd_level_invariant() {
     use regmon_stats::{simd, SimdLevel};
     let config = config_for(2, 0, false, 0);
     let before = simd::active();
     let mut reference: Option<String> = None;
-    for v1 in [false, true] {
-        let bytes = journal_bytes(WORKLOADS[0], &config, 12, 3, v1.then_some(WireDialect::V1));
-        for level in SimdLevel::ALL {
-            if simd::force(level) != level {
-                continue; // not supported on this host
-            }
-            let outcome = replay_stream(bytes.as_slice(), &ReplayOptions::default()).unwrap();
-            let summary = format!("{:?}", outcome.tenants[0].summary);
-            match &reference {
-                None => reference = Some(summary),
-                Some(expect) => assert_eq!(
-                    expect,
-                    &summary,
-                    "diverged under {} (v1 {v1})",
-                    level.label()
-                ),
-            }
+    let bytes = journal_bytes(WORKLOADS[0], &config, 12, 3);
+    for level in SimdLevel::ALL {
+        if simd::force(level) != level {
+            continue; // not supported on this host
+        }
+        let outcome = replay_stream(bytes.as_slice(), &ReplayOptions::default()).unwrap();
+        let summary = format!("{:?}", outcome.tenants[0].summary);
+        match &reference {
+            None => reference = Some(summary),
+            Some(expect) => assert_eq!(expect, &summary, "diverged under {}", level.label()),
         }
     }
     simd::force(before);

@@ -140,7 +140,6 @@ fn clean_summary() -> &'static str {
         send_plan(
             move || Ok(stream.take().unwrap()),
             &plan(TOTAL, true),
-            false,
             &policy(0),
             false,
             None,
@@ -176,7 +175,6 @@ fn injected_faults_converge_within_retry_budget() {
         let outcome = send_plan(
             dial(&sock),
             &plan(TOTAL, true),
-            false,
             &policy(10),
             false,
             Some(&mut faults),
@@ -206,7 +204,6 @@ fn dropped_send_reports_position_and_resumes() {
     let err = send_plan(
         dial(&sock),
         &plan(TOTAL, true),
-        false,
         &policy(0),
         false,
         Some(&mut faults),
@@ -231,15 +228,7 @@ fn dropped_send_reports_position_and_resumes() {
 
     // A fresh process resumes the same plan: the server acks the last
     // folded interval and only the tail travels again.
-    let outcome = send_plan(
-        dial(&sock),
-        &plan(TOTAL, true),
-        false,
-        &policy(0),
-        true,
-        None,
-    )
-    .unwrap();
+    let outcome = send_plan(dial(&sock), &plan(TOTAL, true), &policy(0), true, None).unwrap();
     assert_eq!(outcome.intervals, TOTAL as u64);
     let report = server.join().unwrap();
     assert_eq!(summary_of(&report), clean_summary());
@@ -318,7 +307,6 @@ fn ingest_partial(dir: &Path, take: usize) {
     send_plan(
         move || Ok(stream.take().unwrap()),
         &plan(take, false),
-        false,
         &policy(0),
         false,
         None,
@@ -346,7 +334,6 @@ fn recover_and_complete(dir: &Path) -> ServeReport {
     let outcome = send_plan(
         move || Ok(stream.take().unwrap()),
         &plan(TOTAL, true),
-        false,
         &policy(0),
         true,
         None,
@@ -427,15 +414,7 @@ fn excess_connections_shed_with_busy() {
     drop(held);
 
     // With the slot free again, a retrying send converges.
-    let outcome = send_plan(
-        dial(&sock),
-        &plan(TOTAL, true),
-        false,
-        &policy(8),
-        false,
-        None,
-    )
-    .unwrap();
+    let outcome = send_plan(dial(&sock), &plan(TOTAL, true), &policy(8), false, None).unwrap();
     assert_eq!(outcome.intervals, TOTAL as u64);
     let report = server.join().unwrap();
     assert!(report.shed >= 1, "shed {}", report.shed);
@@ -464,15 +443,7 @@ fn stuck_peer_cannot_hang_shutdown() {
     stuck.flush().unwrap();
     std::thread::sleep(Duration::from_millis(30));
 
-    let outcome = send_plan(
-        dial(&sock),
-        &plan(TOTAL, true),
-        false,
-        &policy(0),
-        false,
-        None,
-    )
-    .unwrap();
+    let outcome = send_plan(dial(&sock), &plan(TOTAL, true), &policy(0), false, None).unwrap();
     assert_eq!(outcome.intervals, TOTAL as u64);
 
     let started = Instant::now();
@@ -503,15 +474,7 @@ fn idle_peer_is_reaped() {
     let idle = connect_ready(&sock);
     std::thread::sleep(Duration::from_millis(30));
 
-    let outcome = send_plan(
-        dial(&sock),
-        &plan(TOTAL, true),
-        false,
-        &policy(0),
-        false,
-        None,
-    )
-    .unwrap();
+    let outcome = send_plan(dial(&sock), &plan(TOTAL, true), &policy(0), false, None).unwrap();
     assert_eq!(outcome.intervals, TOTAL as u64);
     let report = server.join().unwrap();
     assert!(
