@@ -13,12 +13,19 @@
 //! 2032-sample interval — one paper interval at the 45K period) under
 //! every SIMD level this host supports; `scripts/bench_guard.sh` gates
 //! its within-run vector-over-scalar ratios.
+//!
+//! The `similarity` rows, outside `headline`, time one LPD similarity
+//! score (Pearson, cosine, Manhattan, rank) between two histograms of
+//! 16, 64 and 256 slots: the paper's §5 question of metrics cheaper
+//! than Pearson's coefficient.
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use regmon::lpd::{Similarity, SimilarityKind};
 use regmon::regions::{IndexKind, RegionKind, RegionMonitor};
 use regmon::sampling::PcSample;
+use regmon::stats::CountHistogram;
 use regmon_binary::{Addr, AddrRange};
 use regmon_stats::{simd, SimdLevel};
 
@@ -27,6 +34,10 @@ const REGION_COUNTS: [usize; 4] = [4, 16, 64, 256];
 const SAMPLE_COUNTS: [usize; 2] = [508, 2032];
 const HEADLINE_REGIONS: usize = 64;
 const HEADLINE_SAMPLES: usize = 2032;
+const SIMILARITY_SLOTS: [usize; 3] = [16, 64, 256];
+/// Histogram slots scored per timed run, spread over repeated scores so
+/// one run lasts far longer than the clock's resolution at every size.
+const SIMILARITY_SLOTS_PER_RUN: usize = 1 << 16;
 
 fn region_table(n: usize) -> Vec<AddrRange> {
     (0..n)
@@ -63,21 +74,28 @@ fn local_samples(n: usize, count: usize) -> Vec<PcSample> {
         .collect()
 }
 
-/// Median of `reps` timed runs of `f`, in ns per sample.
-fn median_ns_per_sample<F: FnMut()>(samples: usize, reps: usize, mut f: F) -> f64 {
-    // Warmup: populate arenas / caches / allocator pools.
-    for _ in 0..3 {
-        f();
-    }
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64 / samples as f64
+/// A peaked count shape plus noise, like a real region histogram.
+fn histogram(slots: usize, seed: u64) -> CountHistogram {
+    let peak = slots / 3;
+    let counts: Vec<u64> = (0..slots)
+        .map(|i| {
+            let noise = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56;
+            let d = i.abs_diff(peak) as u64;
+            200 / (1 + d * d / 4) + noise % 8
         })
         .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    CountHistogram::from_counts(counts)
+}
+
+/// Median of `reps` timed runs of `f` after three warmups, in ns per
+/// one of the `units` each run processes.
+fn median_ns_per<F: FnMut()>(units: usize, reps: usize, mut f: F) -> f64 {
+    let secs = regmon_bench::median_secs(3, reps, || {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_secs_f64()
+    });
+    secs * 1.0e9 / units as f64
 }
 
 struct Cell {
@@ -126,7 +144,7 @@ fn main() {
                     for r in &regions {
                         monitor.add_region(*r, RegionKind::Loop { depth: 0 }, 0);
                     }
-                    let ns = median_ns_per_sample(count, reps, || {
+                    let ns = median_ns_per(count, reps, || {
                         monitor.attribute(black_box(&samples));
                         black_box(monitor.report().total_samples());
                     });
@@ -166,7 +184,7 @@ fn main() {
             for r in &regions {
                 monitor.add_region(*r, RegionKind::Loop { depth: 0 }, 0);
             }
-            let ns = median_ns_per_sample(HEADLINE_SAMPLES, reps, || {
+            let ns = median_ns_per(HEADLINE_SAMPLES, reps, || {
                 monitor.attribute(black_box(&samples));
                 black_box(monitor.report().total_samples());
             });
@@ -174,6 +192,29 @@ fn main() {
         }
     }
     simd::force(restore);
+
+    // ------------------------------------------------- similarity rows
+    let metrics = [
+        ("pearson", SimilarityKind::Pearson),
+        ("cosine", SimilarityKind::Cosine),
+        ("manhattan", SimilarityKind::Manhattan),
+        ("rank", SimilarityKind::Rank),
+    ];
+    let mut similarity_rows: Vec<String> = Vec::new();
+    for slots in SIMILARITY_SLOTS {
+        let (stable, current) = (histogram(slots, 1), histogram(slots, 2));
+        let scores = SIMILARITY_SLOTS_PER_RUN / slots;
+        for (label, kind) in metrics {
+            let ns = median_ns_per(scores, reps, || {
+                for _ in 0..scores {
+                    black_box(kind.score(black_box(&stable), black_box(&current)));
+                }
+            });
+            similarity_rows.push(format!(
+                "    {{\"kind\": \"{label}\", \"slots\": {slots}, \"ns_per_score\": {ns:.2}}}"
+            ));
+        }
+    }
     let simd_pick = |locality: &str, level: SimdLevel| -> f64 {
         simd_rows
             .iter()
@@ -232,10 +273,12 @@ fn main() {
         "{{\n  \"schema\": \"regmon-attribution-matrix-v1\",\n  \"reps\": {reps},\n  \
          \"note\": \"median ns/sample of RegionMonitor::attribute (stab_batch + epoch-reset \
          arena) per index kind; simd rows: the flat index at the headline cell under each \
-         dispatch level this host supports\",\n  \"headline\": {{\n{}\n  }},\n  \
-         \"simd\": [\n{}\n  ],\n  \"cells\": [\n{}\n  ]\n}}\n",
+         dispatch level this host supports; similarity rows: median ns per LPD similarity \
+         score\",\n  \"headline\": {{\n{}\n  }},\n  \"simd\": [\n{}\n  ],\n  \
+         \"similarity\": [\n{}\n  ],\n  \"cells\": [\n{}\n  ]\n}}\n",
         regmon_bench::json_members(&headline),
         simd_rendered.join(",\n"),
+        similarity_rows.join(",\n"),
         rendered.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("write matrix json");

@@ -21,8 +21,8 @@
 //!
 //! Usage: `fleet_matrix [OUTPUT.json]` (default `BENCH_fleet.json` in
 //! the current directory). The `headline` object reports the reference
-//! cell (64 tenants over 8 shards, batch 32). `QUICK_BENCH=1` (or the
-//! criterion-shim's `--smoke`) shrinks reps for CI smoke runs.
+//! cell (64 tenants over 8 shards, batch 32). `QUICK_BENCH=1` shrinks
+//! reps for CI smoke runs.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -416,14 +416,10 @@ fn run_cpd(tenants: usize, rounds: usize) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Median throughput in million intervals per second over `reps` runs.
-fn median_mips<F: FnMut() -> f64>(total_intervals: usize, reps: usize, mut run: F) -> f64 {
-    run(); // warmup
-    let mut rates: Vec<f64> = (0..reps)
-        .map(|_| total_intervals as f64 / run() / 1.0e6)
-        .collect();
-    rates.sort_by(f64::total_cmp);
-    rates[rates.len() / 2]
+/// Median throughput in million intervals per second over `reps` runs
+/// of `run` (which returns its elapsed seconds), after one warmup.
+fn median_mips(total_intervals: usize, reps: usize, run: impl FnMut() -> f64) -> f64 {
+    total_intervals as f64 / regmon_bench::median_secs(1, reps, run) / 1.0e6
 }
 
 struct Cell {
@@ -513,12 +509,9 @@ fn main() {
         let streams = encode_session_streams(active, per_conn);
         let scale_total = active * per_conn;
         let scale_reps = if quick { 1 } else { 3 };
-        run_connection_scaling(idle, &streams); // warmup
-        let mut rates: Vec<f64> = (0..scale_reps)
-            .map(|_| scale_total as f64 / run_connection_scaling(idle, &streams) / 1.0e6)
-            .collect();
-        rates.sort_by(f64::total_cmp);
-        let mips = rates[rates.len() / 2];
+        let mips = median_mips(scale_total, scale_reps, || {
+            run_connection_scaling(idle, &streams)
+        });
         vec![format!(
             "    {{\"mode\": \"events\", \"idle_connections\": {idle}, \
              \"active_connections\": {active}, \"intervals_per_connection\": {per_conn}, \

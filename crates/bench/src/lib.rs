@@ -1,8 +1,10 @@
-//! Shared drivers for the figure-regeneration binaries and benches.
+//! Shared drivers for the figure-regeneration and benchmark binaries.
 //!
 //! Every `fig*` binary in `src/bin/` reproduces one figure of the paper's
 //! evaluation; this library holds the common plumbing: time-budgeted
-//! sweeps, per-region tracking, and CSV-ish row printing. See
+//! sweeps, per-region tracking, CSV-ish row printing, and the one
+//! warm-up-then-median timer ([`median_secs`]) behind the
+//! `attribution_matrix` and `fleet_matrix` JSON documents. See
 //! `EXPERIMENTS.md` at the workspace root for the figure-by-figure
 //! paper-vs-measured record. [`gate`] holds the performance gate's
 //! decisions (`bench_gate`, run by `scripts/bench_guard.sh`).
@@ -265,6 +267,24 @@ pub fn json_members(fields: &[(&str, String)]) -> String {
     lines.join(",\n")
 }
 
+/// Median of `reps` timed runs of `run`, after `warmup` untimed runs
+/// that fill caches, arenas and allocator pools. Each run returns the
+/// seconds it measured, so it can leave its own setup (spawning
+/// consumers, binding a socket) outside the timed span.
+///
+/// # Panics
+///
+/// Panics when `reps` is 0.
+pub fn median_secs(warmup: usize, reps: usize, mut run: impl FnMut() -> f64) -> f64 {
+    assert!(reps > 0, "need at least one timed run");
+    for _ in 0..warmup {
+        run();
+    }
+    let mut secs: Vec<f64> = (0..reps).map(|_| run()).collect();
+    secs.sort_by(f64::total_cmp);
+    secs[reps / 2]
+}
+
 /// Prints a figure header with reproduction context.
 pub fn figure_header(figure: &str, what: &str) {
     println!("# {figure}: {what}");
@@ -292,6 +312,13 @@ mod tests {
     fn downsample_averages_buckets() {
         let v: Vec<f64> = (0..8).map(f64::from).collect();
         assert_eq!(downsample(&v, 4), vec![0.5, 2.5, 4.5, 6.5]);
+    }
+
+    #[test]
+    fn median_secs_skips_warmups_and_takes_the_middle_run() {
+        let mut runs = [9.0, 9.0, 3.0, 1.0, 2.0].into_iter();
+        assert_eq!(median_secs(2, 3, || runs.next().unwrap()), 2.0);
+        assert!(runs.next().is_none(), "two warmups and three timed runs");
     }
 
     #[test]

@@ -99,6 +99,69 @@ fn fleet_matrix_emits_headline_json() {
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 
+/// The attribution matrix binary emits well-formed JSON with its
+/// headline, its per-SIMD-level rows and the similarity rows, which sit
+/// outside `headline` so `regmon cpd --bench` and `bench_gate` never
+/// read them as headline history.
+#[test]
+fn attribution_matrix_emits_headline_simd_and_similarity_json() {
+    let out_path = std::env::temp_dir().join(format!(
+        "attribution_matrix_smoke_{}.json",
+        std::process::id()
+    ));
+    let out = Command::new(env!("CARGO_BIN_EXE_attribution_matrix"))
+        .arg(&out_path)
+        .env("QUICK_BENCH", "1")
+        .output()
+        .expect("spawn attribution_matrix");
+    assert!(
+        out.status.success(),
+        "attribution_matrix failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&out_path).expect("matrix json written");
+    let _ = std::fs::remove_file(&out_path);
+    for key in [
+        "\"schema\": \"regmon-attribution-matrix-v1\"",
+        "\"headline\"",
+        "\"flat_batch_ns_per_sample\"",
+        "\"flat_batch_scalar_ns_per_sample\"",
+        "\"flat_batch_simd_ns_per_sample\"",
+        "\"simd_level\"",
+        "\"simd_speedup\"",
+        "\"flat_batch_simd_random_ns_per_sample\"",
+        "\"simd_speedup_random\"",
+        "\"simd\": [",
+        "\"kernel\": \"attribution_flat_batch\", \"level\": \"scalar\"",
+        "\"similarity\": [",
+        "\"cells\": [",
+        "\"index\": \"list\"",
+        "\"index\": \"tree\"",
+        "\"index\": \"flat\"",
+    ] {
+        assert!(
+            json.contains(key),
+            "{key} missing from attribution matrix JSON"
+        );
+    }
+    for kind in ["pearson", "cosine", "manhattan", "rank"] {
+        for slots in [16, 64, 256] {
+            let row = format!("{{\"kind\": \"{kind}\", \"slots\": {slots}, \"ns_per_score\": ");
+            assert!(json.contains(&row), "no {kind}@{slots} similarity row");
+        }
+    }
+    let headline = json
+        .split("\"headline\": {")
+        .nth(1)
+        .and_then(|rest| rest.split('}').next())
+        .expect("headline object");
+    assert!(
+        !headline.contains("similarity") && !headline.contains("ns_per_score"),
+        "similarity rows leaked into the headline"
+    );
+    assert_eq!(json.matches('{').count(), json.matches('}').count());
+}
+
 /// The committed benchmark documents carry no row of a retired SIMD
 /// path: every dispatch level is `scalar` or `avx2`, and no wire-v1
 /// decode rows remain.

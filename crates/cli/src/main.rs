@@ -29,35 +29,48 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{}", commands::USAGE);
             ExitCode::FAILURE
         }
+        Err(Failure::Command(msg)) => {
+            eprintln!("error: {msg}");
+            eprintln!("see 'regmon help' for usage");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn run(argv: &[String]) -> Result<(), String> {
+/// Why `regmon` exits non-zero.
+enum Failure {
+    /// No subcommand, or an unknown one: the full `USAGE` follows.
+    Usage(String),
+    /// A subcommand failed: one line points at `regmon help`.
+    Command(String),
+}
+
+fn run(argv: &[String]) -> Result<(), Failure> {
     let Some(cmd) = argv.first() else {
-        return Err("missing subcommand".into());
+        return Err(Failure::Usage("missing subcommand".into()));
     };
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
         println!("{}", commands::USAGE);
         return Ok(());
     }
     let Some((_, handler)) = SUBCOMMANDS.iter().find(|(name, _)| name == cmd) else {
-        return Err(unknown_subcommand(cmd));
+        return Err(Failure::Usage(unknown_subcommand(cmd)));
     };
     // An unrecognized dispatch override is a typo, not a request for
     // the default: refuse it rather than run at a level nobody asked for.
     if let Err(raw) = regmon_stats::simd::env_request() {
-        return Err(format!(
+        return Err(Failure::Command(format!(
             "{} {raw:?}: expected scalar|avx2",
             regmon_stats::simd::SIMD_ENV
-        ));
+        )));
     }
-    handler(&argv[1..])
+    handler(&argv[1..]).map_err(Failure::Command)
 }
 
 /// A subcommand: it receives the arguments after its name.

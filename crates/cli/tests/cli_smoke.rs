@@ -82,6 +82,16 @@ fn unknown_subcommand_prints_usage() {
 }
 
 #[test]
+fn failing_subcommand_prints_one_line_pointer_not_usage() {
+    let (ok, _, stderr) = regmon(&["replay", "/nonexistent/session.rgj"]);
+    assert!(!ok);
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("see 'regmon help'"), "{stderr}");
+    assert!(!stderr.contains("USAGE"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 2, "{stderr}");
+}
+
+#[test]
 fn missing_flag_value_is_an_error() {
     let (ok, _, stderr) = regmon(&["run", "172.mgrid", "--period"]);
     assert!(!ok);

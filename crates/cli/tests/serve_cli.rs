@@ -230,6 +230,18 @@ fn corrupt_journal_is_refused_by_replay() {
 }
 
 #[test]
+fn empty_journal_is_refused_by_replay() {
+    let dir = temp_dir("empty");
+    let journal = dir.join("empty.rgj");
+    std::fs::write(&journal, b"").unwrap();
+    let (ok, stdout, stderr) = regmon(&["replay", journal.to_str().unwrap(), "--json"]);
+    assert!(!ok, "a zero-byte journal must be refused");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("empty journal"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn replay_flag_pairing_is_enforced() {
     let (ok, _, stderr) = regmon(&["replay", "whatever.rgj", "--snapshot-at", "5"]);
     assert!(!ok);

@@ -20,11 +20,13 @@
 //! silently falls back to full WAL replay.
 //!
 //! Torn WAL tails are expected (that is what a crash looks like) and
-//! never fatal: [`read_wal`] stops at the first incomplete or
-//! corrupt record and truncates the file back to the last complete
-//! one, so the reopened WAL appends cleanly. A whole, checksummed
-//! record of a frame type this build does not read is no torn tail but
-//! another format, and fails instead.
+//! never fatal: [`read_wal`] stops at the first record whose envelope
+//! fails (cut short, a zero or over-cap length, a checksum mismatch)
+//! and truncates the file back to the last complete one, so the
+//! reopened WAL appends cleanly. A record whose checksum holds but
+//! whose payload does not decode (an unknown frame type, a bad column
+//! code) is no torn tail but a format this build does not read, and
+//! fails instead.
 //!
 //! WAL appends go straight to the file descriptor — no user-space
 //! buffering — so everything a client was acknowledged past survives a
@@ -40,7 +42,7 @@ use std::path::{Path, PathBuf};
 use regmon::SessionSnapshot;
 
 use crate::snapshot::{decode_snapshot, encode_snapshot};
-use crate::wire::{read_frame, Frame, FrameReader, WireError};
+use crate::wire::{Frame, FrameReader, WireError};
 
 /// When durable serve calls `fsync` on its WAL and checkpoint files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -182,18 +184,31 @@ impl WalWriter {
 
 /// Splits a WAL byte image into its complete, CRC-valid frames and the
 /// byte length they span. Anything past the returned length — a short
-/// header, a short body, a checksum mismatch, an undecodable frame —
-/// is a torn tail: the crash interrupted an append mid-record.
-#[must_use]
-pub fn parse_wal(bytes: &[u8]) -> (Vec<Frame>, usize) {
+/// header, a short body, a zero or over-cap length, a checksum
+/// mismatch — is a torn tail: the crash interrupted an append
+/// mid-record.
+///
+/// # Errors
+///
+/// The decode error of a record whose checksum holds but whose payload
+/// does not decode: no crash writes one, so treating it as torn would
+/// silently drop it and every record after it.
+pub fn parse_wal(bytes: &[u8]) -> Result<(Vec<Frame>, usize), WireError> {
     let mut reader = FrameReader::new(bytes);
     let mut frames = Vec::new();
     let mut good = 0;
-    while let Ok(Some(frame)) = reader.next_frame() {
-        frames.push(frame);
-        good = reader.bytes_read() as usize;
+    loop {
+        match reader.next_frame() {
+            Ok(Some(frame)) => {
+                frames.push(frame);
+                good = reader.bytes_read() as usize;
+            }
+            Ok(None) => break,
+            Err(e) if e.is_envelope() => break,
+            Err(e) => return Err(e),
+        }
     }
-    (frames, good)
+    Ok((frames, good))
 }
 
 /// One recovered WAL file.
@@ -212,22 +227,21 @@ pub struct WalRecovery {
 ///
 /// # Errors
 ///
-/// Filesystem failures, and [`std::io::ErrorKind::InvalidData`] when
-/// the scan stops at a checksummed record of an unknown frame type (a
-/// wire-v1 batch or a compressed frame from an older build): truncating
-/// it would silently drop the session's intervals. Other corruption is
-/// handled by truncation.
+/// Filesystem failures, and [`std::io::ErrorKind::InvalidData`] naming
+/// the path and the decode error when [`parse_wal`] meets a checksummed
+/// record that does not decode (a wire-v1 batch or a compressed frame
+/// from an older build, an unknown column code). The file is left as
+/// it is.
 pub fn read_wal(path: &Path) -> std::io::Result<WalRecovery> {
     let bytes = std::fs::read(path)?;
-    let (frames, good) = parse_wal(&bytes);
+    let (frames, good) = parse_wal(&bytes).map_err(|e| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{}: {e}", path.display()),
+        )
+    })?;
     let torn = (bytes.len() - good) as u64;
     if torn > 0 {
-        if let Err(e @ WireError::UnknownFrameType(_)) = read_frame(&mut &bytes[good..]) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: {e}", path.display()),
-            ));
-        }
         OpenOptions::new()
             .write(true)
             .open(path)?
@@ -348,6 +362,20 @@ mod tests {
         assert_eq!(torn.frames, frames);
         assert_eq!(torn.torn_bytes, 5);
         assert_eq!(std::fs::read(&path).unwrap().len(), good);
+
+        // A zero-filled tail (a length word of 0) and a length word over
+        // the cap are failed envelopes too, so they truncate the same way.
+        let mut over_cap = (crate::wire::MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+        over_cap.extend_from_slice(&[0u8; 8]);
+        for tail in [vec![0u8; 12], over_cap] {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(&tail);
+            std::fs::write(&path, &bytes).unwrap();
+            let torn = read_wal(&path).unwrap();
+            assert_eq!(torn.frames, frames);
+            assert_eq!(torn.torn_bytes, tail.len() as u64);
+            assert_eq!(std::fs::read(&path).unwrap().len(), good);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -371,6 +399,53 @@ mod tests {
             "{err}"
         );
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checksummed_record_that_does_not_decode_fails_and_is_kept() {
+        // A Batch record whose first column code names no layout, re-
+        // sealed with a matching CRC: the envelope holds, so this is no
+        // torn tail, and recovery must not cut it and the Finish after
+        // it away.
+        let dir = temp_dir("bad-column");
+        let path = wal_path(&dir, 0);
+        let batch = Frame::Batch {
+            tenant: 0,
+            intervals: vec![regmon::sampling::Interval {
+                index: 0,
+                start_cycle: 0,
+                end_cycle: 90_000,
+                samples: (0..4u64)
+                    .map(|k| regmon::sampling::PcSample {
+                        addr: regmon_binary::Addr::new(0x1000 + 4 * k),
+                        cycle: 45_000 + k,
+                    })
+                    .collect(),
+            }],
+        };
+        let mut record = batch.encode();
+        // Envelope (8) + type, tenant, count (9) + index, start, end
+        // (24) + sample count (4): the address column's code.
+        record[45] = 0x07;
+        let crc = crate::crc::crc32(&record[8..]);
+        record[4..8].copy_from_slice(&crc.to_le_bytes());
+        let [admit, finish] = <[Frame; 2]>::try_from(sample_frames()).unwrap();
+        let bytes = [admit.encode(), record, finish.encode()].concat();
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_wal(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let text = err.to_string();
+        assert!(text.contains(&path.display().to_string()), "{text}");
+        assert!(text.contains("bad column width"), "{text}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+
+        // The same record with its CRC left stale is a torn tail.
+        let mut stale = bytes.clone();
+        stale[admit.encode().len() + 45] = 0x01;
+        std::fs::write(&path, &stale).unwrap();
+        let torn = read_wal(&path).unwrap();
+        assert_eq!(torn.frames, vec![admit]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

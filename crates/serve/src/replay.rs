@@ -67,8 +67,9 @@ struct TenantReplay {
 ///
 /// # Errors
 ///
-/// Wire-layer failures, protocol violations (frames out of order,
-/// unknown tenants, missing `Finish`) and unknown workload names.
+/// Wire-layer failures, protocol violations (an empty stream, frames
+/// out of order, unknown tenants, missing `Finish`) and unknown
+/// workload names.
 pub fn replay(path: &Path, options: &ReplayOptions) -> Result<ReplayOutcome, ServeError> {
     let file = BufReader::new(File::open(path)?);
     replay_stream(file, options)
@@ -201,6 +202,11 @@ pub fn replay_stream(
                 ));
             }
         }
+    }
+    if !saw_hello {
+        return Err(ServeError::Protocol(
+            "empty journal: the stream ended before its Hello frame".into(),
+        ));
     }
 
     tenants

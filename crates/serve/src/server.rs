@@ -607,8 +607,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Filesystem failures and structurally broken WALs (an opener
-    /// that is not `Admit`/`Snapshot`, unknown workloads).
+    /// Filesystem failures and structurally broken WALs (a checksummed
+    /// record that does not decode, an opener that is not
+    /// `Admit`/`Snapshot`, unknown workloads).
     pub fn recover(&self) -> Result<usize, ServeError> {
         if !self.options.recover {
             return Ok(0);

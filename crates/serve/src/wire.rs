@@ -131,6 +131,9 @@ pub enum WireError {
     Malformed(&'static str),
     /// A frame header claimed a body larger than [`MAX_FRAME_LEN`].
     FrameTooLarge(u32),
+    /// A frame header claimed an empty body (no type byte), as zeroed
+    /// bytes past a crash point read.
+    ZeroLengthFrame,
     /// A session snapshot is shorter than its fixed magic, version and
     /// CRC trailer.
     SnapshotTooShort {
@@ -199,6 +202,7 @@ impl fmt::Display for WireError {
             Self::FrameTooLarge(len) => {
                 write!(f, "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap")
             }
+            Self::ZeroLengthFrame => write!(f, "malformed frame: zero-length frame"),
             Self::SnapshotTooShort { len } => write!(
                 f,
                 "RGSN snapshot truncated: {len} bytes, shorter than its 10-byte header and trailer"
@@ -213,6 +217,26 @@ impl fmt::Display for WireError {
             Self::SnapshotMalformed(what) => write!(f, "malformed RGSN snapshot: {what}"),
             Self::Io(e) => write!(f, "wire transport error: {e}"),
         }
+    }
+}
+
+impl WireError {
+    /// Whether the frame envelope failed: the stream ended inside a
+    /// frame, or its length word is zero or over the cap, or its body
+    /// misses the checksum. Every other error is a checksummed payload
+    /// that does not decode.
+    #[must_use]
+    pub(crate) fn is_envelope(&self) -> bool {
+        matches!(
+            self,
+            Self::Truncated { .. }
+                | Self::FrameTooLarge(_)
+                | Self::ZeroLengthFrame
+                | Self::BadCrc {
+                    of: Checksummed::Frame,
+                    ..
+                }
+        )
     }
 }
 
@@ -1091,7 +1115,7 @@ fn check_frame<B: AsRef<[u8]>>(
         return Err(WireError::FrameTooLarge(len));
     }
     if len == 0 {
-        return Err(WireError::Malformed("zero-length frame"));
+        return Err(WireError::ZeroLengthFrame);
     }
     let Some(rest) = rest(len as usize)? else {
         return Ok(None);

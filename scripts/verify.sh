@@ -178,10 +178,6 @@ rm -rf "$serve_dir"
 step "serve demo example"
 cargo run -q --release -p regmon-serve --example serve_demo >/dev/null
 
-step "bench smoke (QUICK_BENCH=1)"
-QUICK_BENCH=1 cargo bench -q -p regmon-bench --bench fleet >/dev/null
-cargo bench -q -p regmon-bench --bench attribution -- --smoke >/dev/null
-
 if [[ "$QUICK" -eq 0 ]]; then
   step "performance gate (pipebench end to end vs the parent commit on this host, BENCHMARK.json bounds)"
   scripts/bench_guard.sh
