@@ -78,17 +78,19 @@ workers. `regmon migrate` moves a live session between two servers
 mid-stream: the first server checkpoints and retires the tenant, the
 second resumes it byte-identically.
 
-Durability: `serve --durable DIR` write-ahead-logs every admitted
-batch (CRC-checked wire frames) and checkpoints each session's RGSN
-atomically every --checkpoint-every intervals; after a crash,
-`serve --recover DIR` replays the WAL tails past the last checkpoint
-and every session resumes byte-identically (torn tails are truncated,
-never fatal). `send --retries N` reconnects with deterministic
-exponential backoff and resumes from the last acknowledged interval;
-on giving up it exits nonzero reporting the exact frame/interval
-position. `--max-conns` sheds excess connections with a Busy reply,
---idle-timeout-ms reaps silent peers, and --drain-deadline-ms bounds
-shutdown when a peer wedges mid-frame.
+Durability: `serve --durable DIR` write-ahead-logs each session's
+wire frames as they arrived (CRC-checked) and checkpoints each
+session's RGSN atomically every --checkpoint-every intervals; after a
+crash, `serve --recover DIR` restores the checkpoints, replays the WAL
+through the live ingest path, and every session resumes
+byte-identically (torn tails are truncated, never fatal). Without
+--recover, a DIR that already holds session files is refused.
+`send --retries N` reconnects with deterministic exponential backoff
+and resumes from the last acknowledged interval; on giving up it exits
+nonzero reporting the exact frame/interval position. `--max-conns`
+sheds excess connections with a Busy reply, --idle-timeout-ms reaps
+silent peers, and --drain-deadline-ms bounds shutdown when a peer
+wedges mid-frame.
 
 The flat index's attribution kernel uses AVX2 when the CPU has it
 (`regmon features` shows the detected level); REGMON_SIMD=scalar dials

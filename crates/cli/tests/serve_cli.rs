@@ -794,3 +794,66 @@ fn fresh_journals_and_wals_hold_no_v1_batch() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `--durable` server started without `--recover` refuses a directory
+/// that an earlier run left session files in, before it accepts
+/// anything: the error names the first such file and `--recover`, and
+/// the directory is left byte for byte as it was.
+#[cfg(unix)]
+#[test]
+fn durable_serve_refuses_a_used_directory() {
+    let dir = temp_dir("used-dir");
+    let journal = dir.join("session.rgj");
+    run_recorded("10", &journal);
+    let used = dir.join("wal");
+    let durable = [
+        "--durable",
+        used.to_str().unwrap(),
+        "--checkpoint-every",
+        "4",
+    ];
+    serve_one(
+        &dir.join("first.sock"),
+        &durable,
+        &[journal.to_str().unwrap()],
+    );
+    // The same directory, and one holding only a copy of the WAL.
+    let wal_only = dir.join("wal-only");
+    std::fs::create_dir_all(&wal_only).unwrap();
+    std::fs::copy(
+        used.join("session-0000.wal"),
+        wal_only.join("session-0000.wal"),
+    )
+    .unwrap();
+
+    let image = |d: &std::path::Path| {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    for (d, first) in [
+        (&used, "session-0000.rgsn"),
+        (&wal_only, "session-0000.wal"),
+    ] {
+        let before = image(d);
+        let sock = dir.join("again.sock");
+        let (ok, stderr) = regmon_bounded(&[
+            "serve",
+            "--unix",
+            sock.to_str().unwrap(),
+            "--expect-sessions",
+            "1",
+            "--durable",
+            d.to_str().unwrap(),
+        ]);
+        assert!(!ok, "serve --durable adopted {}", d.display());
+        assert!(stderr.contains(first), "{stderr}");
+        assert!(stderr.contains("--recover"), "{stderr}");
+        assert_eq!(image(d), before, "{} changed", d.display());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

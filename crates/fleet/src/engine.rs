@@ -212,37 +212,21 @@ impl FleetEngine {
         rx.recv().expect("shard worker gone").map(|boxed| *boxed)
     }
 
-    /// Ships one sampled interval to the tenant's shard under the
-    /// engine's backpressure policy. Returns `false` when the interval
-    /// was rejected because the queue is closed (shutdown race).
-    pub fn offer_interval(&self, id: TenantId, interval: Interval) -> bool {
-        self.push_routed(id, ShardMsg::Interval(id, interval), self.config.policy)
-    }
-
-    /// Ships a coalesced batch of consecutive intervals as one queue
-    /// message under the engine's backpressure policy. A batch of one is
-    /// shipped as a plain interval message.
-    pub fn offer_batch(&self, id: TenantId, mut intervals: Vec<Interval>) -> bool {
-        match intervals.len() {
-            0 => true,
-            1 => self.offer_interval(id, intervals.pop().expect("len checked")),
-            _ => self.push_routed(id, ShardMsg::Batch(id, intervals), self.config.policy),
-        }
+    /// Ships a run of consecutive intervals (one or more) to the
+    /// tenant's shard as one queue message under the engine's
+    /// backpressure policy. Returns `false` when the batch was rejected
+    /// because the queue is closed (shutdown race).
+    pub fn offer_batch(&self, id: TenantId, intervals: Vec<Interval>) -> bool {
+        intervals.is_empty()
+            || self.push_routed(id, ShardMsg::Batch(id, intervals), self.config.policy)
     }
 
     /// Ships a batch with blocking semantics regardless of the engine
     /// policy (lossless lockstep transfer; the driver already applied
     /// the drop policy in its simulation buffers).
-    pub(crate) fn send_batch_blocking(&self, id: TenantId, mut intervals: Vec<Interval>) -> bool {
-        match intervals.len() {
-            0 => true,
-            1 => self.push_routed(
-                id,
-                ShardMsg::Interval(id, intervals.pop().expect("len checked")),
-                QueuePolicy::Block,
-            ),
-            _ => self.push_routed(id, ShardMsg::Batch(id, intervals), QueuePolicy::Block),
-        }
+    pub(crate) fn send_batch_blocking(&self, id: TenantId, intervals: Vec<Interval>) -> bool {
+        intervals.is_empty()
+            || self.push_routed(id, ShardMsg::Batch(id, intervals), QueuePolicy::Block)
     }
 
     /// Pauses a tenant (its shard ignores further intervals until
@@ -407,8 +391,8 @@ mod tests {
         assert_eq!(a.shard(2), 0);
         assert_eq!(b.shard(2), 1);
         for interval in Sampler::new(&spec.workload, spec.config.sampling).take(10) {
-            assert!(engine.offer_interval(a, interval.clone()));
-            assert!(engine.offer_interval(b, interval));
+            assert!(engine.offer_batch(a, vec![interval.clone()]));
+            assert!(engine.offer_batch(b, vec![interval]));
         }
         engine.finish(a);
         engine.finish(b);
@@ -432,13 +416,13 @@ mod tests {
             .take(6)
             .collect();
         for interval in &intervals[..3] {
-            assert!(engine.offer_interval(id, interval.clone()));
+            assert!(engine.offer_batch(id, vec![interval.clone()]));
         }
         engine.drain_barrier();
         let snap = engine.snapshot();
         assert_eq!(snap[0].tenants[0].intervals_processed, 3);
         for interval in &intervals[3..] {
-            assert!(engine.offer_interval(id, interval.clone()));
+            assert!(engine.offer_batch(id, vec![interval.clone()]));
         }
         let finals = engine.shutdown();
         assert_eq!(finals[0].tenants[0].intervals_processed, 6);
@@ -453,10 +437,10 @@ mod tests {
             .take(4)
             .collect();
         engine.pause(id);
-        assert!(engine.offer_interval(id, intervals[0].clone()));
+        assert!(engine.offer_batch(id, vec![intervals[0].clone()]));
         engine.resume(id);
         for interval in &intervals[1..] {
-            assert!(engine.offer_interval(id, interval.clone()));
+            assert!(engine.offer_batch(id, vec![interval.clone()]));
         }
         let finals = engine.shutdown();
         let t = &finals[0].tenants[0];
@@ -474,7 +458,7 @@ mod tests {
         let mut per = FleetEngine::new(EngineConfig::new(1, 16));
         let a = per.admit(&spec);
         for interval in &intervals {
-            assert!(per.offer_interval(a, interval.clone()));
+            assert!(per.offer_batch(a, vec![interval.clone()]));
         }
         per.finish(a);
         let per = per.shutdown();
@@ -513,15 +497,15 @@ mod tests {
         let id = engine.admit(&spec);
         assert_eq!(id.shard(2), 0);
         for interval in &intervals[..4] {
-            assert!(engine.offer_interval(id, interval.clone()));
+            assert!(engine.offer_batch(id, vec![interval.clone()]));
         }
         let snapshot = engine.checkpoint(id).expect("live session");
         let moved = engine.admit_from_snapshot(&spec, snapshot);
         assert_eq!(moved.shard(2), 1);
         // The retired id is ignored, not re-routed.
-        assert!(engine.offer_interval(id, intervals[4].clone()));
+        assert!(engine.offer_batch(id, vec![intervals[4].clone()]));
         for interval in &intervals[4..] {
-            assert!(engine.offer_interval(moved, interval.clone()));
+            assert!(engine.offer_batch(moved, vec![interval.clone()]));
         }
         engine.finish(moved);
         let finals = engine.shutdown();
@@ -534,7 +518,7 @@ mod tests {
         let mut unmoved = FleetEngine::new(EngineConfig::new(1, 8));
         let u = unmoved.admit(&spec);
         for interval in &intervals {
-            assert!(unmoved.offer_interval(u, interval.clone()));
+            assert!(unmoved.offer_batch(u, vec![interval.clone()]));
         }
         unmoved.finish(u);
         let unmoved = unmoved.shutdown();

@@ -38,9 +38,7 @@ use crate::tenant::{EvictReason, FaultPlan, TenantId, TenantState};
 pub(crate) enum ShardMsg {
     /// Registers a tenant on this shard.
     Admit(Box<AdmitMsg>),
-    /// One sampled interval for a tenant.
-    Interval(TenantId, Interval),
-    /// A coalesced run of consecutive intervals for a tenant.
+    /// A run of consecutive intervals (one or more) for a tenant.
     Batch(TenantId, Vec<Interval>),
     /// Stops processing for a tenant (resumable).
     Pause(TenantId),
@@ -99,12 +97,11 @@ impl Droppable for ShardMsg {
     fn droppable(&self) -> bool {
         // Only interval payloads may be sacrificed under DropOldest;
         // losing a control message would corrupt lifecycle state.
-        matches!(self, ShardMsg::Interval(..) | ShardMsg::Batch(..))
+        matches!(self, ShardMsg::Batch(..))
     }
 
     fn units(&self) -> Option<usize> {
         match self {
-            ShardMsg::Interval(..) => Some(1),
             ShardMsg::Batch(_, intervals) => Some(intervals.len()),
             _ => None,
         }
@@ -275,12 +272,6 @@ impl Worker {
                 });
                 self.tenants.insert(admit.tenant, entry);
             }
-            ShardMsg::Interval(id, interval) => {
-                let entry = self.tenants.get_mut(&id).expect("routed tenant present");
-                journal::set_tenant(u64::from(id.0));
-                process_interval(entry, &interval);
-                journal::set_tenant(0);
-            }
             ShardMsg::Batch(id, intervals) => {
                 let entry = self.tenants.get_mut(&id).expect("routed tenant present");
                 journal::set_tenant(u64::from(id.0));
@@ -377,8 +368,7 @@ impl Worker {
 /// tenant-state lookups.
 fn routed_tenant(msg: &ShardMsg) -> Option<TenantId> {
     match msg {
-        ShardMsg::Interval(id, _)
-        | ShardMsg::Batch(id, _)
+        ShardMsg::Batch(id, _)
         | ShardMsg::Pause(id)
         | ShardMsg::Resume(id)
         | ShardMsg::Evict(id, _)

@@ -2,22 +2,24 @@
 //!
 //! `regmon serve --durable DIR` makes ingestion crash-safe. Every
 //! admitted session gets its own WAL file (`session-NNNN.wal`) holding
-//! the exact wire frames the server folded in — the opener (`Admit` or
-//! `Snapshot`), each deduplicated `Batch`, and the closing `Finish` or
-//! `Checkpoint`. Records reuse the wire envelope (`[len][crc32][body]`),
-//! so the WAL inherits the codec's bit-exactness and corruption
-//! detection for free, and recovery is just a replay of the frames a
-//! live connection would have delivered. Records are wire-v2
-//! (delta-encoded batches); a WAL of v1 records from an older build
-//! fails recovery with an error naming the retired format.
+//! its wire frames byte for byte as they arrived — the opener (`Admit`
+//! or `Snapshot`), each `Batch` that carried a new interval (whole, so
+//! a batch re-sent in part keeps its duplicates), and the closing
+//! `Finish` or `Checkpoint`. Each record is the `[len][crc32][body]`
+//! span the frame's CRC was checked over, so the WAL inherits the
+//! codec's bit-exactness and corruption detection for free, and
+//! recovery is a replay of the frames through the live connection
+//! state machine, which drops the duplicates again. Records are
+//! wire-v2; a WAL of v1 records from an older build fails recovery
+//! with an error naming the retired format.
 //!
 //! Periodically (every [`DurableOptions::checkpoint_every`] intervals)
 //! the server additionally snapshots the live session into
 //! `session-NNNN.rgsn` via tmp+rename rotation: the checkpoint is
 //! either the complete old one or the complete new one, never a torn
-//! mix. Recovery loads the checkpoint when present and valid, then
-//! replays only the WAL tail past it — a corrupt or missing checkpoint
-//! silently falls back to full WAL replay.
+//! mix. Recovery starts from the checkpoint when present and valid, and
+//! the WAL records it covers replay as duplicates — a corrupt or
+//! missing checkpoint silently falls back to full WAL replay.
 //!
 //! Torn WAL tails are expected (that is what a crash looks like) and
 //! never fatal: [`read_wal`] stops at the first record whose envelope
@@ -135,10 +137,14 @@ pub(crate) struct WalWriter {
 }
 
 impl WalWriter {
-    /// Creates (truncating any stale file) the WAL for a fresh session.
+    /// Creates the WAL for a fresh session; an existing file at that
+    /// slot is an error, never truncated.
     pub(crate) fn create(dir: &Path, slot: usize, fsync: FsyncPolicy) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let file = File::create(wal_path(dir, slot))?;
+        let file = OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(wal_path(dir, slot))?;
         Ok(Self {
             file,
             fsync,
@@ -147,22 +153,19 @@ impl WalWriter {
     }
 
     /// Reopens a recovered WAL for further appends.
-    pub(crate) fn open_append(
-        path: &Path,
-        fsync: FsyncPolicy,
-        since_checkpoint: u64,
-    ) -> std::io::Result<Self> {
+    pub(crate) fn open_append(path: &Path, fsync: FsyncPolicy) -> std::io::Result<Self> {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Self {
             file,
             fsync,
-            since_checkpoint,
+            since_checkpoint: 0,
         })
     }
 
-    /// Appends one frame record, unbuffered, write-ahead of the engine.
-    pub(crate) fn append(&mut self, frame: &Frame) -> std::io::Result<()> {
-        self.file.write_all(&frame.encode())?;
+    /// Appends one record (a frame's wire bytes as they arrived),
+    /// unbuffered, write-ahead of the engine.
+    pub(crate) fn append(&mut self, record: &[u8]) -> std::io::Result<()> {
+        self.file.write_all(record)?;
         if self.fsync == FsyncPolicy::Always {
             self.file.sync_data()?;
         }
@@ -288,10 +291,40 @@ pub(crate) fn load_checkpoint(dir: &Path, slot: usize) -> Option<SessionSnapshot
 ///
 /// Filesystem failures (a missing directory recovers zero sessions).
 pub fn wal_slots(dir: &Path) -> std::io::Result<Vec<(usize, PathBuf)>> {
-    let mut slots = Vec::new();
+    let mut slots = session_files(dir)?;
+    slots.retain(|(_, path)| path.extension().is_some_and(|x| x == "wal"));
+    Ok(slots)
+}
+
+/// Refuses a `dir` that an earlier run left a session file in (a WAL or
+/// a checkpoint): a server starting fresh must not adopt them.
+///
+/// # Errors
+///
+/// [`std::io::ErrorKind::AlreadyExists`] naming the first such file and
+/// `--recover DIR`; filesystem failures (a missing directory is unused).
+pub(crate) fn refuse_used(dir: &Path) -> std::io::Result<()> {
+    match session_files(dir)?.first() {
+        None => Ok(()),
+        Some((_, path)) => Err(std::io::Error::new(
+            std::io::ErrorKind::AlreadyExists,
+            format!(
+                "{} is left from an earlier run; resume it with --recover {}, \
+                 or serve into an empty directory",
+                path.display(),
+                dir.display()
+            ),
+        )),
+    }
+}
+
+/// Every `session-NNNN.wal` and `session-NNNN.rgsn` under `dir`, sorted
+/// by slot (a checkpoint before its WAL).
+fn session_files(dir: &Path) -> std::io::Result<Vec<(usize, PathBuf)>> {
+    let mut files = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(slots),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(files),
         Err(e) => return Err(e),
     };
     for entry in entries {
@@ -301,14 +334,14 @@ pub fn wal_slots(dir: &Path) -> std::io::Result<Vec<(usize, PathBuf)>> {
         };
         if let Some(slot) = name
             .strip_prefix("session-")
-            .and_then(|rest| rest.strip_suffix(".wal"))
+            .and_then(|rest| rest.strip_suffix(".wal").or(rest.strip_suffix(".rgsn")))
             .and_then(|digits| digits.parse::<usize>().ok())
         {
-            slots.push((slot, path));
+            files.push((slot, path));
         }
     }
-    slots.sort_unstable_by_key(|(slot, _)| *slot);
-    Ok(slots)
+    files.sort_unstable();
+    Ok(files)
 }
 
 #[cfg(test)]
@@ -345,7 +378,7 @@ mod tests {
         let mut wal = WalWriter::create(&dir, 0, FsyncPolicy::Never).unwrap();
         let frames = sample_frames();
         for frame in &frames {
-            wal.append(frame).unwrap();
+            wal.append(&frame.encode()).unwrap();
         }
         drop(wal);
         let path = wal_path(&dir, 0);

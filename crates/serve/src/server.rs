@@ -33,16 +33,16 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use regmon::{SessionConfig, SessionSummary};
+use regmon::{SessionConfig, SessionSnapshot, SessionSummary};
 use regmon_fleet::{EngineConfig, FleetEngine, TenantId, TenantSpec, DEFAULT_QUEUE_DEPTH};
 use regmon_workload::suite;
 
 use crate::durable::{self, DurableOptions, WalWriter};
 use crate::error::ServeError;
-use crate::wire::{Frame, FrameParser, SnapshotFrame};
+use crate::wire::{AdmitFrame, Frame, FrameParser, SnapshotFrame};
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]
@@ -60,7 +60,8 @@ pub struct ServeOptions {
     /// [`ServeOptions::recover`] and resume byte-identically.
     pub durable: Option<DurableOptions>,
     /// Rebuild sessions from [`ServeOptions::durable`]'s directory
-    /// (checkpoint restore plus WAL tail replay) before accepting.
+    /// (checkpoint restore plus WAL replay) before accepting. Without
+    /// it, a durable directory that holds session files is refused.
     pub recover: bool,
     /// Per-connection idle deadline: a socket connection silent for
     /// this long is reaped. `None` waits forever.
@@ -129,10 +130,9 @@ pub struct ServeReport {
 
 struct SessionEntry {
     engine_id: TenantId,
-    name: String,
-    workload: String,
-    config: SessionConfig,
-    max_intervals: u64,
+    /// The admission as the session's opener asked for it (the config
+    /// of a `Snapshot` opener is its snapshot's).
+    admit: AdmitFrame,
     /// Highest interval index folded in: drives the frame-lag
     /// histogram, duplicate-interval dropping and `ResumeAck`.
     last_interval: Option<usize>,
@@ -201,10 +201,14 @@ impl Conn {
     }
 
     /// Feeds one decoded frame through the protocol state machine,
-    /// appending any reply to `self.out`.
+    /// appending any reply to `self.out`. `record` is the frame's bytes
+    /// as they arrived, which a durable session's WAL appends verbatim
+    /// (recovery replays into sessions that have no WAL yet, and passes
+    /// none).
     pub(crate) fn on_frame(
         &mut self,
         frame: Frame,
+        record: &[u8],
         server: &Server,
         telemetry_on: bool,
     ) -> Result<(), ServeError> {
@@ -221,107 +225,16 @@ impl Conn {
                     "stream must open with a Hello frame".into(),
                 ));
             }
-            Frame::Admit(admit) => {
-                if self.local.contains_key(&admit.tenant) {
+            frame @ (Frame::Admit(_) | Frame::Snapshot(_)) => {
+                let (admit, base) = opening(frame)?;
+                let tenant = admit.tenant;
+                if self.local.contains_key(&tenant) {
                     return Err(ServeError::Protocol(format!(
-                        "duplicate Admit for tenant {}",
-                        admit.tenant
+                        "duplicate Admit for tenant {tenant}"
                     )));
                 }
-                let workload = suite::by_name(&admit.workload)
-                    .ok_or_else(|| ServeError::UnknownWorkload(admit.workload.clone()))?;
-                let spec = TenantSpec::new(
-                    admit.name.clone(),
-                    workload,
-                    admit.config.clone(),
-                    admit.max_intervals as usize,
-                );
-                let mut state = server.state.lock().expect("server state poisoned");
-                let engine = state
-                    .engine
-                    .as_mut()
-                    .ok_or_else(|| ServeError::Protocol("server already shut down".into()))?;
-                let engine_id = engine.admit(&spec);
-                let slot = state.sessions.len();
-                let wal = match &server.options.durable {
-                    Some(opts) => {
-                        let mut wal = WalWriter::create(&opts.dir, slot, opts.fsync)?;
-                        wal.append(&Frame::Admit(admit.clone()))?;
-                        Some(wal)
-                    }
-                    None => None,
-                };
-                self.local.insert(admit.tenant, slot);
-                state.sessions.push(SessionEntry {
-                    engine_id,
-                    name: admit.name,
-                    workload: admit.workload,
-                    config: admit.config,
-                    max_intervals: admit.max_intervals,
-                    last_interval: None,
-                    wal,
-                    finished: false,
-                    migrated: false,
-                });
-                if telemetry_on {
-                    regmon_telemetry::metrics::SERVE_SESSIONS
-                        .set((state.sessions.len() - state.finished) as i64);
-                }
-            }
-            Frame::Snapshot(snap) => {
-                // Admit-with-state: the migration hand-off's second half.
-                if self.local.contains_key(&snap.tenant) {
-                    return Err(ServeError::Protocol(format!(
-                        "duplicate Admit for tenant {}",
-                        snap.tenant
-                    )));
-                }
-                let workload = suite::by_name(&snap.workload)
-                    .ok_or_else(|| ServeError::UnknownWorkload(snap.workload.clone()))?;
-                let snapshot = crate::snapshot::decode_snapshot(&snap.snapshot)?;
-                crate::snapshot::check_regions(&snap.name, &snapshot, workload.binary())?;
-                let spec = TenantSpec::new(
-                    snap.name.clone(),
-                    workload,
-                    snapshot.config.clone(),
-                    snap.max_intervals as usize,
-                );
-                let config = snapshot.config.clone();
-                let covered = snapshot.intervals;
-                let mut state = server.state.lock().expect("server state poisoned");
-                let engine = state
-                    .engine
-                    .as_mut()
-                    .ok_or_else(|| ServeError::Protocol("server already shut down".into()))?;
-                let engine_id = engine.admit_from_snapshot(&spec, snapshot);
-                let slot = state.sessions.len();
-                let wal = match &server.options.durable {
-                    Some(opts) => {
-                        let mut wal = WalWriter::create(&opts.dir, slot, opts.fsync)?;
-                        wal.append(&Frame::Snapshot(snap.clone()))?;
-                        Some(wal)
-                    }
-                    None => None,
-                };
-                self.local.insert(snap.tenant, slot);
-                state.sessions.push(SessionEntry {
-                    engine_id,
-                    name: snap.name.clone(),
-                    workload: snap.workload.clone(),
-                    config,
-                    max_intervals: snap.max_intervals,
-                    // The snapshot already covers `covered` intervals;
-                    // duplicate dropping and resume count from there.
-                    last_interval: covered.checked_sub(1),
-                    wal,
-                    finished: false,
-                    migrated: false,
-                });
-                if telemetry_on {
-                    regmon_telemetry::metrics::SNAPSHOT_RESTORES.inc();
-                    regmon_telemetry::metrics::SERVE_SESSIONS
-                        .set((state.sessions.len() - state.finished) as i64);
-                }
+                let slot = server.admit(admit, base, Some(record), telemetry_on)?;
+                self.local.insert(tenant, slot);
             }
             Frame::Batch {
                 tenant: id,
@@ -330,7 +243,7 @@ impl Conn {
                 let &slot = self.local.get(&id).ok_or_else(|| {
                     ServeError::Protocol(format!("Batch for unadmitted tenant {id}"))
                 })?;
-                let mut state = server.state.lock().expect("server state poisoned");
+                let mut state = server.lock();
                 let state = &mut *state;
                 let entry = &mut state.sessions[slot];
                 if entry.finished {
@@ -341,34 +254,25 @@ impl Conn {
                 // Drop intervals already folded in: a resumed producer
                 // re-sends from its last acknowledged position, so
                 // at-least-once delivery becomes exactly-once here.
-                if let Some(last) = entry.last_interval {
-                    let dup = intervals.iter().take_while(|i| i.index <= last).count();
-                    if dup > 0 {
-                        intervals.drain(..dup);
-                    }
-                }
+                let last = entry.last_interval;
+                let dup = intervals
+                    .iter()
+                    .take_while(|i| Some(i.index) <= last)
+                    .count();
+                intervals.drain(..dup);
                 if intervals.is_empty() {
                     return Ok(());
                 }
-                if telemetry_on {
-                    if let (Some(last), Some(first)) =
-                        (entry.last_interval, intervals.first().map(|i| i.index))
-                    {
-                        let lag = first.saturating_sub(last + 1);
-                        regmon_telemetry::metrics::SERVE_FRAME_LAG.record(lag as u64);
-                    }
+                if let (true, Some(last)) = (telemetry_on, entry.last_interval) {
+                    let lag = intervals[0].index.saturating_sub(last + 1);
+                    regmon_telemetry::metrics::SERVE_FRAME_LAG.record(lag as u64);
                 }
-                if let Some(interval) = intervals.last() {
-                    entry.last_interval = Some(interval.index);
-                }
+                entry.last_interval = intervals.last().map(|i| i.index);
                 // Write-ahead: the WAL record lands before the engine
                 // sees the batch, so everything the engine folds in is
                 // recoverable.
                 if let Some(wal) = entry.wal.as_mut() {
-                    wal.append(&Frame::Batch {
-                        tenant: id,
-                        intervals: intervals.clone(),
-                    })?;
+                    wal.append(record)?;
                     wal.since_checkpoint += intervals.len() as u64;
                 }
                 let engine_id = entry.engine_id;
@@ -392,85 +296,68 @@ impl Conn {
                     }
                 }
             }
-            Frame::Checkpoint { tenant: id } => {
-                // Freeze the tenant, ship its session back as a
-                // Snapshot frame, and retire it here: the tenant now
-                // counts as finished for shutdown purposes, but its
-                // summary belongs to whoever adopts the snapshot.
+            Frame::Checkpoint { tenant: id } | Frame::Finish { tenant: id } => {
+                // Either one closes the session here, and it counts as
+                // finished for shutdown purposes. A Checkpoint also
+                // freezes the tenant and ships its session back as a
+                // Snapshot frame: the summary belongs to whoever adopts
+                // that snapshot.
+                let migrate = matches!(frame, Frame::Checkpoint { .. });
+                let what = if migrate { "Checkpoint" } else { "Finish" };
                 let &slot = self.local.get(&id).ok_or_else(|| {
-                    ServeError::Protocol(format!("Checkpoint for unadmitted tenant {id}"))
+                    ServeError::Protocol(format!("{what} for unadmitted tenant {id}"))
                 })?;
-                let mut state = server.state.lock().expect("server state poisoned");
-                if state.sessions[slot].finished {
+                let mut state = server.lock();
+                let state = &mut *state;
+                let entry = &mut state.sessions[slot];
+                if entry.finished {
                     return Err(ServeError::Protocol(format!(
-                        "Checkpoint after Finish for tenant {id}"
+                        "{what} after Finish for tenant {id}"
                     )));
                 }
-                let engine_id = state.sessions[slot].engine_id;
+                let engine = state
+                    .engine
+                    .as_ref()
+                    .ok_or_else(|| ServeError::Protocol("server already shut down".into()))?;
                 // Per-shard FIFO order makes the checkpoint consistent:
                 // every batch offered above is folded in before the
                 // worker answers.
-                let snapshot = state
-                    .engine
-                    .as_ref()
-                    .ok_or_else(|| ServeError::Protocol("server already shut down".into()))?
-                    .checkpoint(engine_id)
-                    .ok_or_else(|| {
+                let snapshot = if migrate {
+                    Some(engine.checkpoint(entry.engine_id).ok_or_else(|| {
                         ServeError::Protocol(format!("tenant {id} has no live session"))
-                    })?;
-                let entry = &mut state.sessions[slot];
-                let reply = Frame::Snapshot(Box::new(SnapshotFrame {
-                    tenant: id,
-                    name: entry.name.clone(),
-                    workload: entry.workload.clone(),
-                    max_intervals: entry.max_intervals,
-                    snapshot: crate::snapshot::encode_snapshot(&snapshot),
-                }));
-                // A closing Checkpoint record marks the WAL as
-                // migrated-away: recovery re-creates the entry but
-                // does not re-admit the tenant.
-                if let Some(wal) = entry.wal.as_mut() {
-                    wal.append(&Frame::Checkpoint { tenant: id })?;
+                    })?)
+                } else {
+                    None
+                };
+                // The closing record. A Checkpoint one marks the WAL as
+                // migrated-away: recovery keeps the slot but does not
+                // re-admit the tenant.
+                if let Some(mut wal) = entry.wal.take() {
+                    wal.append(record)?;
                     wal.sync_boundary()?;
                 }
-                entry.wal = None;
+                match snapshot {
+                    Some(snapshot) => {
+                        let reply = Frame::Snapshot(Box::new(SnapshotFrame {
+                            tenant: id,
+                            name: entry.admit.name.clone(),
+                            workload: entry.admit.workload.clone(),
+                            max_intervals: entry.admit.max_intervals,
+                            snapshot: crate::snapshot::encode_snapshot(&snapshot),
+                        }));
+                        self.out.extend_from_slice(&reply.encode());
+                    }
+                    None => engine.finish(entry.engine_id),
+                }
                 entry.finished = true;
-                entry.migrated = true;
+                entry.migrated = migrate;
                 state.finished += 1;
                 self.finished += 1;
-                self.out.extend_from_slice(&reply.encode());
                 if telemetry_on {
-                    regmon_telemetry::metrics::SERVE_MIGRATIONS.inc();
-                    regmon_telemetry::metrics::SNAPSHOT_SAVES.inc();
-                    regmon_telemetry::metrics::SERVE_SESSIONS
-                        .set((state.sessions.len() - state.finished) as i64);
-                }
-                if state.finished >= server.options.expect_sessions {
-                    server.done.store(true, Ordering::Release);
-                }
-            }
-            Frame::Finish { tenant: id } => {
-                let &slot = self.local.get(&id).ok_or_else(|| {
-                    ServeError::Protocol(format!("Finish for unadmitted tenant {id}"))
-                })?;
-                let mut state = server.state.lock().expect("server state poisoned");
-                if state.sessions[slot].finished {
-                    return Err(ServeError::Protocol(format!(
-                        "duplicate Finish for tenant {id}"
-                    )));
-                }
-                if let Some(wal) = state.sessions[slot].wal.as_mut() {
-                    wal.append(&Frame::Finish { tenant: id })?;
-                    wal.sync_boundary()?;
-                }
-                state.sessions[slot].finished = true;
-                state.finished += 1;
-                self.finished += 1;
-                let engine_id = state.sessions[slot].engine_id;
-                if let Some(engine) = state.engine.as_ref() {
-                    engine.finish(engine_id);
-                }
-                if telemetry_on {
+                    if migrate {
+                        regmon_telemetry::metrics::SERVE_MIGRATIONS.inc();
+                        regmon_telemetry::metrics::SNAPSHOT_SAVES.inc();
+                    }
                     regmon_telemetry::metrics::SERVE_SESSIONS
                         .set((state.sessions.len() - state.finished) as i64);
                 }
@@ -485,24 +372,18 @@ impl Conn {
                 // connection is gone. A miss is answered, never
                 // admitted: the client re-sends its own opener (which
                 // may be a Snapshot frame this server cannot invent).
-                let state = server.state.lock().expect("server state poisoned");
-                let found = state
+                let state = server.lock();
+                let slot = state
                     .sessions
                     .iter()
-                    .enumerate()
-                    .rev()
-                    .find(|(_, e)| e.name == admit.name)
-                    .map(|(slot, _)| slot);
-                let reply = match found {
-                    None => Frame::ResumeAck {
-                        tenant: admit.tenant,
-                        found: false,
-                        done: false,
-                        next_interval: 0,
-                    },
+                    .rposition(|e| e.admit.name == admit.name);
+                let (found, done, next_interval) = match slot {
+                    None => (false, false, 0),
                     Some(slot) => {
                         let entry = &state.sessions[slot];
-                        if entry.workload != admit.workload || entry.config != admit.config {
+                        if entry.admit.workload != admit.workload
+                            || entry.admit.config != admit.config
+                        {
                             return Err(ServeError::Protocol(format!(
                                 "Resume for session {:?} does not match its admitted \
                                  workload/config",
@@ -510,26 +391,21 @@ impl Conn {
                             )));
                         }
                         if entry.finished {
-                            Frame::ResumeAck {
-                                tenant: admit.tenant,
-                                found: true,
-                                done: true,
-                                next_interval: 0,
-                            }
+                            (true, true, 0)
                         } else {
                             self.local.insert(admit.tenant, slot);
-                            Frame::ResumeAck {
-                                tenant: admit.tenant,
-                                found: true,
-                                done: false,
-                                next_interval: entry
-                                    .last_interval
-                                    .map_or(0, |last| last as u64 + 1),
-                            }
+                            let next = entry.last_interval.map_or(0, |last| last as u64 + 1);
+                            (true, false, next)
                         }
                     }
                 };
                 drop(state);
+                let reply = Frame::ResumeAck {
+                    tenant: admit.tenant,
+                    found,
+                    done,
+                    next_interval,
+                };
                 self.out.extend_from_slice(&reply.encode());
             }
             Frame::ResumeAck { .. } | Frame::Busy { .. } => {
@@ -541,6 +417,28 @@ impl Conn {
             }
         }
         Ok(())
+    }
+}
+
+/// The admission a session opener asks for: an `Admit` starts fresh,
+/// and a `Snapshot` continues from the session state it carries.
+fn opening(frame: Frame) -> Result<(AdmitFrame, Option<SessionSnapshot>), ServeError> {
+    match frame {
+        Frame::Admit(admit) => Ok((*admit, None)),
+        Frame::Snapshot(snap) => {
+            let snapshot = crate::snapshot::decode_snapshot(&snap.snapshot)?;
+            let admit = AdmitFrame {
+                tenant: snap.tenant,
+                name: snap.name,
+                workload: snap.workload,
+                config: snapshot.config.clone(),
+                max_intervals: snap.max_intervals,
+            };
+            Ok((admit, Some(snapshot)))
+        }
+        other => Err(ServeError::Protocol(format!(
+            "{other:?} does not open a session"
+        ))),
     }
 }
 
@@ -593,13 +491,87 @@ impl Server {
         &self.options
     }
 
-    /// Rebuilds sessions from the durable directory: per slot, restore
-    /// the newest valid checkpoint (if any), replay the WAL tail past
-    /// it, and reopen the WAL for further appends. Because the WAL
-    /// holds the exact deduplicated wire frames the crashed process
-    /// folded in — and the pipeline is deterministic — the recovered
+    fn lock(&self) -> MutexGuard<'_, ServerState> {
+        self.state.lock().expect("server state poisoned")
+    }
+
+    /// Admits one session into the next slot: fresh, or continuing
+    /// from `base` when that snapshot (a `Snapshot` opener, a recovery
+    /// checkpoint) already covers its first `base.intervals` intervals.
+    /// With a durable directory, `record` (the opener's wire bytes)
+    /// starts the slot's new WAL. Returns the slot.
+    fn admit(
+        &self,
+        admit: AdmitFrame,
+        base: Option<SessionSnapshot>,
+        record: Option<&[u8]>,
+        telemetry_on: bool,
+    ) -> Result<usize, ServeError> {
+        let workload = suite::by_name(&admit.workload)
+            .ok_or_else(|| ServeError::UnknownWorkload(admit.workload.clone()))?;
+        if let Some(snapshot) = &base {
+            crate::snapshot::check_regions(&admit.name, snapshot, workload.binary())?;
+        }
+        let spec = TenantSpec::new(
+            admit.name.clone(),
+            workload,
+            admit.config.clone(),
+            admit.max_intervals as usize,
+        );
+        // Duplicate dropping and resume count from what `base` covers.
+        let last_interval = base.as_ref().and_then(|s| s.intervals.checked_sub(1));
+        let restored = base.is_some();
+        let mut state = self.lock();
+        let state = &mut *state;
+        let engine = state
+            .engine
+            .as_mut()
+            .ok_or_else(|| ServeError::Protocol("server already shut down".into()))?;
+        let slot = state.sessions.len();
+        let wal = match (&self.options.durable, record) {
+            (Some(opts), Some(record)) => {
+                let mut wal = WalWriter::create(&opts.dir, slot, opts.fsync)?;
+                wal.append(record)?;
+                Some(wal)
+            }
+            _ => None,
+        };
+        let engine_id = match base {
+            Some(snapshot) => engine.admit_from_snapshot(&spec, snapshot),
+            None => engine.admit(&spec),
+        };
+        state.sessions.push(SessionEntry {
+            engine_id,
+            admit,
+            last_interval,
+            wal,
+            finished: false,
+            migrated: false,
+        });
+        if telemetry_on {
+            if restored {
+                regmon_telemetry::metrics::SNAPSHOT_RESTORES.inc();
+            }
+            regmon_telemetry::metrics::SERVE_SESSIONS
+                .set((state.sessions.len() - state.finished) as i64);
+        }
+        Ok(slot)
+    }
+
+    /// Readies the durable directory; call it before accepting. Without
+    /// [`ServeOptions::recover`], a directory an earlier run left a WAL
+    /// or checkpoint in is refused rather than mixed into this run.
+    ///
+    /// With it, recovery is a replay of the live path. Each WAL slot's
+    /// session is admitted from its newest valid checkpoint, else from
+    /// the WAL's opener, and every later record goes through the state
+    /// machine a live connection drives, which drops the intervals the
+    /// base state covers and those a producer sent twice (the WAL holds
+    /// frames as they arrived). The pipeline is deterministic, so the
     /// sessions are byte-identical to an uninterrupted run at the same
-    /// position. Torn WAL tails were already truncated by
+    /// position. A WAL closed by `Checkpoint` is recorded as migrated
+    /// and not re-admitted, and one closed by `Finish` is not reopened
+    /// for appends. Torn tails were already truncated by
     /// [`durable::read_wal`]; they are how a crash looks, never fatal.
     ///
     /// Returns the number of sessions recovered (0 when
@@ -607,172 +579,102 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Filesystem failures and structurally broken WALs (a checksummed
-    /// record that does not decode, an opener that is not
-    /// `Admit`/`Snapshot`, unknown workloads).
+    /// A used directory without `recover`; filesystem failures and
+    /// structurally broken WALs (a checksummed record that does not
+    /// decode, an opener that is not `Admit`/`Snapshot`, a later
+    /// record that is not `Batch`/`Finish`, unknown workloads).
     pub fn recover(&self) -> Result<usize, ServeError> {
-        if !self.options.recover {
-            return Ok(0);
-        }
-        let Some(opts) = self.options.durable.clone() else {
+        let Some(opts) = &self.options.durable else {
             return Ok(0);
         };
-        let telemetry_on = regmon_telemetry::enabled();
-        let mut state = self.state.lock().expect("server state poisoned");
-        let state = &mut *state;
+        if !self.options.recover {
+            durable::refuse_used(&opts.dir)?;
+            return Ok(0);
+        }
+        let mut recovered = 0;
         for (slot, path) in durable::wal_slots(&opts.dir)? {
-            if slot != state.sessions.len() {
+            if slot != self.lock().sessions.len() {
                 return Err(ServeError::Protocol(format!(
                     "durable dir {}: WAL slot {slot} breaks admission order",
                     opts.dir.display()
                 )));
             }
-            let recovery = durable::read_wal(&path)?;
-            let mut frames = recovery.frames.into_iter();
-            let opener = frames.next().ok_or_else(|| {
-                ServeError::Protocol(format!("{}: WAL has no opener record", path.display()))
-            })?;
-            let (name, workload_name, config, max_intervals, opener_covered) = match &opener {
-                Frame::Admit(admit) => (
-                    admit.name.clone(),
-                    admit.workload.clone(),
-                    admit.config.clone(),
-                    admit.max_intervals,
-                    0usize,
-                ),
-                Frame::Snapshot(snap) => {
-                    let decoded = crate::snapshot::decode_snapshot(&snap.snapshot)?;
-                    (
-                        snap.name.clone(),
-                        snap.workload.clone(),
-                        decoded.config.clone(),
-                        snap.max_intervals,
-                        decoded.intervals,
-                    )
-                }
+            let mut records = durable::read_wal(&path)?.frames.into_iter();
+            let (admit, opened) = match records.next() {
+                Some(opener @ (Frame::Admit(_) | Frame::Snapshot(_))) => opening(opener)?,
                 other => {
+                    let first = other.map_or("no record".into(), |f| format!("{f:?}"));
                     return Err(ServeError::Protocol(format!(
-                        "{}: WAL opener is {other:?}, not Admit/Snapshot",
+                        "{}: WAL opens with {first}, not Admit/Snapshot",
                         path.display()
-                    )))
+                    )));
                 }
             };
-            let frames: Vec<Frame> = frames.collect();
-            let migrated = frames.iter().any(|f| matches!(f, Frame::Checkpoint { .. }));
-            let finished = frames.iter().any(|f| matches!(f, Frame::Finish { .. }));
-            let mut last_interval = opener_covered.checked_sub(1);
-            for frame in &frames {
-                if let Frame::Batch { intervals, .. } = frame {
-                    if let Some(interval) = intervals.last() {
-                        last_interval = Some(interval.index);
-                    }
-                }
-            }
-
+            recovered += 1;
+            let migrated = records
+                .as_slice()
+                .iter()
+                .any(|f| matches!(f, Frame::Checkpoint { .. }));
             if migrated {
                 // The session was checked out to another server before
                 // the crash; keep the slot (admission order) but do
                 // not re-admit. The dummy engine id matches nothing in
                 // the final summaries, exactly like a live migration.
+                let mut state = self.lock();
                 state.sessions.push(SessionEntry {
                     engine_id: TenantId(u32::MAX - slot as u32),
-                    name,
-                    workload: workload_name,
-                    config,
-                    max_intervals,
-                    last_interval,
+                    admit,
+                    last_interval: None,
                     wal: None,
                     finished: true,
                     migrated: true,
                 });
                 state.finished += 1;
-                state.recovered += 1;
                 continue;
             }
-
-            let workload = suite::by_name(&workload_name)
-                .ok_or_else(|| ServeError::UnknownWorkload(workload_name.clone()))?;
-            let spec = TenantSpec::new(
-                name.clone(),
-                workload,
-                config.clone(),
-                max_intervals as usize,
-            );
-            let engine = state
-                .engine
-                .as_mut()
-                .ok_or_else(|| ServeError::Protocol("server already shut down".into()))?;
             // Base state: the checkpoint when it covers at least the
             // opener, else the opener itself. A corrupt checkpoint
             // already degraded to None (full WAL replay), and so does
             // one holding a region outside the program image.
+            let covered = opened.as_ref().map_or(0, |s| s.intervals);
             let checkpoint = durable::load_checkpoint(&opts.dir, slot).filter(|ck| {
-                ck.config == config
-                    && ck.intervals >= opener_covered
-                    && ck.check_regions(spec.workload.binary()).is_ok()
+                ck.config == admit.config
+                    && ck.intervals >= covered
+                    && suite::by_name(&admit.workload)
+                        .is_some_and(|w| ck.check_regions(w.binary()).is_ok())
             });
-            let (engine_id, covered) = match checkpoint {
-                Some(ck) => {
-                    let covered = ck.intervals;
-                    (engine.admit_from_snapshot(&spec, ck), covered)
-                }
-                None => match opener {
-                    Frame::Admit(_) => (engine.admit(&spec), 0),
-                    Frame::Snapshot(snap) => {
-                        let decoded = crate::snapshot::decode_snapshot(&snap.snapshot)?;
-                        crate::snapshot::check_regions(&name, &decoded, spec.workload.binary())?;
-                        (engine.admit_from_snapshot(&spec, decoded), opener_covered)
-                    }
-                    _ => unreachable!("opener checked above"),
-                },
-            };
-            // Replay the WAL tail past the base state. Dedup against
-            // `covered` keeps checkpoint restore + replay exactly-once.
-            for frame in frames {
-                match frame {
-                    Frame::Batch { intervals, .. } => {
-                        let tail: Vec<_> = intervals
-                            .into_iter()
-                            .filter(|i| i.index >= covered)
-                            .collect();
-                        if !tail.is_empty() {
-                            engine.offer_batch(engine_id, tail);
-                        }
-                    }
-                    Frame::Finish { .. } => engine.finish(engine_id),
-                    _ => {}
-                }
+            self.admit(admit, checkpoint.or(opened), None, false)?;
+            // Replay: a WAL is one session, whatever wire tenant id a
+            // (resumed) connection gave each record.
+            let mut conn = Conn::new();
+            conn.saw_hello = true;
+            for frame in records {
+                let (Frame::Batch { tenant, .. } | Frame::Finish { tenant }) = &frame else {
+                    return Err(ServeError::Protocol(format!(
+                        "{}: {frame:?} record past the WAL opener",
+                        path.display()
+                    )));
+                };
+                conn.local.insert(*tenant, slot);
+                conn.on_frame(frame, &[], self, false)?;
             }
-            let wal = if finished {
-                None
-            } else {
-                Some(WalWriter::open_append(&path, opts.fsync, 0)?)
-            };
-            state.sessions.push(SessionEntry {
-                engine_id,
-                name,
-                workload: workload_name,
-                config,
-                max_intervals,
-                last_interval,
-                wal,
-                finished,
-                migrated: false,
-            });
-            if finished {
-                state.finished += 1;
+            let mut state = self.lock();
+            let entry = &mut state.sessions[slot];
+            if !entry.finished {
+                entry.wal = Some(WalWriter::open_append(&path, opts.fsync)?);
             }
-            state.recovered += 1;
         }
-        if telemetry_on && state.recovered > 0 {
-            regmon_telemetry::metrics::SERVE_RECOVERIES.add(state.recovered as u64);
+        let mut state = self.lock();
+        state.recovered += recovered;
+        if regmon_telemetry::enabled() && recovered > 0 {
+            regmon_telemetry::metrics::SERVE_RECOVERIES.add(recovered as u64);
             regmon_telemetry::metrics::SERVE_SESSIONS
                 .set((state.sessions.len() - state.finished) as i64);
         }
         if state.finished >= self.options.expect_sessions {
             self.done.store(true, Ordering::Release);
         }
-        Ok(state.recovered)
+        Ok(recovered)
     }
 
     /// `true` once [`ServeOptions::expect_sessions`] sessions finished.
@@ -826,19 +728,14 @@ impl Server {
                 Err(e) => return Err(ServeError::Io(e)),
             };
             if n == 0 {
+                // Replies were flushed above, and EOF adds none.
                 parser.finish_eof()?;
-                break;
+                return Ok(conn.finished_sessions());
             }
             self.account(n as u64, 0, telemetry_on);
             parser.feed(&buf[..n]);
             self.drain_parser(&mut parser, &mut conn, telemetry_on)?;
         }
-        if !conn.out.is_empty() {
-            stream.write_all(&conn.out).map_err(ServeError::Io)?;
-            stream.flush().map_err(ServeError::Io)?;
-            conn.out.clear();
-        }
-        Ok(conn.finished_sessions())
     }
 
     /// Decodes every complete frame buffered in `parser` through
@@ -850,8 +747,8 @@ impl Server {
         telemetry_on: bool,
     ) -> Result<(), ServeError> {
         loop {
-            let frame = match parser.next_frame() {
-                Ok(Some(frame)) => frame,
+            let (frame, record) = match parser.next_record() {
+                Ok(Some(next)) => next,
                 Ok(None) => return Ok(()),
                 Err(e) => {
                     if telemetry_on {
@@ -861,7 +758,7 @@ impl Server {
                 }
             };
             self.account(0, 1, telemetry_on);
-            conn.on_frame(frame, self, telemetry_on)?;
+            conn.on_frame(frame, record, self, telemetry_on)?;
         }
     }
 
@@ -878,7 +775,7 @@ impl Server {
         if telemetry_on {
             regmon_telemetry::metrics::SERVE_CONNS_SHED.inc();
         }
-        let mut state = self.state.lock().expect("server state poisoned");
+        let mut state = self.lock();
         state.shed += 1;
     }
 
@@ -886,7 +783,7 @@ impl Server {
         if telemetry_on {
             regmon_telemetry::metrics::SERVE_CONNECTIONS.inc();
         }
-        let mut state = self.state.lock().expect("server state poisoned");
+        let mut state = self.lock();
         state.connections += 1;
     }
 
@@ -895,7 +792,7 @@ impl Server {
             regmon_telemetry::metrics::SERVE_CONNECTIONS_CLOSED.inc();
         }
         if let Err(e) = result {
-            let mut state = self.state.lock().expect("server state poisoned");
+            let mut state = self.lock();
             state.errors.push(e.to_string());
         }
     }
@@ -912,7 +809,7 @@ impl Server {
                 regmon_telemetry::metrics::SERVE_FRAMES.add(frames);
             }
         }
-        let mut state = self.state.lock().expect("server state poisoned");
+        let mut state = self.lock();
         state.bytes += bytes;
         state.frames += frames;
     }
@@ -926,11 +823,11 @@ impl Server {
     #[must_use]
     pub fn finish(&self) -> ServeReport {
         let engine = {
-            let mut state = self.state.lock().expect("server state poisoned");
+            let mut state = self.lock();
             state.engine.take().expect("Server::finish called twice")
         };
         if !engine.drain_barrier_timeout(self.options.drain_deadline) {
-            let mut state = self.state.lock().expect("server state poisoned");
+            let mut state = self.lock();
             state
                 .errors
                 .push("timeout: engine drain barrier missed the shutdown deadline".into());
@@ -942,14 +839,14 @@ impl Server {
                 by_id.insert(tenant.id, tenant.summary);
             }
         }
-        let state = self.state.lock().expect("server state poisoned");
+        let state = self.lock();
         ServeReport {
             sessions: state
                 .sessions
                 .iter()
                 .map(|entry| ServedSession {
-                    name: entry.name.clone(),
-                    config: entry.config.clone(),
+                    name: entry.admit.name.clone(),
+                    config: entry.admit.config.clone(),
                     summary: by_id.get(&entry.engine_id).cloned().flatten(),
                     migrated: entry.migrated,
                 })

@@ -1249,7 +1249,18 @@ impl FrameParser {
     /// Any [`WireError`] except `Truncated` (only [`FrameParser::finish_eof`]
     /// can know the stream ended).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let avail = &self.buf[self.pos..];
+        Ok(self.next_record()?.map(|(frame, _)| frame))
+    }
+
+    /// [`FrameParser::next_frame`], plus the frame's bytes as they
+    /// arrived: the whole envelope, the span its CRC just checked.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameParser::next_frame`].
+    pub fn next_record(&mut self) -> Result<Option<(Frame, &[u8])>, WireError> {
+        let start = self.pos;
+        let avail = &self.buf[start..];
         let Some(len_word) = avail.get(..4) else {
             return Ok(None);
         };
@@ -1264,7 +1275,7 @@ impl FrameParser {
         self.pos += total;
         self.offset += total as u64;
         self.frames_read += 1;
-        Ok(Some(frame))
+        Ok(Some((frame, &self.buf[start..self.pos])))
     }
 
     /// Declares end-of-stream: any buffered partial frame is a

@@ -173,7 +173,29 @@ if [[ "$run_json" != "$(cat "$serve_dir/recovered.json")" ]]; then
   echo "FAIL: kill -9 recovery --json differed from the uninterrupted run --json" >&2
   exit 1
 fi
+# A fresh --durable server (no --recover) must refuse the used WAL dir
+# before accepting anything, and leave every file in it as it was.
+wal_sums="$(cksum "$serve_dir"/wal/*)"
+if refused="$(timeout 20 cargo run -q --release -p regmon-cli -- serve --unix "$serve_dir/fresh.sock" --expect-sessions 1 --durable "$serve_dir/wal" 2>&1 >/dev/null)"; then
+  echo "FAIL: serve --durable adopted a used WAL dir instead of refusing it" >&2
+  exit 1
+fi
+if [[ "$refused" != *"--recover $serve_dir/wal"* ]]; then
+  echo "FAIL: serve --durable on a used WAL dir did not refuse it by name: $refused" >&2
+  exit 1
+fi
+if [[ "$wal_sums" != "$(cksum "$serve_dir"/wal/*)" ]]; then
+  echo "FAIL: the refused serve --durable changed the used WAL dir" >&2
+  exit 1
+fi
 rm -rf "$serve_dir"
+
+step "durable recovery probe (traced pipebench serve_durable: every tenant recovers byte-identically)"
+durable_out="$(cargo run -q --release --offline --manifest-path pipebench/Cargo.toml -- --workload serve_durable --seed 1 --seconds 2 --trace 1 | tail -n 1)"
+if [[ "$durable_out" != *'"failed": 0,'* ]]; then
+  echo "FAIL: traced serve_durable reported failed operations: $durable_out" >&2
+  exit 1
+fi
 
 step "serve demo example"
 cargo run -q --release -p regmon-serve --example serve_demo >/dev/null

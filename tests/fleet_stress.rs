@@ -126,7 +126,7 @@ fn freerun_drop_oldest_drops_deterministically() {
         .take(3)
         .collect();
     for interval in intervals {
-        assert!(engine.offer_interval(id, interval));
+        assert!(engine.offer_batch(id, vec![interval]));
     }
     hold.release();
     engine.finish(id);

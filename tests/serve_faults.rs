@@ -383,6 +383,148 @@ fn recovery_truncates_torn_wal_tail() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A server over `dir`, rebuilt from it first when `recover` is set.
+fn durable_server(dir: &Path, recover: bool) -> Arc<Server> {
+    let server = Arc::new(Server::new(ServeOptions {
+        durable: durable(dir),
+        recover,
+        ..ServeOptions::default()
+    }));
+    let recovered = server.recover().unwrap();
+    assert_eq!(recovered, usize::from(recover));
+    server
+}
+
+/// Streams `plan` into `server` over one in-process socket pair; with
+/// `resume` the connection opens with a `Resume` handshake.
+fn send_to(server: &Arc<Server>, plan: &SendPlan, resume: bool) {
+    let (client, srv) = UnixStream::pair().unwrap();
+    let handle = {
+        let server = Arc::clone(server);
+        std::thread::spawn(move || server.handle_io(srv))
+    };
+    let mut stream = Some(client);
+    let dial = move || Ok(stream.take().unwrap());
+    send_plan(dial, plan, &policy(0), resume, None).unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// A session admitted by a `Snapshot` frame (a migration's second half)
+/// into a durable server crashes, recovers from its WAL and resumes
+/// byte-identically.
+#[test]
+fn snapshot_admitted_session_recovers_byte_identically() {
+    const BASE: usize = 6;
+    let w = suite::by_name(WORKLOAD).unwrap();
+    let mut session = regmon::MonitoringSession::new(config());
+    session.attach_binary(&w);
+    let all = intervals();
+    for interval in &all[..BASE] {
+        session.process_interval(interval);
+    }
+    let blob = regmon_serve::snapshot::encode_snapshot(&session.snapshot());
+    let suffix = |take: usize, finish: bool| SendPlan {
+        sessions: vec![SessionStream {
+            snapshot: Some(blob.clone()),
+            base: BASE as u64,
+            batches: all[BASE..take].chunks(BATCH).map(<[_]>::to_vec).collect(),
+            finish,
+            ..plan(0, false).sessions.remove(0)
+        }],
+    };
+    for take in [BASE + 3, BASE + 9] {
+        let dir = temp_dir(&format!("snapshot-{take}"));
+        send_to(&durable_server(&dir, false), &suffix(take, false), false);
+        let server = durable_server(&dir, true);
+        send_to(&server, &suffix(TOTAL, true), true);
+        let report = Arc::into_inner(server).unwrap().finish();
+        assert_eq!(summary_of(&report), clean_summary(), "take {take}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A WAL closed by `Checkpoint` recovers as a migrated session: no
+/// summary, counted finished. A WAL closed by `Finish` recovers its
+/// summary, counts finished, and is never appended to again.
+#[test]
+fn closed_wals_recover_as_migrated_or_finished() {
+    let dir = temp_dir("closed-checkpoint");
+    let mut handoff = plan(10, false);
+    handoff.sessions[0].checkpoint = true;
+    send_to(&durable_server(&dir, false), &handoff, false);
+    let server = durable_server(&dir, true);
+    assert!(server.done(), "a migrated session counts as finished");
+    let report = Arc::into_inner(server).unwrap().finish();
+    assert_eq!(report.recovered, 1);
+    assert!(report.sessions[0].migrated);
+    assert!(report.sessions[0].summary.is_none());
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = temp_dir("closed-finish");
+    send_to(&durable_server(&dir, false), &plan(TOTAL, true), false);
+    let wal = dir.join("session-0000.wal");
+    let closed = std::fs::read(&wal).unwrap();
+    let server = durable_server(&dir, true);
+    assert!(server.done(), "a finished session counts as finished");
+    // A resuming producer learns the session is done and sends nothing.
+    send_to(&server, &plan(TOTAL, true), true);
+    let report = Arc::into_inner(server).unwrap().finish();
+    assert_eq!(report.recovered, 1);
+    assert!(!report.sessions[0].migrated);
+    assert_eq!(summary_of(&report), clean_summary());
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        closed,
+        "finished WAL reopened"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A producer that reconnects with `Resume` under another wire tenant
+/// id writes later WAL records under that id; the WAL is still one
+/// session, and recovery stays byte-identical.
+#[test]
+fn session_resumed_under_another_wire_id_recovers_byte_identically() {
+    let dir = temp_dir("rebound");
+    let server = durable_server(&dir, false);
+    send_to(&server, &plan(7, false), false);
+    let mut rebound = plan(15, false);
+    rebound.sessions[0].admit.tenant = 5;
+    send_to(&server, &rebound, true);
+    drop(server);
+
+    let report = recover_and_complete(&dir);
+    assert_eq!(report.recovered, 1);
+    assert_eq!(summary_of(&report), clean_summary());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `Batch` frames that re-send intervals already folded in, in part and
+/// in whole, are dropped live; after a crash the recovered session
+/// holds each interval exactly once.
+#[test]
+fn overlapping_batches_recover_byte_identically() {
+    let all = intervals();
+    let mut bytes = Frame::hello().encode();
+    bytes.extend_from_slice(&Frame::Admit(Box::new(admit())).encode());
+    for range in [0..4, 2..8, 0..8, 5..13] {
+        let batch = Frame::Batch {
+            tenant: 0,
+            intervals: all[range].to_vec(),
+        };
+        bytes.extend_from_slice(&batch.encode());
+    }
+    let dir = temp_dir("overlap");
+    durable_server(&dir, false)
+        .handle(bytes.as_slice())
+        .unwrap();
+
+    let report = recover_and_complete(&dir);
+    assert_eq!(report.recovered, 1);
+    assert_eq!(summary_of(&report), clean_summary());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Past `--max-conns`, new connections get a graceful `Busy` reply
 /// (not a hang, not a reset) and a retrying client converges once a
 /// slot frees up.
