@@ -62,11 +62,13 @@ Benchmarks are the synthetic SPEC CPU2000-like models (see `regmon list`).
 Periods are cycles per PMU interrupt (paper sweep: 45000/450000/900000).
 
 Out-of-process ingestion: `--record` writes the sampled intervals as a
-wire frame journal; `regmon replay` re-processes a journal
-byte-identically to the run that recorded it (optionally checkpointing
-with --snapshot-at/--snapshot-out, or resuming with --resume);
-`regmon serve` ingests journals streamed by `regmon send` over a unix
-socket or TCP and reports each finished session like `regmon run`.
+wire frame journal; `regmon replay` feeds a journal through the
+server's state machine in-process, byte-identically to the run that
+recorded it and to `regmon serve` given the same bytes (optionally
+checkpointing with --snapshot-at/--snapshot-out, or resuming with
+--resume); `regmon serve` ingests journals streamed by `regmon send`
+over a unix socket or TCP and reports each finished session like
+`regmon run`.
 
 Everything regmon writes and reads — journals, the --durable WAL,
 `send` and `migrate` — is wire v2: columnar batches (delta-encoded
@@ -793,8 +795,10 @@ fn cpd_json(c: &CpdReport) -> Json {
 
 /// `regmon replay <journal>` — re-process a recorded frame journal.
 ///
-/// The replay is byte-identical to the run that recorded the journal:
-/// with `--json` the output matches the equivalent `regmon run --json`
+/// The replay runs the server's state machine on a one-shard
+/// in-process server, so it is byte-identical to the run that recorded
+/// the journal and to `regmon serve` given the same bytes: with
+/// `--json` the output matches the equivalent `regmon run --json`
 /// exactly. `--snapshot-at N --snapshot-out FILE` checkpoints the
 /// session after N intervals (and continues); `--resume FILE` restores
 /// a checkpoint and skips the intervals it already covers.
@@ -830,14 +834,16 @@ pub fn replay(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Socket failures name the socket; durable-directory failures name
+/// their file.
 #[cfg(unix)]
 fn serve_listener(unix: &str, tcp: &str, options: ServeOptions) -> Result<ServeReport, String> {
-    if unix.is_empty() {
-        regmon_serve::serve_tcp(tcp, options).map_err(|e| format!("--tcp {tcp}: {e}"))
+    let report = if unix.is_empty() {
+        regmon_serve::serve_tcp(tcp, options)
     } else {
         regmon_serve::serve_unix(Path::new(unix), options)
-            .map_err(|e| format!("--unix {unix}: {e}"))
-    }
+    };
+    report.map_err(|e| e.to_string())
 }
 
 #[cfg(not(unix))]

@@ -853,7 +853,65 @@ fn durable_serve_refuses_a_used_directory() {
         assert!(!ok, "serve --durable adopted {}", d.display());
         assert!(stderr.contains(first), "{stderr}");
         assert!(stderr.contains("--recover"), "{stderr}");
+        assert!(!stderr.contains("--unix"), "not a socket error: {stderr}");
         assert_eq!(image(d), before, "{} changed", d.display());
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A socket that cannot be bound fails `serve` with an error naming the
+/// socket path.
+#[cfg(unix)]
+#[test]
+fn serve_bind_failure_names_the_socket() {
+    let dir = temp_dir("bind");
+    let sock = dir.join("no-such-dir").join("s.sock");
+    let sock = sock.to_str().unwrap();
+    let (ok, stderr) = regmon_bounded(&["serve", "--unix", sock, "--expect-sessions", "1"]);
+    assert!(!ok, "serve bound {sock}");
+    assert!(stderr.contains(sock), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `replay --resume` refuses a checkpoint taken under another session
+/// config than the journal's `Admit`.
+#[test]
+fn resume_refuses_a_checkpoint_under_another_config() {
+    let dir = temp_dir("resume-config");
+    let (journal, other, checkpoint) = (dir.join("a.rgj"), dir.join("b.rgj"), dir.join("b.rgsn"));
+    run_recorded("12", &journal);
+    let (ok, _, stderr) = regmon(&[
+        "run",
+        "181.mcf",
+        "--intervals",
+        "12",
+        "--period",
+        "90000",
+        "--record",
+        other.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let (ok, _, stderr) = regmon(&[
+        "replay",
+        other.to_str().unwrap(),
+        "--snapshot-at",
+        "6",
+        "--snapshot-out",
+        checkpoint.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let (ok, stdout, stderr) = regmon(&[
+        "replay",
+        journal.to_str().unwrap(),
+        "--json",
+        "--resume",
+        checkpoint.to_str().unwrap(),
+    ]);
+    assert!(!ok, "resumed under another config: {stdout}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("resume snapshot config differs"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

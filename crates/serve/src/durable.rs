@@ -256,15 +256,13 @@ pub fn read_wal(path: &Path) -> std::io::Result<WalRecovery> {
     })
 }
 
-/// Atomically replaces session `slot`'s checkpoint with `snapshot`
+/// Atomically replaces the checkpoint at `path` with `snapshot`
 /// (write to `.tmp`, optionally fsync, rename over the old one).
 pub(crate) fn write_checkpoint(
-    dir: &Path,
-    slot: usize,
+    path: &Path,
     snapshot: &SessionSnapshot,
     fsync: FsyncPolicy,
 ) -> std::io::Result<()> {
-    let path = checkpoint_path(dir, slot);
     let tmp = path.with_extension("rgsn.tmp");
     let mut file = File::create(&tmp)?;
     file.write_all(&encode_snapshot(snapshot))?;
@@ -272,7 +270,7 @@ pub(crate) fn write_checkpoint(
         file.sync_data()?;
     }
     drop(file);
-    std::fs::rename(&tmp, &path)
+    std::fs::rename(&tmp, path)
 }
 
 /// Loads session `slot`'s checkpoint if one exists and validates
@@ -487,11 +485,11 @@ mod tests {
         let dir = temp_dir("checkpoint");
         assert!(load_checkpoint(&dir, 0).is_none());
         let snapshot = regmon::MonitoringSession::new(SessionConfig::new(45_000)).snapshot();
-        write_checkpoint(&dir, 0, &snapshot, FsyncPolicy::Checkpoint).unwrap();
+        let path = checkpoint_path(&dir, 0);
+        write_checkpoint(&path, &snapshot, FsyncPolicy::Checkpoint).unwrap();
         let loaded = load_checkpoint(&dir, 0).unwrap();
         assert_eq!(loaded.intervals, snapshot.intervals);
         // Corrupt checkpoints degrade to None (full WAL replay).
-        let path = checkpoint_path(&dir, 0);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;

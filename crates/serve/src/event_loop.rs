@@ -298,9 +298,10 @@ fn worker_loop<S: Read + Write + AsRawFd>(
 ///
 /// # Errors
 ///
-/// Listener-level failures; per-connection errors land in
-/// [`ServeReport::errors`].
+/// Recovery failures; accept failures, named by `socket`.
+/// Per-connection errors land in [`ServeReport::errors`].
 pub(crate) fn serve_events<L, S>(
+    socket: &str,
     listener: L,
     accept: impl Fn(&L) -> std::io::Result<S>,
     options: ServeOptions,
@@ -314,7 +315,11 @@ where
     let idle = options.idle_timeout;
     let drain_deadline = options.drain_deadline;
     let server = Arc::new(Server::new(options));
-    server.recover()?;
+    if let Err(e) = server.recover() {
+        // The engine has no `Drop`: join its shard threads.
+        let _ = server.finish();
+        return Err(e);
+    }
     let shared = Arc::new(WorkerShared {
         accepting: AtomicBool::new(true),
         live: AtomicUsize::new(0),
@@ -375,7 +380,7 @@ where
     if let Some(e) = listen_error {
         // Still drain what we ingested so the engine shuts down clean.
         let _ = server.finish();
-        return Err(ServeError::Io(e));
+        return Err(crate::server::socket_error(socket, e));
     }
     let mut report = server.finish();
     report.stragglers = shared.stragglers.load(Ordering::Relaxed);
@@ -446,6 +451,7 @@ mod tests {
         let server_path = path.clone();
         let serving = std::thread::spawn(move || {
             serve_events(
+                "test.sock",
                 listener,
                 |l| {
                     let (stream, _) = l.accept()?;
@@ -504,6 +510,7 @@ mod tests {
         let server_path = path.clone();
         let serving = std::thread::spawn(move || {
             serve_events(
+                "test.sock",
                 listener,
                 |l| {
                     let (stream, _) = l.accept()?;

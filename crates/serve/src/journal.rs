@@ -2,10 +2,11 @@
 //!
 //! A journal is byte-for-byte the wire stream a producer would send
 //! over a socket — `Hello`, then `Admit`/`Batch`/`Finish` frames. That
-//! identity is the point: `regmon record` writes one, `regmon replay`
-//! re-processes it in-process, and `regmon send` streams the very same
-//! bytes at a live `regmon serve`, so one artifact exercises every
-//! ingestion path and all three must agree byte-identically.
+//! identity is the point: `regmon run --record` writes one, `regmon
+//! replay` feeds it through the server's connection state machine
+//! in-process, and `regmon send` streams the very same bytes at a live
+//! `regmon serve`, so one artifact exercises every ingestion path and
+//! all three must agree byte-identically.
 //!
 //! Journals are **wire-v2**: every `Batch` is a delta-encoded `Batch2`
 //! frame. A journal recorded as v1 by an older build fails to read with

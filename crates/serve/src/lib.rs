@@ -12,8 +12,10 @@
 //!   producer connections into [`regmon_fleet::FleetEngine`] shard
 //!   workers; on unix its socket listeners serve every connection from
 //!   one fixed pool of `poll(2)` workers ([`event_loop`]);
-//! * [`replay::replay`] (`regmon replay`) — re-processes a journal file
-//!   in-process, optionally checkpointing mid-stream;
+//! * [`replay::replay`] (`regmon replay`) — feeds a journal file through
+//!   the server's own connection state machine on a one-shard
+//!   in-process [`server::Server`], optionally checkpointing
+//!   mid-stream;
 //! * [`journal::read_journal`] — plain decoding for tooling.
 //!
 //! Checkpointing rides on [`regmon::SessionSnapshot`]: the

@@ -1,23 +1,26 @@
 //! Deterministic replay: re-process a frame journal in-process.
 //!
-//! Replay drives the same [`MonitoringSession`] pipeline as
-//! `regmon run`, but fed from decoded `Batch` frames instead of a live
-//! [`regmon_sampling::Sampler`]. Because the wire codec is bit-exact,
-//! replaying a recorded journal produces *byte-identical* summaries to
-//! the in-process run that the journal captured — and a replay may be
-//! checkpointed mid-stream ([`ReplayOptions::snapshot_at`]) or resumed
-//! from a checkpoint ([`ReplayOptions::resume`]) without perturbing the
+//! Replay is serve without a socket. [`replay_stream`] starts a
+//! one-shard in-process [`Server`], feeds every journal frame through
+//! the per-connection state machine a live `regmon serve` connection
+//! drives, and drains it with [`Server::finish`]. Admission, duplicate
+//! dropping, `Finish` and every protocol rule are the server's, so a
+//! replayed summary is byte-identical to the same journal streamed at
+//! `regmon serve`, and, the pipeline being deterministic, to the
+//! in-process run the journal recorded. A replay may be checkpointed
+//! mid-stream ([`ReplayOptions::snapshot_at`]) or resumed from a
+//! checkpoint ([`ReplayOptions::resume`]) without perturbing the
 //! result.
 
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
 
-use regmon::{MonitoringSession, SessionConfig, SessionSummary};
-use regmon_workload::suite;
+use regmon::{SessionConfig, SessionSnapshot, SessionSummary};
 
 use crate::error::ServeError;
-use crate::snapshot::{load_snapshot, save_snapshot};
+use crate::server::{Conn, ServeOptions, Server};
+use crate::snapshot::load_snapshot;
 use crate::wire::{Frame, FrameReader};
 
 /// Knobs of one replay pass.
@@ -53,23 +56,13 @@ pub struct ReplayOutcome {
     pub tenants: Vec<ReplayTenant>,
 }
 
-struct TenantReplay {
-    wire_id: u32,
-    name: String,
-    config: SessionConfig,
-    session: MonitoringSession,
-    processed: usize,
-    skip: usize,
-    summary: Option<SessionSummary>,
-}
-
 /// Replays a journal file.
 ///
 /// # Errors
 ///
-/// Wire-layer failures, protocol violations (an empty stream, frames
-/// out of order, unknown tenants, missing `Finish`) and unknown
-/// workload names.
+/// Wire-layer failures, the server's protocol violations, unknown
+/// workload names, a journal that admits no session, and a session
+/// left without a summary (no `Finish`, or a `Checkpoint` took it).
 pub fn replay(path: &Path, options: &ReplayOptions) -> Result<ReplayOutcome, ServeError> {
     let file = BufReader::new(File::open(path)?);
     replay_stream(file, options)
@@ -89,149 +82,97 @@ pub fn replay_stream(
             "snapshot_at requires snapshot_out".into(),
         ));
     }
-    let single_tenant_only = options.snapshot_at.is_some() || options.resume.is_some();
     let resume = options.resume.as_deref().map(load_snapshot).transpose()?;
-
-    let mut reader = FrameReader::new(reader);
-    let mut saw_hello = false;
-    let mut tenants: Vec<TenantReplay> = Vec::new();
-
-    while let Some(frame) = reader.next_frame()? {
-        match frame {
-            Frame::Hello { .. } => {
-                if saw_hello {
-                    return Err(ServeError::Protocol("duplicate Hello frame".into()));
-                }
-                saw_hello = true;
-            }
-            _ if !saw_hello => {
-                return Err(ServeError::Protocol(
-                    "stream must open with a Hello frame".into(),
-                ));
-            }
-            Frame::Admit(admit) => {
-                if tenants.iter().any(|t| t.wire_id == admit.tenant) {
-                    return Err(ServeError::Protocol(format!(
-                        "duplicate Admit for tenant {}",
-                        admit.tenant
-                    )));
-                }
-                if single_tenant_only && !tenants.is_empty() {
-                    return Err(ServeError::Protocol(
-                        "snapshot/resume replay requires a single-tenant journal".into(),
-                    ));
-                }
-                let workload = suite::by_name(&admit.workload)
-                    .ok_or_else(|| ServeError::UnknownWorkload(admit.workload.clone()))?;
-                let (session, skip) = match &resume {
-                    Some(snapshot) => {
-                        if snapshot.config != admit.config {
-                            return Err(ServeError::Protocol(
-                                "resume snapshot config differs from the journal's Admit".into(),
-                            ));
-                        }
-                        crate::snapshot::check_regions(&admit.name, snapshot, workload.binary())?;
-                        let skip = snapshot.intervals;
-                        (MonitoringSession::from_snapshot(snapshot.clone()), skip)
-                    }
-                    None => (MonitoringSession::new(admit.config.clone()), 0),
-                };
-                let mut tenant = TenantReplay {
-                    wire_id: admit.tenant,
-                    name: admit.name,
-                    config: admit.config,
-                    session,
-                    processed: 0,
-                    skip,
-                    summary: None,
-                };
-                tenant.session.attach_binary(&workload);
-                tenants.push(tenant);
-            }
-            Frame::Batch {
-                tenant: id,
-                intervals,
-            } => {
-                let tenant = tenants
-                    .iter_mut()
-                    .find(|t| t.wire_id == id)
-                    .ok_or_else(|| {
-                        ServeError::Protocol(format!("Batch for unadmitted tenant {id}"))
-                    })?;
-                if tenant.summary.is_some() {
-                    return Err(ServeError::Protocol(format!(
-                        "Batch after Finish for tenant {id}"
-                    )));
-                }
-                for interval in &intervals {
-                    if tenant.skip > 0 {
-                        tenant.skip -= 1;
-                        continue;
-                    }
-                    tenant.session.process_interval(interval);
-                    tenant.processed += 1;
-                    if options.snapshot_at == Some(tenant.session.intervals()) {
-                        let out = options.snapshot_out.as_deref().expect("checked at entry");
-                        save_snapshot(out, &tenant.session.snapshot())?;
-                    }
-                }
-            }
-            Frame::Finish { tenant: id } => {
-                let tenant = tenants
-                    .iter_mut()
-                    .find(|t| t.wire_id == id)
-                    .ok_or_else(|| {
-                        ServeError::Protocol(format!("Finish for unadmitted tenant {id}"))
-                    })?;
-                if tenant.summary.is_some() {
-                    return Err(ServeError::Protocol(format!(
-                        "duplicate Finish for tenant {id}"
-                    )));
-                }
-                tenant.summary = Some(tenant.session.summary(&tenant.name.clone()));
-            }
-            Frame::Snapshot(_)
-            | Frame::Checkpoint { .. }
-            | Frame::Resume(_)
-            | Frame::ResumeAck { .. }
-            | Frame::Busy { .. } => {
-                // Migration / reconnect frames belong to a live server
-                // conversation, not a recorded journal.
-                return Err(ServeError::Protocol(
-                    "live-connection frame in a replay journal".into(),
-                ));
-            }
-        }
-    }
-    if !saw_hello {
+    let server = Server::new(ServeOptions {
+        shards: 1,
+        ..ServeOptions::default()
+    });
+    // The engine has no `Drop`: a failed replay finishes the server
+    // too, so its shard thread is joined.
+    let fed = feed(&server, reader, options, resume);
+    let report = server.finish();
+    fed?;
+    if report.sessions.is_empty() {
         return Err(ServeError::Protocol(
-            "empty journal: the stream ended before its Hello frame".into(),
+            "empty journal: it admits no session".into(),
         ));
     }
-
-    tenants
+    let tenants = report
+        .sessions
         .into_iter()
-        .map(|t| {
-            let summary = t.summary.ok_or_else(|| {
+        .map(|session| {
+            let summary = session.summary.ok_or_else(|| {
                 ServeError::Protocol(format!(
-                    "journal ended before Finish for tenant {}",
-                    t.wire_id
+                    "journal ended without a summary for tenant {:?}",
+                    session.name
                 ))
             })?;
             Ok(ReplayTenant {
-                name: t.name,
-                config: t.config,
+                name: session.name,
+                config: session.config,
                 summary,
             })
         })
-        .collect::<Result<Vec<_>, ServeError>>()
-        .map(|tenants| ReplayOutcome { tenants })
+        .collect::<Result<_, ServeError>>()?;
+    Ok(ReplayOutcome { tenants })
+}
+
+/// Feeds every journal frame through one connection's state machine,
+/// with no WAL record and replies dropped. `--snapshot-at` splits the
+/// batch that crosses it and snapshots the session between the halves.
+fn feed(
+    server: &Server,
+    reader: impl Read,
+    options: &ReplayOptions,
+    resume: Option<SessionSnapshot>,
+) -> Result<(), ServeError> {
+    let single_tenant = options.snapshot_at.is_some() || resume.is_some();
+    let covered = resume.as_ref().map_or(0, |base| base.intervals);
+    let mut snapshot_at = options.snapshot_at.filter(|&n| n > covered);
+    let mut conn = Conn::new();
+    conn.base = resume;
+    let mut opened = false;
+    let mut reader = FrameReader::new(reader);
+    while let Some(mut frame) = reader.next_frame()? {
+        if matches!(frame, Frame::Admit(_) | Frame::Snapshot(_)) {
+            if single_tenant && opened {
+                return Err(ServeError::Protocol(
+                    "snapshot/resume replay requires a single-tenant journal".into(),
+                ));
+            }
+            opened = true;
+        }
+        if let (Frame::Admit(admit), Some(base)) = (&frame, &conn.base) {
+            if base.config != admit.config {
+                return Err(ServeError::Protocol(
+                    "resume snapshot config differs from the journal's Admit".into(),
+                ));
+            }
+        }
+        if let (Some(n), Frame::Batch { tenant, intervals }) = (snapshot_at, &mut frame) {
+            if let Some(at) = intervals.iter().position(|i| i.index + 1 == n) {
+                let rest = Frame::Batch {
+                    tenant: *tenant,
+                    intervals: intervals.split_off(at + 1),
+                };
+                conn.on_frame(frame, &[], server, false)?;
+                let out = options.snapshot_out.as_deref().expect("checked on entry");
+                server.snapshot_to(0, out)?;
+                snapshot_at = None;
+                frame = rest;
+            }
+        }
+        conn.on_frame(frame, &[], server, false)?;
+        conn.out.clear();
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::journal::record_run;
+    use regmon::MonitoringSession;
     use regmon_workload::suite;
 
     fn temp_path(stem: &str) -> PathBuf {

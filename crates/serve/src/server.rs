@@ -32,6 +32,7 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -40,7 +41,7 @@ use regmon::{SessionConfig, SessionSnapshot, SessionSummary};
 use regmon_fleet::{EngineConfig, FleetEngine, TenantId, TenantSpec, DEFAULT_QUEUE_DEPTH};
 use regmon_workload::suite;
 
-use crate::durable::{self, DurableOptions, WalWriter};
+use crate::durable::{self, DurableOptions, FsyncPolicy, WalWriter};
 use crate::error::ServeError;
 use crate::wire::{AdmitFrame, Frame, FrameParser, SnapshotFrame};
 
@@ -178,6 +179,9 @@ impl std::fmt::Debug for Server {
 /// `Snapshot`s) come out via the `out` buffer.
 pub(crate) struct Conn {
     saw_hello: bool,
+    /// A checkpoint the connection's next `Admit` continues from
+    /// instead of starting fresh (`replay --resume`).
+    pub(crate) base: Option<SessionSnapshot>,
     /// Wire tenant id (connection-scoped) → index into state.sessions.
     local: HashMap<u32, usize>,
     /// Sessions this connection finished (or migrated away).
@@ -190,6 +194,7 @@ impl Conn {
     pub(crate) fn new() -> Self {
         Self {
             saw_hello: false,
+            base: None,
             local: HashMap::new(),
             finished: 0,
             out: Vec::new(),
@@ -233,6 +238,7 @@ impl Conn {
                         "duplicate Admit for tenant {tenant}"
                     )));
                 }
+                let base = base.or_else(|| self.base.take());
                 let slot = server.admit(admit, base, Some(record), telemetry_on)?;
                 self.local.insert(tenant, slot);
             }
@@ -286,7 +292,8 @@ impl Conn {
                 if let (Some(opts), Some(wal)) = (&server.options.durable, entry.wal.as_mut()) {
                     if opts.checkpoint_every > 0 && wal.since_checkpoint >= opts.checkpoint_every {
                         if let Some(snapshot) = engine.peek_snapshot(engine_id) {
-                            durable::write_checkpoint(&opts.dir, slot, &snapshot, opts.fsync)?;
+                            let path = durable::checkpoint_path(&opts.dir, slot);
+                            durable::write_checkpoint(&path, &snapshot, opts.fsync)?;
                             wal.sync_boundary()?;
                             wal.since_checkpoint = 0;
                             if telemetry_on {
@@ -495,6 +502,19 @@ impl Server {
         self.state.lock().expect("server state poisoned")
     }
 
+    /// Writes session `slot`'s state to `path` with the durable
+    /// checkpoint's peek and writer, so `replay --snapshot-at N` and a
+    /// checkpoint taken at interval N are the same bytes. A session
+    /// that is gone writes nothing; it has no summary either.
+    pub(crate) fn snapshot_to(&self, slot: usize, path: &Path) -> std::io::Result<()> {
+        let state = self.lock();
+        let engine = state.engine.as_ref().expect("server not finished");
+        match engine.peek_snapshot(state.sessions[slot].engine_id) {
+            Some(snapshot) => durable::write_checkpoint(path, &snapshot, FsyncPolicy::Never),
+            None => Ok(()),
+        }
+    }
+
     /// Admits one session into the next slot: fresh, or continuing
     /// from `base` when that snapshot (a `Snapshot` opener, a recovery
     /// checkpoint) already covers its first `base.intervals` intervals.
@@ -573,6 +593,8 @@ impl Server {
     /// and not re-admitted, and one closed by `Finish` is not reopened
     /// for appends. Torn tails were already truncated by
     /// [`durable::read_wal`]; they are how a crash looks, never fatal.
+    /// A last WAL left with no complete record (its opener never
+    /// landed) is removed and not counted.
     ///
     /// Returns the number of sessions recovered (0 when
     /// [`ServeOptions::recover`] is off).
@@ -592,7 +614,9 @@ impl Server {
             return Ok(0);
         }
         let mut recovered = 0;
-        for (slot, path) in durable::wal_slots(&opts.dir)? {
+        let slots = durable::wal_slots(&opts.dir)?;
+        let last = slots.last().map(|(slot, _)| *slot);
+        for (slot, path) in slots {
             if slot != self.lock().sessions.len() {
                 return Err(ServeError::Protocol(format!(
                     "durable dir {}: WAL slot {slot} breaks admission order",
@@ -602,6 +626,14 @@ impl Server {
             let mut records = durable::read_wal(&path)?.frames.into_iter();
             let (admit, opened) = match records.next() {
                 Some(opener @ (Frame::Admit(_) | Frame::Snapshot(_))) => opening(opener)?,
+                // A crash between creating a WAL and appending its
+                // opener. Admission holds the state lock across both,
+                // so only the last slot can be caught there: that
+                // session was never admitted, and its slot is free.
+                None if Some(slot) == last => {
+                    std::fs::remove_file(&path)?;
+                    break;
+                }
                 other => {
                     let first = other.map_or("no record".into(), |f| format!("{f:?}"));
                     return Err(ServeError::Protocol(format!(
@@ -847,7 +879,11 @@ impl Server {
                 .map(|entry| ServedSession {
                     name: entry.admit.name.clone(),
                     config: entry.admit.config.clone(),
-                    summary: by_id.get(&entry.engine_id).cloned().flatten(),
+                    summary: by_id
+                        .get(&entry.engine_id)
+                        .filter(|_| entry.finished)
+                        .cloned()
+                        .flatten(),
                     migrated: entry.migrated,
                 })
                 .collect(),
@@ -864,24 +900,32 @@ impl Server {
 
 // ------------------------------------------------------------ listeners
 
+/// A listener failure (bind, accept), named by its socket. Other
+/// failures, such as a refused durable directory, name their own files.
+#[cfg(unix)]
+pub(crate) fn socket_error(socket: &str, e: std::io::Error) -> ServeError {
+    ServeError::Io(std::io::Error::new(e.kind(), format!("{socket}: {e}")))
+}
+
 /// Serves producers over a unix domain socket until
 /// [`ServeOptions::expect_sessions`] sessions finished, then drains and
 /// reports. A pre-existing socket file at `path` is replaced.
 ///
 /// # Errors
 ///
-/// Socket setup failures; per-connection errors land in
-/// [`ServeReport::errors`] instead.
+/// Socket setup and accept failures, named by the socket path;
+/// durable-directory failures, named by their file. Per-connection
+/// errors land in [`ServeReport::errors`] instead.
 #[cfg(unix)]
-pub fn serve_unix(
-    path: &std::path::Path,
-    options: ServeOptions,
-) -> Result<ServeReport, ServeError> {
+pub fn serve_unix(path: &Path, options: ServeOptions) -> Result<ServeReport, ServeError> {
     use std::os::unix::net::UnixListener;
+    let socket = path.display().to_string();
     let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
+    let listener = UnixListener::bind(path)
+        .and_then(|l| l.set_nonblocking(true).map(|()| l))
+        .map_err(|e| socket_error(&socket, e))?;
     let report = crate::event_loop::serve_events(
+        &socket,
         listener,
         |l| {
             let (stream, _) = l.accept()?;
@@ -899,14 +943,15 @@ pub fn serve_unix(
 ///
 /// # Errors
 ///
-/// Socket setup failures; per-connection errors land in
-/// [`ServeReport::errors`] instead.
+/// As [`serve_unix`], with failures named by `addr`.
 #[cfg(unix)]
 pub fn serve_tcp(addr: &str, options: ServeOptions) -> Result<ServeReport, ServeError> {
     use std::net::TcpListener;
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
+    let listener = TcpListener::bind(addr)
+        .and_then(|l| l.set_nonblocking(true).map(|()| l))
+        .map_err(|e| socket_error(addr, e))?;
     crate::event_loop::serve_events(
+        addr,
         listener,
         |l| {
             let (stream, _) = l.accept()?;
@@ -1025,11 +1070,6 @@ mod tests {
         let (config, n) = (SessionConfig::new(45_000), 20);
         let w = suite::by_name("172.mgrid").unwrap();
         let direct = format!("{:?}", MonitoringSession::run_limited(&w, &config, n));
-        // Replay reports the admitted name, `stream_for`'s "172.mgrid#0".
-        let unnamed = |mut summary: regmon::SessionSummary| {
-            summary.workload = "172.mgrid".into();
-            format!("{summary:?}")
-        };
         let written = stream_for("172.mgrid", &config, n, 0);
         let mut reader = FrameReader::new(written.as_slice());
         let mut frames = Vec::new();
@@ -1040,7 +1080,7 @@ mod tests {
         assert!(old.len() > written.len(), "no column chose delta-of-delta");
 
         let replayed = replay_stream(old.as_slice(), &ReplayOptions::default()).unwrap();
-        assert_eq!(unnamed(replayed.tenants[0].summary.clone()), direct);
+        assert_eq!(format!("{:?}", replayed.tenants[0].summary), direct);
 
         // A WAL as an older durable server left it when killed after
         // four batches: the opener and each folded batch.
@@ -1099,8 +1139,8 @@ mod tests {
         let report = Arc::into_inner(server).unwrap().finish();
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(report.recovered, 1);
-        let recovered = report.sessions[0].summary.clone().unwrap();
-        assert_eq!(unnamed(recovered), direct);
+        let recovered = report.sessions[0].summary.as_ref().unwrap();
+        assert_eq!(format!("{recovered:?}"), direct);
     }
 
     #[test]

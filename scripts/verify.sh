@@ -113,7 +113,7 @@ fi
 cargo run -q --release -p regmon-cli -- metrics --check "$cpd_dir/trace.json"
 rm -rf "$cpd_dir"
 
-step "serve smoke (record -> replay/serve/resume all byte-identical to run)"
+step "serve smoke (record -> replay/serve/resume all byte-identical to run; durable and replay checkpoints cmp equal)"
 serve_dir="$(mktemp -d /tmp/regmon_serve.XXXXXX)"
 run_json="$(cargo run -q --release -p regmon-cli -- run 181.mcf --intervals 30 --json --record "$serve_dir/session.rgj" 2>/dev/null)"
 replay_json="$(cargo run -q --release -p regmon-cli -- replay "$serve_dir/session.rgj" --json)"
@@ -134,6 +134,23 @@ cargo run -q --release -p regmon-cli -- send "$serve_dir/session.rgj" --unix "$s
 wait "$serve_pid"
 if [[ "$run_json" != "$(cat "$serve_dir/served.json")" ]]; then
   echo "FAIL: served --json differed from the recorded run --json" >&2
+  exit 1
+fi
+
+# One peek makes both checkpoints: a durable server's last one (interval
+# 24 of 30 at --checkpoint-every 12) and replay --snapshot-at 24.
+cargo run -q --release -p regmon-cli -- serve --unix "$serve_dir/durable.sock" --expect-sessions 1 --durable "$serve_dir/ck_wal" --checkpoint-every 12 --json >"$serve_dir/durable.json" 2>/dev/null &
+serve_pid=$!
+for _ in $(seq 1 100); do [[ -S "$serve_dir/durable.sock" ]] && break; sleep 0.1; done
+cargo run -q --release -p regmon-cli -- send "$serve_dir/session.rgj" --unix "$serve_dir/durable.sock" 2>/dev/null
+wait "$serve_pid"
+cargo run -q --release -p regmon-cli -- replay "$serve_dir/session.rgj" --snapshot-at 24 --snapshot-out "$serve_dir/ck24.rgsn" >/dev/null 2>&1
+if [[ "$run_json" != "$(cat "$serve_dir/durable.json")" ]]; then
+  echo "FAIL: durable served --json differed from the recorded run --json" >&2
+  exit 1
+fi
+if ! cmp "$serve_dir/ck_wal/session-0000.rgsn" "$serve_dir/ck24.rgsn"; then
+  echo "FAIL: the durable checkpoint at interval 24 differs from replay --snapshot-at 24" >&2
   exit 1
 fi
 
@@ -180,7 +197,7 @@ if refused="$(timeout 20 cargo run -q --release -p regmon-cli -- serve --unix "$
   echo "FAIL: serve --durable adopted a used WAL dir instead of refusing it" >&2
   exit 1
 fi
-if [[ "$refused" != *"--recover $serve_dir/wal"* ]]; then
+if [[ "$refused" != *"--recover $serve_dir/wal"* || "$refused" == "error: --unix"* ]]; then
   echo "FAIL: serve --durable on a used WAL dir did not refuse it by name: $refused" >&2
   exit 1
 fi

@@ -17,15 +17,18 @@
 //! 3. **Rejection** — corrupting any byte of a journal or snapshot, or
 //!    truncating either, is caught with a typed error, never a wrong
 //!    result; a version-bumped stream is refused outright.
+//! 4. **Replay is serve** — a multi-tenant journal replays to exactly
+//!    the summaries `Server::handle` serves from the same bytes.
 
 use proptest::prelude::*;
 
 use regmon::{MonitoringSession, PruningConfig, SessionConfig};
 use regmon_lpd::SimilarityKind;
 use regmon_regions::IndexKind;
-use regmon_sampling::Sampler;
+use regmon_sampling::{Interval, Sampler};
 use regmon_serve::journal::JournalWriter;
 use regmon_serve::replay::{replay_stream, ReplayOptions};
+use regmon_serve::server::{ServeOptions, Server};
 use regmon_serve::snapshot::{decode_snapshot, encode_snapshot};
 use regmon_serve::wire::{AdmitFrame, WireError};
 use regmon_workload::suite;
@@ -73,6 +76,59 @@ fn journal_bytes(workload: &str, config: &SessionConfig, n: usize, chunk: usize)
         journal.batch(0, batch.to_vec()).unwrap();
     }
     journal.finish(0).unwrap();
+    journal.into_inner().unwrap()
+}
+
+/// A journal interleaving `tenants` sessions of `n` intervals, one
+/// batch per tenant per turn. Tenant `t` runs `WORKLOADS[(first + t) %
+/// 3]` at its own period, under a sparse wire id and an `Admit` name
+/// that is not its workload's; its batch sizes cycle through
+/// `1..=max_batch` from a per-tenant offset, and its `Finish` follows
+/// its last batch.
+fn multi_tenant_journal(tenants: usize, first: usize, max_batch: usize, n: usize) -> Vec<u8> {
+    let mut journal = JournalWriter::new(Vec::new()).unwrap();
+    let mut streams = Vec::new();
+    for t in 0..tenants {
+        let workload = WORKLOADS[(first + t) % 3];
+        let config = config_for(t as u8, t as u8, t % 2 == 1, (first + t) as u8);
+        let id = 7 * t as u32 + 3;
+        journal
+            .admit(AdmitFrame {
+                tenant: id,
+                name: format!("tenant-{t}"),
+                workload: workload.to_string(),
+                config: config.clone(),
+                max_intervals: n as u64,
+            })
+            .unwrap();
+        let w = suite::by_name(workload).unwrap();
+        let intervals: Vec<Interval> = Sampler::new(&w, config.sampling).take(n).collect();
+        let mut batches = Vec::new();
+        let mut rest = intervals.as_slice();
+        for k in t.. {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at((1 + k % max_batch).min(rest.len()));
+            batches.push(batch.to_vec());
+            rest = tail;
+        }
+        streams.push((id, batches.into_iter()));
+    }
+    let mut open = tenants;
+    while open > 0 {
+        for (id, batches) in &mut streams {
+            match batches.next() {
+                Some(batch) => journal.batch(*id, batch).unwrap(),
+                None if *id != u32::MAX => {
+                    journal.finish(*id).unwrap();
+                    *id = u32::MAX;
+                    open -= 1;
+                }
+                None => {}
+            }
+        }
+    }
     journal.into_inner().unwrap()
 }
 
@@ -255,6 +311,37 @@ proptest! {
         bytes[idx] ^= 1 << flip_bit;
         let result = replay_stream(bytes.as_slice(), &ReplayOptions::default());
         prop_assert!(result.is_err(), "flip at {} accepted", idx);
+    }
+
+    /// Replay is serve: a multi-tenant journal replays to the summaries
+    /// a server serves from the same bytes, `Debug`-identical.
+    #[test]
+    fn replay_equals_serve(
+        tenants in 2usize..4,
+        first in 0usize..3,
+        max_batch in 1usize..5,
+    ) {
+        let bytes = multi_tenant_journal(tenants, first, max_batch, 12);
+        let replayed = replay_stream(bytes.as_slice(), &ReplayOptions::default()).unwrap();
+        let server = Server::new(ServeOptions {
+            expect_sessions: tenants,
+            ..ServeOptions::default()
+        });
+        let handled = server.handle(bytes.as_slice());
+        let report = server.finish();
+        prop_assert_eq!(handled.unwrap(), tenants);
+        let served: Vec<String> = report
+            .sessions
+            .iter()
+            .map(|s| format!("{:?}", s.summary.as_ref().unwrap()))
+            .collect();
+        let replayed: Vec<String> = replayed
+            .tenants
+            .iter()
+            .map(|t| format!("{:?}", t.summary))
+            .collect();
+        prop_assert_eq!(replayed.len(), tenants);
+        prop_assert_eq!(replayed, served);
     }
 
     /// Truncating a wire-v2 journal anywhere is rejected; a cut that

@@ -525,6 +525,58 @@ fn overlapping_batches_recover_byte_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A last WAL with no complete record is what a crash between creating
+/// it and appending its opener leaves: a session that was never
+/// admitted. Recovery skips it without counting it, and the next
+/// admission takes its slot.
+#[test]
+fn opener_less_last_wal_frees_its_slot() {
+    let opener = Frame::Admit(Box::new(admit())).encode();
+    for (tag, left) in [
+        ("empty", &opener[..0]),
+        ("torn", &opener[..opener.len() / 2]),
+    ] {
+        let dir = temp_dir(&format!("opener-less-{tag}"));
+        send_to(&durable_server(&dir, false), &plan(TOTAL, true), false);
+        let wal = dir.join("session-0001.wal");
+        std::fs::write(&wal, left).unwrap();
+        let server = durable_server(&dir, true);
+        send_to(&server, &plan(TOTAL, true), false);
+        let report = Arc::into_inner(server).unwrap().finish();
+        assert_eq!(report.recovered, 1, "{tag}");
+        assert_eq!(report.sessions.len(), 2, "{tag}");
+        for session in &report.sessions {
+            let summary = session.summary.as_ref().expect("session finished");
+            assert_eq!(format!("{summary:?}"), clean_summary(), "{tag}");
+        }
+        let relogged = parse_wal(&std::fs::read(&wal).unwrap()).unwrap().0;
+        assert_eq!(relogged.first(), Some(&Frame::Admit(Box::new(admit()))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A WAL with no opener before the last slot cannot be a crash during
+/// admission, and recovery fails naming it.
+#[test]
+fn opener_less_wal_before_the_last_fails_by_name() {
+    let dir = temp_dir("opener-less-first");
+    send_to(&durable_server(&dir, false), &plan(TOTAL, true), false);
+    std::fs::rename(dir.join("session-0000.wal"), dir.join("session-0001.wal")).unwrap();
+    std::fs::write(dir.join("session-0000.wal"), b"").unwrap();
+    let server = Server::new(ServeOptions {
+        durable: durable(&dir),
+        recover: true,
+        ..ServeOptions::default()
+    });
+    let err = server.recover().unwrap_err().to_string();
+    let _ = server.finish();
+    assert!(
+        err.contains("session-0000.wal") && err.contains("WAL opens with no record"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Past `--max-conns`, new connections get a graceful `Busy` reply
 /// (not a hang, not a reset) and a retrying client converges once a
 /// slot frees up.
