@@ -165,30 +165,51 @@ fn main() {
     // level this host supports (`simd::force`), at both localities.
     // bench_guard.sh reads the within-run scalar/vector ratio, so the
     // ≥2x claim is compared against a scalar row produced in the same
-    // process on the same machine — robust to slow CI hosts. The
-    // representative row is the `local` stream (the paper's observed
-    // sample locality, where the 8-wide window fast path answers whole
-    // blocks); the uniform-random stream — the adversarial worst case,
-    // where every block resolves through the bucket table — is reported
-    // and floored separately.
+    // process on the same machine — robust to slow CI hosts. The levels
+    // are interleaved rep by rep, so a host slowdown mid-measurement
+    // lands on both sides of the ratio rather than on one level's block
+    // of reps. The representative row is the `local` stream (the
+    // paper's observed sample locality, where the 8-wide window fast
+    // path answers whole blocks); the uniform-random stream — the
+    // adversarial worst case, where every block resolves through the
+    // bucket table — is reported and floored separately.
     let regions = region_table(HEADLINE_REGIONS);
     let restore = simd::active();
+    let levels: Vec<SimdLevel> = SimdLevel::ALL
+        .into_iter()
+        .filter(|&level| simd::force(level) == level)
+        .collect();
     let mut simd_rows: Vec<(&'static str, SimdLevel, f64)> = Vec::new();
     for (locality, gen) in localities {
         let samples = gen(HEADLINE_REGIONS, HEADLINE_SAMPLES);
-        for level in SimdLevel::ALL {
-            if simd::force(level) != level {
-                continue; // unsupported on this host
-            }
-            let mut monitor = RegionMonitor::new(IndexKind::FlatSorted);
-            for r in &regions {
-                monitor.add_region(*r, RegionKind::Loop { depth: 0 }, 0);
-            }
-            let ns = median_ns_per(HEADLINE_SAMPLES, reps, || {
+        // One monitor per level, so each level's caches warm on its own
+        // path as they did when the levels ran one after the other.
+        let mut monitors: Vec<RegionMonitor> = levels
+            .iter()
+            .map(|_| {
+                let mut monitor = RegionMonitor::new(IndexKind::FlatSorted);
+                for r in &regions {
+                    monitor.add_region(*r, RegionKind::Loop { depth: 0 }, 0);
+                }
+                monitor
+            })
+            .collect();
+        let mut secs: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); levels.len()];
+        for rep in 0..3 + reps {
+            for ((&level, monitor), level_secs) in levels.iter().zip(&mut monitors).zip(&mut secs) {
+                simd::force(level);
+                let start = Instant::now();
                 monitor.attribute(black_box(&samples));
                 black_box(monitor.report().total_samples());
-            });
-            simd_rows.push((locality, level, ns));
+                // The first three rounds warm up.
+                if rep >= 3 {
+                    level_secs.push(start.elapsed().as_secs_f64());
+                }
+            }
+        }
+        for (&level, level_secs) in levels.iter().zip(&secs) {
+            let median = regmon_stats::median(level_secs).expect("reps > 0");
+            simd_rows.push((locality, level, median * 1.0e9 / HEADLINE_SAMPLES as f64));
         }
     }
     simd::force(restore);

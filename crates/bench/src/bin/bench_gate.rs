@@ -12,7 +12,7 @@
 use std::path::Path;
 use std::process::{Command, ExitCode};
 
-use regmon_bench::gate::{self, Check, RunResult, Verdict, STAGE_SUM};
+use regmon_bench::gate::{self, Check, RunResult, Verdict, QUEUE_STALLS, STAGE_SUM};
 
 /// End-to-end pairs per workload.
 const PAIRS: u64 = 5;
@@ -55,6 +55,7 @@ fn run_gate() -> Result<Verdict, String> {
         ("telemetry.overhead_pct", Check::Limit(TELEMETRY_BUDGET_PCT)),
         ("cpd.observe_us_per_point", Check::Factor(CPD_FACTOR)),
         ("session.stage_sum_ratio", STAGE_SUM),
+        ("fleet.queue_stalls", QUEUE_STALLS),
     ]
     .map(|(metric, check)| (metric.to_string(), check));
 

@@ -126,6 +126,13 @@ pub struct RunResult {
 /// `process_interval` spans: pipebench's `1 ± STAGE_SUM_TOLERANCE`.
 pub const STAGE_SUM: Check = Check::Band(0.9, 1.1);
 
+/// The most traced `fleet.queue_stalls` the head's median may read,
+/// whatever the base's: a quarter of `serve_churn`'s 1,200 intervals
+/// per repetition. A shard queue that wakes its parked feed thread on
+/// every pop from a full ring stalls on most intervals (about 1,000 to
+/// 1,450); one that wakes it at half drain stalls about 100 times.
+pub const QUEUE_STALLS: Check = Check::Limit(300.0);
+
 impl RunResult {
     /// Whether the run is incorrect for a reason other than the traced
     /// stage-sum timing check. That check alone can fail a single run on
@@ -411,6 +418,25 @@ mod tests {
         assert!(passes(Check::Limit(8.0), 100.0, 8.0));
         assert!(!passes(Check::Limit(8.0), -5.0, 8.5));
         assert!(passes(STAGE_SUM, 5.0, 1.1) && !passes(STAGE_SUM, 1.0, 0.89));
+    }
+
+    #[test]
+    fn queue_stalls_row_bounds_the_head_median_whatever_the_base() {
+        let verdict = |base: f64, head: [f64; 3]| {
+            let mut verdict = Verdict::default();
+            let checks = [("fleet.queue_stalls".to_string(), QUEUE_STALLS)];
+            let runs = |values: [f64; 3]| values.map(|v| run("fleet.queue_stalls", v));
+            verdict.judge("w", &checks, &runs([base; 3]), &runs(head));
+            verdict
+        };
+        // A wake per interval fails even against a quiet base...
+        let stalled = verdict(88.0, [1100.0, 290.0, 1200.0]);
+        assert!(!stalled.passed(), "{stalled}");
+        assert_eq!(stalled.rows[1].head, 1100.0);
+        // ...and a median at the limit passes against a stalling one.
+        let quiet = verdict(1300.0, [85.0, 400.0, 300.0]);
+        assert!(quiet.passed(), "{quiet}");
+        assert!(quiet.to_string().contains("<= 300"));
     }
 
     #[test]

@@ -800,8 +800,9 @@ fn cpd_json(c: &CpdReport) -> Json {
 /// the journal and to `regmon serve` given the same bytes: with
 /// `--json` the output matches the equivalent `regmon run --json`
 /// exactly. `--snapshot-at N --snapshot-out FILE` checkpoints the
-/// session after N intervals (and continues); `--resume FILE` restores
-/// a checkpoint and skips the intervals it already covers.
+/// session after N intervals (and continues), and fails when the replay
+/// never reaches N; `--resume FILE` restores a checkpoint and skips the
+/// intervals it already covers.
 pub fn replay(argv: &[String]) -> Result<(), String> {
     let p = parse("replay", argv)?;
     let journal = p.positional(0).ok_or("missing <journal> argument")?;
@@ -819,6 +820,12 @@ pub fn replay(argv: &[String]) -> Result<(), String> {
     let outcome = regmon_serve::replay::replay(Path::new(journal), &options)
         .map_err(|e| format!("{journal}: {e}"))?;
     if !snapshot_out.is_empty() {
+        if !outcome.snapshot_written {
+            return Err(format!(
+                "{journal}: --snapshot-at {snapshot_at} was never reached (the journal ends \
+                 first, or the --resume checkpoint already covers it); {snapshot_out} not written"
+            ));
+        }
         eprintln!("snapshot: session checkpoint written to {snapshot_out}");
     }
     for tenant in &outcome.tenants {

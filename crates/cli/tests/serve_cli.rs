@@ -254,6 +254,57 @@ fn replay_flag_pairing_is_enforced() {
     assert!(stderr.contains("--unix PATH or --tcp ADDR"));
 }
 
+/// A `--snapshot-at` the replay never reaches (past the journal's end,
+/// or at or below the resumed checkpoint's position) is an error that
+/// names it, and no checkpoint file appears.
+#[test]
+fn unreached_snapshot_at_fails_and_writes_nothing() {
+    let dir = temp_dir("unreached");
+    let journal = dir.join("session.rgj");
+    run_recorded("30", &journal);
+    let journal = journal.to_str().unwrap();
+    let out = dir.join("never.rgsn");
+    let out_s = out.to_str().unwrap();
+    let args = [
+        "replay",
+        journal,
+        "--snapshot-at",
+        "100",
+        "--snapshot-out",
+        out_s,
+    ];
+    let (ok, _, stderr) = regmon(&args);
+    assert!(!ok, "an unreached --snapshot-at must fail");
+    assert!(stderr.contains("--snapshot-at 100"), "{stderr}");
+    assert!(!stderr.contains("written to"), "{stderr}");
+    assert!(!out.exists(), "{} was written", out.display());
+
+    let checkpoint = dir.join("ck.rgsn");
+    let checkpoint = checkpoint.to_str().unwrap();
+    let (ok, _, stderr) = regmon(&[
+        "replay",
+        journal,
+        "--snapshot-at",
+        "12",
+        "--snapshot-out",
+        checkpoint,
+    ]);
+    assert!(ok, "{stderr}");
+    let resumed = [
+        "--resume",
+        checkpoint,
+        "--snapshot-at",
+        "8",
+        "--snapshot-out",
+        out_s,
+    ];
+    let (ok, _, stderr) = regmon(&[&["replay", journal], &resumed[..]].concat());
+    assert!(!ok, "a --snapshot-at the checkpoint covers must fail");
+    assert!(stderr.contains("--snapshot-at 8"), "{stderr}");
+    assert!(!out.exists(), "{} was written", out.display());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Spawns `regmon serve --unix <sock> --expect-sessions 1 --json
 /// <extra...>` and waits for the socket to appear.
 #[cfg(unix)]

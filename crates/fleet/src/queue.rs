@@ -24,6 +24,17 @@
 //! unlock — zero syscalls, zero allocations. [`QueueStats::notifies`]
 //! counts the wakeups actually issued so tests can pin this down.
 //!
+//! **Half-drain wake.** The consumer does not wake a parked producer on
+//! every pop: that would hand a feed thread one free slot per wake, so
+//! it would park, wake, push one entry and park again, paying one futex
+//! round trip per entry. A pop wakes parked producers only when it
+//! leaves the ring at or below half full (`len <= capacity / 2`), and
+//! the woken producer then refills half the ring in one run. The one
+//! exception is the **control-path wake**: a pop that hands out a
+//! non-droppable (control) entry also wakes parked producers, since the
+//! consumer may stop popping to act on it (a `Hold` parks the shard).
+//! [`RingQueue::pop`] carries the argument that no wakeup is lost.
+//!
 //! Two backpressure policies:
 //!
 //! - [`QueuePolicy::Block`]: a full queue makes the producer wait, and
@@ -387,7 +398,20 @@ impl<T: Droppable> RingQueue<T> {
         loop {
             if let Some(item) = inner.ring.pop_front() {
                 inner.stats.popped = inner.stats.popped.saturating_add(1);
-                let wake = inner.producer_waiters > 0;
+                // Half-drain wake: parked producers are woken by every
+                // pop that leaves the ring at or below half full, or
+                // hands out a control entry. No wakeup is lost: a
+                // producer parks only on a full ring, and only pops
+                // shrink the ring, one entry each, so every wait episode
+                // is followed by a pop that leaves `len == capacity / 2`
+                // — unless the consumer stops popping first. It stops
+                // only on an empty ring (already past half) or to act
+                // on a control entry (a `Hold` parks the shard), whose
+                // pop is itself a wake. Every parked producer is woken
+                // (`notify_all`), so none is left parked on a ring with
+                // free slots.
+                let wake = inner.producer_waiters > 0
+                    && (inner.ring.len <= self.capacity / 2 || !item.droppable());
                 if wake {
                     inner.stats.notifies = inner.stats.notifies.saturating_add(1);
                 }
@@ -399,7 +423,7 @@ impl<T: Droppable> RingQueue<T> {
                     }
                 }
                 if wake {
-                    self.not_full.notify_one();
+                    self.not_full.notify_all();
                 }
                 return Some(item);
             }
@@ -668,6 +692,106 @@ mod tests {
         let got = consumer.join().unwrap();
         assert_eq!(got.len(), 20, "Block must be lossless");
         assert!(q.stats().stalls > 0, "depth-1 queue must have stalled");
+        assert_eq!(q.stats().dropped, 0);
+    }
+
+    /// Yields until `n` producers are parked on `q` (read under the
+    /// lock, so the count is exact).
+    fn await_parked(q: &RingQueue<Msg>, n: usize) {
+        while q.inner.lock().expect("queue poisoned").producer_waiters < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Half-drain wake: a producer parked on a full 16-slot ring is
+    /// woken by the pop that leaves 8 entries, not by the first pop.
+    #[test]
+    fn parked_producer_wakes_at_half_drain_not_first_pop() {
+        let q = Arc::new(RingQueue::new(16));
+        for i in 0..16 {
+            q.push(Msg::Data(i), QueuePolicy::Block).unwrap();
+        }
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.push(Msg::Data(99), QueuePolicy::Block))
+        };
+        await_parked(&q, 1);
+        for i in 0..7 {
+            assert_eq!(q.pop(), Some(Msg::Data(i)));
+            assert_eq!(q.stats().notifies, 0, "pop {} woke the producer", i + 1);
+        }
+        assert_eq!(q.pop(), Some(Msg::Data(7)));
+        assert_eq!(q.stats().notifies, 1, "the 8th pop leaves half and wakes");
+        producer.join().unwrap().unwrap();
+        q.close();
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let expect: Vec<_> = (8..16).chain([99]).map(Msg::Data).collect();
+        assert_eq!(rest, expect);
+        let stats = q.stats();
+        assert_eq!((stats.stalls, stats.notifies), (1, 1));
+    }
+
+    /// Two producers parked on one full ring both land once the
+    /// consumer drains it; none is left parked on free slots.
+    #[test]
+    fn drain_to_empty_leaves_no_producer_parked() {
+        let q = Arc::new(RingQueue::new(4));
+        for i in 0..4 {
+            q.push(Msg::Data(i), QueuePolicy::Block).unwrap();
+        }
+        let producers: Vec<_> = [10, 11]
+            .map(|tag| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.push(Msg::Data(tag), QueuePolicy::Block))
+            })
+            .into();
+        await_parked(&q, 2);
+        for i in 0..4 {
+            assert_eq!(q.pop(), Some(Msg::Data(i)));
+        }
+        for producer in producers {
+            producer.join().unwrap().unwrap();
+        }
+        assert_eq!(q.inner.lock().unwrap().producer_waiters, 0);
+        q.close();
+        let landed: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(landed.len(), 2);
+        assert!(landed.contains(&Msg::Data(10)) && landed.contains(&Msg::Data(11)));
+        assert_eq!(q.stats().stalls, 2);
+    }
+
+    /// Several `Block` producers through a depth-3 ring: nothing lost,
+    /// and each producer's entries arrive in the order it pushed them.
+    #[test]
+    fn multi_producer_block_stress_keeps_per_producer_fifo() {
+        const PRODUCERS: u32 = 4;
+        const PER_PRODUCER: u32 = 2_000;
+        let q = Arc::new(RingQueue::new(3));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    for seq in 0..PER_PRODUCER {
+                        q.push(Msg::Data(p << 16 | seq), QueuePolicy::Block)
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        let mut next = [0u32; PRODUCERS as usize];
+        for _ in 0..PRODUCERS * PER_PRODUCER {
+            let Some(Msg::Data(v)) = q.pop() else {
+                panic!("queue closed early or a non-data entry");
+            };
+            let (p, seq) = ((v >> 16) as usize, v & 0xffff);
+            assert_eq!(seq, next[p], "producer {p} out of order");
+            next[p] += 1;
+        }
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        assert_eq!(next, [PER_PRODUCER; PRODUCERS as usize]);
+        assert!(q.is_empty());
         assert_eq!(q.stats().dropped, 0);
     }
 

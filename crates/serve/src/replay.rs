@@ -54,6 +54,10 @@ pub struct ReplayTenant {
 pub struct ReplayOutcome {
     /// Per-tenant results, in admission order.
     pub tenants: Vec<ReplayTenant>,
+    /// Whether the [`ReplayOptions::snapshot_at`] checkpoint was
+    /// written. It is not when the journal ends before that interval,
+    /// or the interval is at or below the resumed checkpoint's.
+    pub snapshot_written: bool,
 }
 
 /// Replays a journal file.
@@ -91,7 +95,7 @@ pub fn replay_stream(
     // too, so its shard thread is joined.
     let fed = feed(&server, reader, options, resume);
     let report = server.finish();
-    fed?;
+    let snapshot_written = fed?;
     if report.sessions.is_empty() {
         return Err(ServeError::Protocol(
             "empty journal: it admits no session".into(),
@@ -114,21 +118,26 @@ pub fn replay_stream(
             })
         })
         .collect::<Result<_, ServeError>>()?;
-    Ok(ReplayOutcome { tenants })
+    Ok(ReplayOutcome {
+        tenants,
+        snapshot_written,
+    })
 }
 
 /// Feeds every journal frame through one connection's state machine,
 /// with no WAL record and replies dropped. `--snapshot-at` splits the
 /// batch that crosses it and snapshots the session between the halves.
+/// Returns whether that snapshot was written.
 fn feed(
     server: &Server,
     reader: impl Read,
     options: &ReplayOptions,
     resume: Option<SessionSnapshot>,
-) -> Result<(), ServeError> {
+) -> Result<bool, ServeError> {
     let single_tenant = options.snapshot_at.is_some() || resume.is_some();
     let covered = resume.as_ref().map_or(0, |base| base.intervals);
     let mut snapshot_at = options.snapshot_at.filter(|&n| n > covered);
+    let mut written = false;
     let mut conn = Conn::new();
     conn.base = resume;
     let mut opened = false;
@@ -159,13 +168,14 @@ fn feed(
                 let out = options.snapshot_out.as_deref().expect("checked on entry");
                 server.snapshot_to(0, out)?;
                 snapshot_at = None;
+                written = true;
                 frame = rest;
             }
         }
         conn.on_frame(frame, &[], server, false)?;
         conn.out.clear();
     }
-    Ok(())
+    Ok(written)
 }
 
 #[cfg(test)]
@@ -228,6 +238,7 @@ mod tests {
         std::fs::remove_file(&journal).ok();
         std::fs::remove_file(&checkpoint).ok();
 
+        assert!(with_snapshot.snapshot_written && !straight.snapshot_written);
         let a = format!("{:?}", straight.tenants[0].summary);
         assert_eq!(a, format!("{:?}", with_snapshot.tenants[0].summary));
         assert_eq!(a, format!("{:?}", resumed.tenants[0].summary));

@@ -6,8 +6,8 @@
 # (crates/bench/src/bin/bench_gate.rs): it interleaves the two
 # pipebench builds on every workload BENCHMARK.json gates, prints one
 # table, and fails on BENCHMARK.json's end-to-end bounds, an incorrect
-# run, a higher failed share, the telemetry budget or the change-point
-# cost.
+# run, a higher failed share, the telemetry budget, the queue-stall
+# limit or the change-point cost.
 #
 # Usage: scripts/bench_guard.sh [BASE]
 #   BASE  a git revision. Default: HEAD when tracked files differ from
