@@ -14,6 +14,14 @@
 //! every SIMD level this host supports; `scripts/bench_guard.sh` gates
 //! its within-run vector-over-scalar ratios.
 //!
+//! The `sparse` rows time the flat index (at the auto-detected SIMD
+//! level) on the [`SPARSE_LAYOUT`] — a few regions of uneven size with
+//! uneven gaps across 128 KiB, as a loop program's hot loops lie in
+//! different procedures — against the same number of regions laid out
+//! every 0x100 bytes, with the same streams, interleaved rep by rep.
+//! `bench_gate` bounds the within-run sparse-over-uniform ratio on the
+//! `random` stream.
+//!
 //! The `similarity` rows, outside `headline`, time one LPD similarity
 //! score (Pearson, cosine, Manhattan, rank) between two histograms of
 //! 16, 64 and 256 slots: the paper's §5 question of metrics cheaper
@@ -38,6 +46,27 @@ const SIMILARITY_SLOTS: [usize; 3] = [16, 64, 256];
 /// Histogram slots scored per timed run, spread over repeated scores so
 /// one run lasts far longer than the clock's resolution at every size.
 const SIMILARITY_SLOTS_PER_RUN: usize = 1 << 16;
+
+/// The sparse layout's regions as `(offset from BASE, length)`: nine
+/// loop-sized regions in four clusters across 128 KiB of text — five
+/// within 2.5 KiB, two touching, two alone — with gaps from 0 to
+/// ~50 KiB.
+const SPARSE_LAYOUT: [(u64, u64); 9] = [
+    (0x0_0000, 0x100),
+    (0x0_0180, 0x80),
+    (0x0_0300, 0x100),
+    (0x0_0500, 0x200),
+    (0x0_0880, 0x80),
+    (0x0_9100, 0x80),
+    (0x0_9180, 0x100),
+    (0x1_2f00, 0x300),
+    (0x1_ff40, 0xc0),
+];
+
+/// The sparse rows take this many times the matrix's reps: one rep is
+/// ~15 µs, and the gated ratio needs more of them than a cell's median
+/// to sit still on a shared host.
+const SPARSE_REP_FACTOR: usize = 8;
 
 fn region_table(n: usize) -> Vec<AddrRange> {
     (0..n)
@@ -71,6 +100,57 @@ fn local_samples(n: usize, count: usize) -> Vec<PcSample> {
                 cycle: k,
             }
         })
+        .collect()
+}
+
+/// `count` samples over `regions`: runs of 97 samples walking the
+/// first 32 instructions of one region after another (`local`), or
+/// each sample a hashed instruction of a hashed region (`random`).
+/// Every region is at least 32 instructions long.
+fn in_region_samples(regions: &[AddrRange], locality: &str, count: usize) -> Vec<PcSample> {
+    let n = regions.len() as u64;
+    (0..count as u64)
+        .map(|k| {
+            let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let (region, offset) = match locality {
+                "local" => ((k / 97) % n, (k % 32) * 4),
+                _ => ((h >> 40) % n, (h & 0xff_ffff) * 4),
+            };
+            let r = regions[region as usize];
+            let len = r.end().get() - r.start().get();
+            PcSample {
+                addr: Addr::new(r.start().get() + offset % len),
+                cycle: k,
+            }
+        })
+        .collect()
+}
+
+/// A flat-index monitor over `regions`.
+fn flat_monitor(regions: &[AddrRange]) -> RegionMonitor {
+    let mut monitor = RegionMonitor::new(IndexKind::FlatSorted);
+    for r in regions {
+        monitor.add_region(*r, RegionKind::Loop { depth: 0 }, 0);
+    }
+    monitor
+}
+
+/// Median seconds of each of `runs`, timed in turn rep by rep after
+/// three warmup rounds, so a host slowdown mid-measurement lands on
+/// every run rather than on one run's block of reps.
+fn interleaved_median_secs(reps: usize, runs: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> {
+    let mut secs: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); runs.len()];
+    for rep in 0..3 + reps {
+        for (run, run_secs) in runs.iter_mut().zip(&mut secs) {
+            let start = Instant::now();
+            run();
+            if rep >= 3 {
+                run_secs.push(start.elapsed().as_secs_f64());
+            }
+        }
+    }
+    secs.iter()
+        .map(|s| regmon_stats::median(s).expect("reps > 0"))
         .collect()
 }
 
@@ -184,35 +264,63 @@ fn main() {
         let samples = gen(HEADLINE_REGIONS, HEADLINE_SAMPLES);
         // One monitor per level, so each level's caches warm on its own
         // path as they did when the levels ran one after the other.
-        let mut monitors: Vec<RegionMonitor> = levels
+        let mut runs: Vec<Box<dyn FnMut() + '_>> = levels
             .iter()
-            .map(|_| {
-                let mut monitor = RegionMonitor::new(IndexKind::FlatSorted);
-                for r in &regions {
-                    monitor.add_region(*r, RegionKind::Loop { depth: 0 }, 0);
-                }
-                monitor
+            .map(|&level| {
+                let mut monitor = flat_monitor(&regions);
+                let samples = &samples;
+                Box::new(move || {
+                    simd::force(level);
+                    monitor.attribute(black_box(samples));
+                    black_box(monitor.report().total_samples());
+                }) as Box<dyn FnMut()>
             })
             .collect();
-        let mut secs: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); levels.len()];
-        for rep in 0..3 + reps {
-            for ((&level, monitor), level_secs) in levels.iter().zip(&mut monitors).zip(&mut secs) {
-                simd::force(level);
-                let start = Instant::now();
-                monitor.attribute(black_box(&samples));
-                black_box(monitor.report().total_samples());
-                // The first three rounds warm up.
-                if rep >= 3 {
-                    level_secs.push(start.elapsed().as_secs_f64());
-                }
-            }
-        }
-        for (&level, level_secs) in levels.iter().zip(&secs) {
-            let median = regmon_stats::median(level_secs).expect("reps > 0");
+        let secs = interleaved_median_secs(reps, &mut runs);
+        for (&level, median) in levels.iter().zip(secs) {
             simd_rows.push((locality, level, median * 1.0e9 / HEADLINE_SAMPLES as f64));
         }
     }
     simd::force(restore);
+
+    // ----------------------------------------------------- sparse rows
+    // The flat index on a sparse layout against the same region count
+    // laid out uniformly, each with the same two streams, at the
+    // auto-detected level. A bucket table sized by segment count rather
+    // than by the narrowest segment shows here as a sparse/uniform ratio
+    // well above 1 on the `random` stream.
+    let sparse: Vec<AddrRange> = SPARSE_LAYOUT
+        .iter()
+        .map(|&(offset, len)| {
+            AddrRange::new(Addr::new(BASE + offset), Addr::new(BASE + offset + len))
+        })
+        .collect();
+    let span_of = |regions: &[AddrRange]| regions.last().expect("regions").end().get() - BASE;
+    let uniform = region_table(SPARSE_LAYOUT.len());
+    let layouts = [("uniform", &uniform), ("sparse", &sparse)];
+    // (locality, layout, ns per sample)
+    let mut sparse_rows: Vec<(&'static str, &'static str, f64)> = Vec::new();
+    for locality in ["random", "local"] {
+        let streams: Vec<Vec<PcSample>> = layouts
+            .iter()
+            .map(|(_, regions)| in_region_samples(regions, locality, HEADLINE_SAMPLES))
+            .collect();
+        let mut runs: Vec<Box<dyn FnMut() + '_>> = layouts
+            .iter()
+            .zip(&streams)
+            .map(|((_, regions), samples)| {
+                let mut monitor = flat_monitor(regions);
+                Box::new(move || {
+                    monitor.attribute(black_box(samples));
+                    black_box(monitor.report().total_samples());
+                }) as Box<dyn FnMut()>
+            })
+            .collect();
+        let secs = interleaved_median_secs(SPARSE_REP_FACTOR * reps, &mut runs);
+        for ((layout, _), median) in layouts.iter().zip(secs) {
+            sparse_rows.push((locality, layout, median * 1.0e9 / HEADLINE_SAMPLES as f64));
+        }
+    }
 
     // ------------------------------------------------- similarity rows
     let metrics = [
@@ -253,6 +361,18 @@ fn main() {
     let simd_rand_ns = simd_pick("random", simd_level);
     let simd_speedup_random = scalar_rand_ns / simd_rand_ns;
 
+    let sparse_pick = |locality: &str, layout: &str| -> f64 {
+        sparse_rows
+            .iter()
+            .find(|&&(l, lay, _)| l == locality && lay == layout)
+            .expect("measured above")
+            .2
+    };
+    let uniform_rand_ns = sparse_pick("random", "uniform");
+    let sparse_rand_ns = sparse_pick("random", "sparse");
+    let uniform_local_ns = sparse_pick("local", "uniform");
+    let sparse_local_ns = sparse_pick("local", "sparse");
+
     let flat_ns = cells
         .iter()
         .find(|c| {
@@ -277,6 +397,20 @@ fn main() {
         ("flat_batch_scalar_random_ns_per_sample", f2(scalar_rand_ns)),
         ("flat_batch_simd_random_ns_per_sample", f2(simd_rand_ns)),
         ("simd_speedup_random", f2(simd_speedup_random)),
+        ("sparse_regions", SPARSE_LAYOUT.len().to_string()),
+        ("sparse_span_bytes", span_of(&sparse).to_string()),
+        ("flat_uniform_random_ns_per_sample", f2(uniform_rand_ns)),
+        ("flat_sparse_random_ns_per_sample", f2(sparse_rand_ns)),
+        (
+            "sparse_over_uniform_random",
+            f2(sparse_rand_ns / uniform_rand_ns),
+        ),
+        ("flat_uniform_local_ns_per_sample", f2(uniform_local_ns)),
+        ("flat_sparse_local_ns_per_sample", f2(sparse_local_ns)),
+        (
+            "sparse_over_uniform_local",
+            f2(sparse_local_ns / uniform_local_ns),
+        ),
     ];
     let simd_rendered: Vec<String> = simd_rows
         .iter()
@@ -289,16 +423,35 @@ fn main() {
             )
         })
         .collect();
+    let sparse_rendered: Vec<String> = sparse_rows
+        .iter()
+        .map(|(locality, layout, ns)| {
+            let span = span_of(if *layout == "sparse" {
+                &sparse
+            } else {
+                &uniform
+            });
+            format!(
+                "    {{\"layout\": \"{layout}\", \"regions\": {}, \"span_bytes\": {span}, \
+                 \"samples\": {HEADLINE_SAMPLES}, \"locality\": \"{locality}\", \
+                 \"ns_per_sample\": {ns:.2}}}",
+                SPARSE_LAYOUT.len()
+            )
+        })
+        .collect();
     let rendered: Vec<String> = cells.iter().map(fmt_cell).collect();
     let json = format!(
         "{{\n  \"schema\": \"regmon-attribution-matrix-v1\",\n  \"reps\": {reps},\n  \
          \"note\": \"median ns/sample of RegionMonitor::attribute (stab_batch + epoch-reset \
          arena) per index kind; simd rows: the flat index at the headline cell under each \
-         dispatch level this host supports; similarity rows: median ns per LPD similarity \
-         score\",\n  \"headline\": {{\n{}\n  }},\n  \"simd\": [\n{}\n  ],\n  \
+         dispatch level this host supports; sparse rows: the flat index at the detected level \
+         on a sparse and a uniform layout of the same regions, in-region streams; \
+         similarity rows: median ns per LPD similarity score\",\n  \"headline\": {{\n{}\n  \
+         }},\n  \"simd\": [\n{}\n  ],\n  \"sparse\": [\n{}\n  ],\n  \
          \"similarity\": [\n{}\n  ],\n  \"cells\": [\n{}\n  ]\n}}\n",
         regmon_bench::json_members(&headline),
         simd_rendered.join(",\n"),
+        sparse_rendered.join(",\n"),
         similarity_rows.join(",\n"),
         rendered.join(",\n"),
     );
@@ -307,8 +460,10 @@ fn main() {
         "attribution matrix: {} cells -> {out_path} (headline flat {flat_ns:.1} \
          ns/sample; simd {} vs forced scalar: local {simd_speedup:.2}x ({scalar_ns:.1} -> {simd_ns:.1} \
          ns/sample), random {simd_speedup_random:.2}x ({scalar_rand_ns:.1} -> \
-         {simd_rand_ns:.1} ns/sample))",
+         {simd_rand_ns:.1} ns/sample); sparse vs uniform layout, random: {:.2}x ({uniform_rand_ns:.1} \
+         -> {sparse_rand_ns:.1} ns/sample))",
         cells.len(),
         simd_level.label(),
+        sparse_rand_ns / uniform_rand_ns,
     );
 }

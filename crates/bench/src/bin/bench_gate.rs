@@ -59,13 +59,15 @@ fn run_gate() -> Result<Verdict, String> {
     ]
     .map(|(metric, check)| (metric.to_string(), check));
 
+    let attribution = read(Path::new(attribution))?;
     let mut verdict = Verdict {
-        rows: gate::simd_rows(&read(Path::new(attribution))?)?,
+        rows: gate::simd_rows(&attribution)?,
         problems: Vec::new(),
     };
     if verdict.rows.is_empty() {
         println!("bench gate: no vector level above scalar on this host; no SIMD rows");
     }
+    verdict.rows.extend(gate::sparse_rows(&attribution)?);
     for workload in &spec.workloads {
         let (b, h) = pairs(base, head, workload, PAIRS, false)?;
         verdict.judge(workload, &spec.end_to_end, &b, &h);

@@ -322,6 +322,23 @@ fn side_median(runs: &[RunResult], metric: &str) -> Result<f64, String> {
     median(&values).ok_or(format!("no value of {metric}"))
 }
 
+/// The `headline` object of an `attribution_matrix` JSON.
+fn attribution_headline(attribution_json: &str) -> Result<JsonValue, String> {
+    let doc = parse(attribution_json).map_err(|e| format!("attribution matrix: {e}"))?;
+    doc.get("headline")
+        .cloned()
+        .ok_or("attribution matrix has no headline".to_string())
+}
+
+/// A numeric `headline` field.
+fn headline_number(headline: &JsonValue, key: &str) -> Result<f64, String> {
+    headline
+        .get(key)
+        .ok_or(format!("attribution matrix headline has no {key}"))?
+        .as_f64()
+        .ok_or(format!("attribution matrix {key} is not a number"))
+}
+
 /// The within-run SIMD rows of an `attribution_matrix` JSON: the flat
 /// path under the widest vector level must take at most half the
 /// forced-scalar time on the `local` stream (≥ 2x) and at most 0.8 of
@@ -333,34 +350,56 @@ fn side_median(runs: &[RunResult], metric: &str) -> Result<f64, String> {
 ///
 /// On malformed JSON or a missing headline field.
 pub fn simd_rows(attribution_json: &str) -> Result<Vec<Row>, String> {
-    let doc = parse(attribution_json).map_err(|e| format!("attribution matrix: {e}"))?;
-    let field = |key: &str| {
-        doc.get("headline")
-            .and_then(|h| h.get(key))
-            .ok_or(format!("attribution matrix headline has no {key}"))
-    };
-    let level = field("simd_level")?
+    let headline = attribution_headline(attribution_json)?;
+    let level = headline
+        .get("simd_level")
+        .ok_or("attribution matrix headline has no simd_level")?
         .as_str()
         .ok_or("simd_level is not a string")?;
     if level == "scalar" {
         return Ok(Vec::new());
     }
-    let number = |key: &str| {
-        field(key)?
-            .as_f64()
-            .ok_or(format!("attribution matrix {key} is not a number"))
-    };
     let mut rows = Vec::new();
     for (locality, infix, factor) in [("local", "", 0.5), ("random", "_random", 0.8)] {
         rows.push(Row {
             workload: "attribution_matrix".to_string(),
             metric: format!("flat ns/sample {locality}, scalar vs {level}"),
-            base: number(&format!("flat_batch_scalar{infix}_ns_per_sample"))?,
-            head: number(&format!("flat_batch_simd{infix}_ns_per_sample"))?,
+            base: headline_number(
+                &headline,
+                &format!("flat_batch_scalar{infix}_ns_per_sample"),
+            )?,
+            head: headline_number(&headline, &format!("flat_batch_simd{infix}_ns_per_sample"))?,
             check: Check::Factor(factor),
         });
     }
     Ok(rows)
+}
+
+/// How many times the uniform layout's ns/sample the sparse layout's
+/// may be on `attribution_matrix`'s `random` stream, within one run.
+/// Measured in 20 interleaved runs each on a 2-vCPU VM: a bucket table
+/// sized at ~4 buckets per segment reads 1.11–1.39 (median 1.28), one
+/// sized by the narrowest segment 0.98–1.12 (median 1.01).
+pub const SPARSE_FACTOR: f64 = 1.18;
+
+/// The within-run sparse-layout row of an `attribution_matrix` JSON:
+/// the flat index on regions that lie far apart must cost at most
+/// [`SPARSE_FACTOR`] times what it costs on the same regions laid out
+/// every 0x100 bytes. The "base" column is the uniform layout's time
+/// and the "head" column the sparse layout's.
+///
+/// # Errors
+///
+/// On malformed JSON or a missing headline field.
+pub fn sparse_rows(attribution_json: &str) -> Result<Vec<Row>, String> {
+    let headline = attribution_headline(attribution_json)?;
+    Ok(vec![Row {
+        workload: "attribution_matrix".to_string(),
+        metric: "flat ns/sample random, uniform vs sparse layout".to_string(),
+        base: headline_number(&headline, "flat_uniform_random_ns_per_sample")?,
+        head: headline_number(&headline, "flat_sparse_random_ns_per_sample")?,
+        check: Check::Factor(SPARSE_FACTOR),
+    }])
 }
 
 fn number(v: f64) -> String {
@@ -544,5 +583,20 @@ mod tests {
         assert_eq!(verdicts(5.0, 8.1), [true, false]);
         assert!(simd_rows(&doc("scalar", 10.0, 10.0)).unwrap().is_empty());
         assert!(simd_rows("{\"headline\": {\"simd_level\": \"avx2\"}}").is_err());
+    }
+
+    #[test]
+    fn sparse_row_gates_the_within_run_layout_ratio() {
+        let doc = |sparse: f64| {
+            format!(
+                "{{\"headline\": {{\"flat_uniform_random_ns_per_sample\": 10.0, \
+                 \"flat_sparse_random_ns_per_sample\": {sparse}}}}}"
+            )
+        };
+        let verdict = |sparse| sparse_rows(&doc(sparse)).unwrap()[0].passes();
+        assert!(verdict(9.0) && verdict(11.7));
+        assert!(!verdict(11.9));
+        assert!(sparse_rows("{\"headline\": {}}").is_err());
+        assert!(sparse_rows("{}").is_err());
     }
 }

@@ -100,7 +100,8 @@ fn fleet_matrix_emits_headline_json() {
 }
 
 /// The attribution matrix binary emits well-formed JSON with its
-/// headline, its per-SIMD-level rows and the similarity rows, which sit
+/// headline, its per-SIMD-level rows, its sparse-layout rows and the
+/// similarity rows, which sit
 /// outside `headline` so `regmon cpd --bench` and `bench_gate` never
 /// read them as headline history.
 #[test]
@@ -133,6 +134,11 @@ fn attribution_matrix_emits_headline_simd_and_similarity_json() {
         "\"simd_speedup_random\"",
         "\"simd\": [",
         "\"kernel\": \"attribution_flat_batch\", \"level\": \"scalar\"",
+        "\"flat_uniform_random_ns_per_sample\"",
+        "\"flat_sparse_random_ns_per_sample\"",
+        "\"sparse\": [",
+        "\"layout\": \"uniform\"",
+        "\"layout\": \"sparse\"",
         "\"similarity\": [",
         "\"cells\": [",
         "\"index\": \"list\"",

@@ -329,6 +329,27 @@ pub(crate) const NO_SEG: u32 = u32::MAX;
 /// The shift widens until the covered span fits.
 const TABLE_MAX_ENTRIES: usize = 1 << 15;
 
+/// The segment containing `addr`, from `seg`, the segment of the first
+/// address of `addr`'s bucket. Below the table cap a bucket's interior
+/// holds at most one cut, so one branch-free compare-and-add resolves
+/// it. Only a `capped` table (see [`FlatSortedIndex::table_capped`])
+/// scans past the further cuts its wider buckets may hold; the flag is
+/// fixed per table, so that branch always predicts, and an uncapped
+/// lookup carries no second dependent load.
+///
+/// Requires `cuts[seg] <= addr < cuts[last]`, which keeps every load in
+/// bounds.
+#[inline(always)]
+fn step_past_cuts(cuts: &[u64], mut seg: usize, addr: u64, capped: bool) -> usize {
+    seg += usize::from(cuts[seg + 1] <= addr);
+    if capped {
+        while cuts[seg + 1] <= addr {
+            seg += 1;
+        }
+    }
+    seg
+}
+
 /// A flat, fully sorted attribution index.
 ///
 /// The interval set is compiled into *elementary segments*: the sorted,
@@ -341,13 +362,15 @@ const TABLE_MAX_ENTRIES: usize = 1 << 15;
 ///
 /// The segment lookup itself is served by a direct-mapped *bucket
 /// table*: the covered span is split into `2^shift`-byte buckets, each
-/// storing the segment containing its first address. A lookup shifts,
-/// loads one `u32` and advances past at most the cuts that fall inside
-/// that bucket — O(1) with dense monitored text, degrading gracefully
-/// (and still bounded by a binary search fallback never being needed)
-/// when regions are sparse. The shift widens until the table fits
-/// [`TABLE_MAX_ENTRIES`], so memory stays bounded for arbitrarily wide
-/// binaries.
+/// storing the segment containing its first address. A bucket is no
+/// wider than the narrowest elementary segment (gaps between regions
+/// count), so at most one cut lies inside it, and a lookup is one
+/// shift, one `u32` load and one branch-free compare-and-add, however
+/// far apart the regions lie. Only a span too wide for
+/// [`TABLE_MAX_ENTRIES`] buckets of that width widens the shift
+/// (bounding memory for arbitrarily wide binaries); a bucket may then
+/// hold several cuts, and a forward scan past them follows the single
+/// step.
 ///
 /// Mutations recompile segments and table (O(n log n + coverage +
 /// buckets)). On region-churning programs regions do change often — a
@@ -375,6 +398,10 @@ pub struct FlatSortedIndex {
     table_base: u64,
     /// log2 of the bucket width in bytes.
     table_shift: u32,
+    /// `true` when [`TABLE_MAX_ENTRIES`] forced buckets wider than the
+    /// narrowest segment, so a bucket may hold several cuts and lookups
+    /// must scan past them.
+    table_capped: bool,
 }
 
 impl FlatSortedIndex {
@@ -433,21 +460,29 @@ impl FlatSortedIndex {
         }
 
         // Bucket table over the covered span [cuts[0], cuts[last]).
-        // Sizing: ~4 buckets per segment keeps the correction scan at
-        // zero or one step while staying L1-resident for realistic
-        // region sets (the old span-only policy built tables up to
-        // [`TABLE_MAX_ENTRIES`] even when a few hundred buckets would
-        // do, pushing every random-order lookup out to L2).
+        // Sizing: the bucket width is the largest power of two not above
+        // the narrowest elementary segment, so no bucket's interior
+        // holds two cuts and a lookup corrects its bucket's segment by
+        // at most one step. The table has `span / narrowest` buckets at
+        // most (well under the cap for region sets spread over tens of
+        // KiB); only a wider span widens the shift to fit
+        // [`TABLE_MAX_ENTRIES`].
         let lo = self.cuts[0];
         let hi = *self.cuts.last().expect("non-empty cuts");
         let span = hi - lo;
-        let target = (4 * segs).next_power_of_two().clamp(64, TABLE_MAX_ENTRIES);
-        let mut shift = 0u32;
-        while ((span >> shift) as usize).saturating_add(1) > target {
+        let narrowest = self
+            .cuts
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .min()
+            .expect("at least one segment");
+        let mut shift = narrowest.ilog2();
+        while ((span >> shift) as usize).saturating_add(1) > TABLE_MAX_ENTRIES {
             shift += 1;
         }
         self.table_base = lo;
         self.table_shift = shift;
+        self.table_capped = shift > narrowest.ilog2();
         let buckets = (span >> shift) as usize + 1;
         self.table.reserve(buckets);
         let mut seg = 0usize;
@@ -462,10 +497,8 @@ impl FlatSortedIndex {
 
     /// The elementary segment containing `addr`, or [`NO_SEG`].
     ///
-    /// One shift, one table load, then a forward scan past however many
-    /// cuts share the bucket — O(1) when buckets are at least as fine as
-    /// segments (the common case; the shift only widens on very large
-    /// spans).
+    /// One shift, one table load and one compare-and-add (see
+    /// [`step_past_cuts`]).
     #[inline]
     fn segment_of(&self, addr: u64) -> u32 {
         if self.table.is_empty()
@@ -475,12 +508,8 @@ impl FlatSortedIndex {
             return NO_SEG;
         }
         let bucket = ((addr - self.table_base) >> self.table_shift) as usize;
-        let mut seg = self.table[bucket] as usize;
-        // `addr < cuts[last]` guarantees the scan stops in bounds.
-        while self.cuts[seg + 1] <= addr {
-            seg += 1;
-        }
-        seg as u32
+        let seg = self.table[bucket] as usize;
+        step_past_cuts(&self.cuts, seg, addr, self.table_capped) as u32
     }
 
     /// The answer set of segment `seg` (empty for [`NO_SEG`]).
@@ -545,15 +574,7 @@ impl FlatSortedIndex {
         let sentinel = self.nsegs() as u32;
         segs.clear();
         segs.resize(samples.len(), sentinel);
-        stab_x86::resolve_all(
-            &self.cuts,
-            &self.table,
-            self.table_base,
-            self.table_shift,
-            sentinel,
-            samples,
-            segs,
-        );
+        stab_x86::resolve_all(self, sentinel, samples, segs);
     }
 }
 
@@ -663,6 +684,8 @@ mod stab_x86 {
 
     use regmon_sampling::PcSample;
 
+    use super::FlatSortedIndex;
+
     /// Samples resolved per block (two 256-bit registers of addresses).
     pub const BLOCK: usize = 8;
 
@@ -681,14 +704,10 @@ mod stab_x86 {
     ///
     /// Callers dispatch on [`regmon_stats::SimdLevel::Avx2`], which is
     /// only ever active after runtime detection (debug-asserted here).
-    /// `cuts`, `table`, `base` and `shift` must be a
-    /// [`super::FlatSortedIndex`]'s compiled state with a non-empty
-    /// table, and `segs.len() == samples.len()`.
+    /// `index` must have a non-empty table, and `segs.len() ==
+    /// samples.len()`.
     pub fn resolve_all(
-        cuts: &[u64],
-        table: &[u32],
-        base: u64,
-        shift: u32,
+        index: &FlatSortedIndex,
         empty: u32,
         samples: &[PcSample],
         segs: &mut [u32],
@@ -696,32 +715,40 @@ mod stab_x86 {
         debug_assert!(regmon_stats::SimdLevel::Avx2.is_supported());
         debug_assert_eq!(samples.len(), segs.len());
         // SAFETY: AVX2 is active (dispatch invariant above).
-        unsafe { resolve_all_avx2(cuts, table, base, shift, empty, samples, segs) }
+        unsafe { resolve_all_avx2(index, empty, samples, segs) }
     }
 
     /// # Safety
     ///
-    /// Requires AVX2, plus the [`resolve_all`] shape contract:
-    /// `table.len() == ((cuts.last() - base) >> shift) + 1` and
-    /// `table[b] <=` the segment of bucket `b`'s first address (the
-    /// `FlatSortedIndex` rebuild invariant), so every in-range lane's
-    /// bucket load and cut scan stay in bounds.
+    /// Requires AVX2, plus the [`resolve_all`] shape contract. The
+    /// `FlatSortedIndex` rebuild invariant — `table.len() ==
+    /// ((cuts.last() - base) >> shift) + 1`, `table[b]` the segment of
+    /// bucket `b`'s first address, and at most one cut inside a bucket
+    /// unless `table_capped` — keeps every in-range lane's bucket load
+    /// and cut loads in bounds.
     #[target_feature(enable = "avx2")]
     unsafe fn resolve_all_avx2(
-        cuts: &[u64],
-        table: &[u32],
-        base: u64,
-        shift: u32,
+        index: &FlatSortedIndex,
         empty: u32,
         samples: &[PcSample],
         segs: &mut [u32],
     ) {
+        let FlatSortedIndex {
+            cuts,
+            table,
+            table_base: base,
+            table_shift: shift,
+            table_capped: capped,
+            ..
+        } = index;
+        let (base, shift, capped) = (*base, *shift, *capped);
         let cuts_last = *cuts.last().expect("table implies cuts");
         let cuts_first = cuts[0];
         // SAFETY: intrinsics are guarded by the avx2 target feature;
         // the unchecked loads are covered by the rebuild invariant
-        // (`bucket` bounded for in-range lanes, cut scan stops before
-        // `cuts.len()` because in-range lanes have `a < cuts[last]`).
+        // (`bucket` bounded for in-range lanes; a cut load past
+        // `cuts[seg + 1]` happens only while `cuts[seg + 1] <= a <
+        // cuts[last]`, so every one stays before `cuts.len()`).
         unsafe {
             let bias = _mm256_set1_epi64x(SIGN as i64);
             let basev = _mm256_set1_epi64x((base ^ SIGN) as i64);
@@ -786,8 +813,14 @@ mod stab_x86 {
                         segs[i + k] = if ok & (1 << lane) != 0 {
                             let a = addrs[k];
                             let mut seg = *table.get_unchecked(b as usize) as usize;
-                            while *cuts.get_unchecked(seg + 1) <= a {
-                                seg += 1;
+                            // `super::step_past_cuts` without the bounds
+                            // checks: one compare-and-add, then the
+                            // capped-table scan.
+                            seg += usize::from(*cuts.get_unchecked(seg + 1) <= a);
+                            if capped {
+                                while *cuts.get_unchecked(seg + 1) <= a {
+                                    seg += 1;
+                                }
                             }
                             seg as u32
                         } else {
@@ -819,11 +852,8 @@ mod stab_x86 {
                     wseg = if a < base || a >= cuts_last {
                         empty
                     } else {
-                        let mut seg = table[((a - base) >> shift) as usize] as usize;
-                        while cuts[seg + 1] <= a {
-                            seg += 1;
-                        }
-                        seg as u32
+                        let seg = table[((a - base) >> shift) as usize] as usize;
+                        super::step_past_cuts(cuts, seg, a, capped) as u32
                     };
                     (lo, hi) = if wseg == empty {
                         if a < cuts_first {
@@ -998,7 +1028,6 @@ mod tests {
     /// The per-sample reference for [`FlatSortedIndex::segments_bulk_avx2`]:
     /// each sample's [`FlatSortedIndex::segment_of`], with out-of-span
     /// samples mapped to `nsegs()`.
-    #[cfg(target_arch = "x86_64")]
     fn reference_segments(idx: &FlatSortedIndex, samples: &[PcSample]) -> Vec<u32> {
         samples
             .iter()
@@ -1073,6 +1102,113 @@ mod tests {
             let mut segs = Vec::new();
             idx.segments_bulk_avx2(&samples, &mut segs);
             prop_assert_eq!(segs, reference_segments(&idx, &samples));
+        }
+    }
+
+    /// `cuts.partition_point(|&c| c <= a) - 1` for in-span addresses,
+    /// `nsegs()` outside: the segment every resolver must return, in
+    /// the bulk resolver's encoding.
+    fn oracle_segment(idx: &FlatSortedIndex, a: u64) -> u32 {
+        let cuts = &idx.cuts;
+        if cuts.is_empty() || a < cuts[0] || a >= cuts[cuts.len() - 1] {
+            idx.nsegs() as u32
+        } else {
+            (cuts.partition_point(|&c| c <= a) - 1) as u32
+        }
+    }
+
+    /// Regions of 4..1024 bytes with gaps of 0..256 KiB between them:
+    /// spans from a few hundred bytes to a few MiB, so some layouts hit
+    /// the table cap and some don't.
+    fn spread_layout(seed: u64) -> FlatSortedIndex {
+        let mut x = seed;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut idx = FlatSortedIndex::new();
+        let mut at = 0x1_0000u64;
+        for id in 0..2 + next() % 12 {
+            let len = 4 * (1 + next() % 256);
+            let start = if next() % 4 == 0 {
+                at.saturating_sub(len / 2)
+            } else {
+                at
+            };
+            idx.insert(RegionId(id), r(start, start + len));
+            at = start + len + 4 * (next() % (1 << (next() % 17)));
+        }
+        idx
+    }
+
+    #[test]
+    fn below_the_cap_no_bucket_interior_holds_two_cuts() {
+        let (mut capped, mut uncapped) = (0, 0);
+        for seed in 0..400 {
+            let idx = spread_layout(seed);
+            assert!(idx.table.len() <= TABLE_MAX_ENTRIES, "seed {seed}");
+            let width = 1u64 << idx.table_shift;
+            let narrowest = idx.cuts.windows(2).map(|w| w[1] - w[0]).min().unwrap();
+            for (b, &seg) in idx.table.iter().enumerate() {
+                let start = idx.table_base + b as u64 * width;
+                assert_eq!(seg, oracle_segment(&idx, start).min(idx.nsegs() as u32 - 1));
+            }
+            let span = idx.cuts[idx.cuts.len() - 1] - idx.table_base;
+            if (span >> narrowest.ilog2()) as usize + 1 > TABLE_MAX_ENTRIES {
+                capped += 1;
+                continue;
+            }
+            uncapped += 1;
+            assert!(width <= narrowest, "seed {seed}: {width}-byte buckets");
+            for b in 0..idx.table.len() as u64 {
+                let start = idx.table_base + b * width;
+                let inside = idx
+                    .cuts
+                    .iter()
+                    .filter(|&&c| c > start && c < start + width)
+                    .count();
+                assert!(inside <= 1, "seed {seed}: bucket {b} holds {inside} cuts");
+            }
+        }
+        // Both sides of the cap are exercised.
+        assert!(
+            capped > 20 && uncapped > 20,
+            "{capped} capped, {uncapped} not"
+        );
+    }
+
+    #[test]
+    fn both_resolvers_match_partition_point_on_spread_layouts() {
+        for seed in 0..200 {
+            let idx = spread_layout(seed);
+            let (lo, hi) = (idx.cuts[0], idx.cuts[idx.cuts.len() - 1]);
+            // Every cut and its neighbours, plus a stride across the
+            // span and a little past both ends.
+            let mut addrs: Vec<u64> = idx
+                .cuts
+                .iter()
+                .flat_map(|&c| [c.saturating_sub(4), c.saturating_sub(1), c, c + 1, c + 4])
+                .collect();
+            let step = ((hi - lo) / 509).max(1);
+            addrs.extend((lo.saturating_sub(64)..hi + 64).step_by(step as usize));
+            let samples: Vec<PcSample> = addrs
+                .iter()
+                .map(|&a| PcSample {
+                    addr: Addr::new(a),
+                    cycle: a,
+                })
+                .collect();
+            let expect: Vec<u32> = addrs.iter().map(|&a| oracle_segment(&idx, a)).collect();
+            assert_eq!(reference_segments(&idx, &samples), expect, "seed {seed}");
+            #[cfg(target_arch = "x86_64")]
+            if regmon_stats::SimdLevel::Avx2 == regmon_stats::simd::detected() {
+                let mut segs = Vec::new();
+                idx.segments_bulk_avx2(&samples, &mut segs);
+                assert_eq!(segs, expect, "seed {seed}");
+            }
         }
     }
 

@@ -630,11 +630,11 @@ impl RegionMonitor {
 ///    builds a cursor into its (single) region's arena histogram — slot
 ///    ensure/clear/touched bookkeeping once per segment instead of once
 ///    per sample — and every later sample is a masked add through that
-///    cursor. UCR samples append to the unattributed buffer
-///    branchlessly (write, then conditionally advance) while their
-///    histogram write lands in a sink cell; samples in multi-id
-///    (overlapping-region) segments are deferred to the ordinary
-///    `record` path.
+///    cursor. The cold cases branch off that one tag compare: a UCR
+///    sample is written by raw pointer into the unattributed buffer's
+///    reserved capacity (the length is committed once, after the
+///    loop), and a sample in a multi-id (overlapping-region) segment
+///    is deferred to the ordinary `record` path.
 ///
 /// Equivalence with the per-sample oracle: histogram addition over u64
 /// commutes, the UCR buffer is filled in input order, and the touched

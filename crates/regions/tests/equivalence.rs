@@ -21,18 +21,18 @@ fn range(start: u64, len: u64) -> AddrRange {
     AddrRange::new(Addr::new(start), Addr::new(start + len))
 }
 
+/// A `kind` monitor over the region table.
+fn monitor(kind: IndexKind, regions: &[(u64, u64)]) -> RegionMonitor {
+    let mut mon = RegionMonitor::new(kind);
+    for &(start, len) in regions {
+        mon.add_region(range(start, len), RegionKind::Custom, 0);
+    }
+    mon
+}
+
 /// Builds one monitor per index kind with an identical region table.
 fn monitors(regions: &[(u64, u64)]) -> Vec<RegionMonitor> {
-    KINDS
-        .iter()
-        .map(|&kind| {
-            let mut mon = RegionMonitor::new(kind);
-            for &(start, len) in regions {
-                mon.add_region(range(start, len), RegionKind::Custom, 0);
-            }
-            mon
-        })
-        .collect()
+    KINDS.iter().map(|&kind| monitor(kind, regions)).collect()
 }
 
 fn samples(addrs: &[u64]) -> Vec<PcSample> {
@@ -164,9 +164,162 @@ fn boundary_conditions_agree_across_kinds_and_paths() {
     assert_eq!(serial[0], serial[1]);
     assert_eq!(serial[0], serial[2]);
     // legacy `distribute` is the same arena pass under the hood.
-    let mut mon = RegionMonitor::new(IndexKind::FlatSorted);
-    for &(start, len) in &regions {
-        mon.add_region(range(start, len), RegionKind::Custom, 0);
-    }
+    let mut mon = monitor(IndexKind::FlatSorted, &regions);
     assert_eq!(&mon.distribute(&s), &serial[2]);
+}
+
+/// SplitMix64, the seeded stream behind [`random_layout`].
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A multiple of 4 in `[lo, hi]` (both multiples of 4).
+    fn aligned(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + 4 * (self.next() % ((hi - lo) / 4 + 1))
+    }
+}
+
+/// One `(start, len)` region layout of the family `seed % 5`, every
+/// boundary 4-byte aligned:
+/// 0. a few regions with gaps of 1–64 KiB (wide spans, few segments);
+/// 1. many short, often overlapping regions in 2 KiB (narrow segments);
+/// 2. regions laid back to back, some 4 bytes long (touching);
+/// 3. regions nested inside one enclosing region;
+/// 4. a tight cluster of 4-byte regions plus one region MiBs away, so
+///    the bucket table hits its cap and buckets hold several cuts.
+fn random_layout(seed: u64) -> Vec<(u64, u64)> {
+    let mut rng = Mix(seed);
+    let base = 0x40_0000 + rng.aligned(0, 0x1000);
+    let count = 2 + rng.next() % 10;
+    let mut out = Vec::new();
+    match seed % 5 {
+        0 => {
+            let mut at = base;
+            for _ in 0..count {
+                let len = rng.aligned(4, 512);
+                out.push((at, len));
+                at += len + rng.aligned(1 << 10, 1 << 16);
+            }
+        }
+        1 => {
+            for _ in 0..4 * count {
+                out.push((base + rng.aligned(0, 2048), rng.aligned(4, 64)));
+            }
+        }
+        2 => {
+            let mut at = base;
+            for _ in 0..3 * count {
+                let len = if rng.next() % 3 == 0 {
+                    4
+                } else {
+                    rng.aligned(4, 256)
+                };
+                out.push((at, len));
+                at += len;
+            }
+        }
+        3 => {
+            let outer = rng.aligned(1 << 10, 1 << 14);
+            out.push((base, outer));
+            for _ in 0..count {
+                let start = rng.aligned(0, outer - 4);
+                out.push((base + start, rng.aligned(4, outer - start)));
+            }
+        }
+        _ => {
+            for _ in 0..4 * count {
+                out.push((base + rng.aligned(0, 256), 4));
+            }
+            out.push((base + rng.aligned(1 << 20, 4 << 20), rng.aligned(4, 256)));
+        }
+    }
+    out
+}
+
+/// Sample addresses that probe `layout`: every cut and its neighbours,
+/// random instructions inside random regions (in short runs, as a loop
+/// would fire), a stride across the span, and addresses past both ends.
+fn probe_addrs(layout: &[(u64, u64)], cuts: &[u64], rng: &mut Mix) -> Vec<u64> {
+    let (lo, hi) = (cuts[0], cuts[cuts.len() - 1]);
+    let mut addrs: Vec<u64> = cuts
+        .iter()
+        .flat_map(|&c| [c.saturating_sub(4), c, c + 4])
+        .collect();
+    for _ in 0..64 {
+        let (start, len) = layout[(rng.next() % layout.len() as u64) as usize];
+        for _ in 0..1 + rng.next() % 12 {
+            addrs.push(start + rng.aligned(0, len - 4));
+        }
+    }
+    let step = ((hi - lo) / 97).max(4) & !3;
+    addrs.extend((lo..hi).step_by(step as usize));
+    addrs.extend([0, lo - 4, hi, hi + 4, !3]);
+    addrs
+}
+
+/// For every sample, the flat index resolves the segment that
+/// `cuts.partition_point(|&c| c <= a) - 1` names (its stab window is that
+/// segment's span, or the out-of-span gap), whatever the layout's span
+/// and narrowest segment; and the monitor's attribution — the fused
+/// kernel under AVX2 dispatch — reports exactly what the tree oracle
+/// reports at every SIMD level the host supports.
+#[test]
+fn flat_resolution_matches_partition_point_on_random_layouts() {
+    use regmon_regions::RegionId;
+    use regmon_stats::{simd, SimdLevel};
+    let before = simd::active();
+    for seed in 0..250u64 {
+        let layout = random_layout(seed);
+        let mut cuts: Vec<u64> = layout.iter().flat_map(|&(s, l)| [s, s + l]).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut rng = Mix(!seed);
+        let addrs = probe_addrs(&layout, &cuts, &mut rng);
+
+        let mut flat = IndexKind::FlatSorted.make();
+        for (i, &(s, l)) in layout.iter().enumerate() {
+            flat.insert(RegionId(i as u64), range(s, l));
+        }
+        let last = cuts[cuts.len() - 1];
+        let mut ids = Vec::new();
+        for &a in &addrs {
+            let expect = if a < cuts[0] {
+                (0, cuts[0])
+            } else if a >= last {
+                (last, u64::MAX)
+            } else {
+                let seg = cuts.partition_point(|&c| c <= a) - 1;
+                (cuts[seg], cuts[seg + 1])
+            };
+            ids.clear();
+            let window = flat.stab_window(Addr::new(a), &mut ids);
+            assert_eq!(window, expect, "seed {seed} addr {a:#x}");
+        }
+
+        let s = samples(&addrs);
+        let mut oracle = monitor(IndexKind::IntervalTree, &layout);
+        oracle.attribute(&s);
+        let expect = oracle.report().to_owned_report();
+        for level in SimdLevel::ALL {
+            if simd::force(level) != level {
+                continue; // not supported on this host
+            }
+            let mut mon = monitor(IndexKind::FlatSorted, &layout);
+            mon.attribute(&s);
+            assert_eq!(
+                mon.report().to_owned_report(),
+                expect,
+                "seed {seed} under {}",
+                level.label()
+            );
+        }
+    }
+    simd::force(before);
 }

@@ -2,12 +2,12 @@
 # Performance gate: the working tree against a base revision, both built
 # and measured on this host in the same run. Extracts BASE with
 # `git archive`, builds its pipebench next to the working tree's, runs
-# attribution_matrix for the within-run SIMD ratios, then bench_gate
-# (crates/bench/src/bin/bench_gate.rs): it interleaves the two
-# pipebench builds on every workload BENCHMARK.json gates, prints one
-# table, and fails on BENCHMARK.json's end-to-end bounds, an incorrect
-# run, a higher failed share, the telemetry budget, the queue-stall
-# limit or the change-point cost.
+# attribution_matrix for the within-run SIMD and sparse-layout ratios,
+# then bench_gate (crates/bench/src/bin/bench_gate.rs): it interleaves
+# the two pipebench builds on every workload BENCHMARK.json gates,
+# prints one table, and fails on BENCHMARK.json's end-to-end bounds, an
+# incorrect run, a higher failed share, the telemetry budget, the
+# queue-stall limit, the change-point cost or either attribution ratio.
 #
 # Usage: scripts/bench_guard.sh [BASE]
 #   BASE  a git revision. Default: HEAD when tracked files differ from
