@@ -670,7 +670,8 @@ impl RegionIndex for FlatSortedIndex {
 /// The AVX2 segment resolver behind
 /// [`FlatSortedIndex::segments_bulk_avx2`], the front half of the
 /// monitor's fused attribution kernel, and the only `target_feature`
-/// code in the workspace. All comparisons are unsigned 64-bit, realized
+/// code in the workspace besides the frame checksum's PCLMULQDQ fold
+/// (`regmon_serve::crc`). All comparisons are unsigned 64-bit, realized
 /// as signed compares after flipping the sign bit.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]

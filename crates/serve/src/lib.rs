@@ -51,10 +51,11 @@
 //! );
 //! ```
 
-// `deny` rather than `forbid`: the one scoped `allow(unsafe_code)`
-// block in this crate is `event_loop::sys` (direct `poll(2)`
-// declarations against libc, so the workspace needs no external
-// crate).
+// `deny` rather than `forbid`: the crate has two scoped
+// `allow(unsafe_code)` modules, `event_loop::sys` (direct `poll(2)`
+// declarations against libc, so the workspace needs no external crate)
+// and `crc::fold_x86` (the PCLMULQDQ checksum fold, behind runtime
+// feature detection).
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 

@@ -51,6 +51,7 @@ step "pipebench tests (the wire-to-verdict benchmark builds against the serve AP
 cargo test --release --offline --manifest-path pipebench/Cargo.toml
 
 step "cargo test (REGMON_SIMD=scalar — vector kernels must be bitwise-inert)"
+# The CRC-32 dispatch does not follow REGMON_SIMD; its table path is covered by crc.rs's oracle tests.
 REGMON_SIMD=scalar cargo test -q
 
 step "fleet JSON determinism"
